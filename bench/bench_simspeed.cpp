@@ -4,33 +4,26 @@
  *
  * Measures the host-side cost of the reproduction pipeline itself:
  *
- *  1. Pete's instruction throughput (MIPS) across the combinations of
- *     the three execution-speed layers -- the predecoded i-text
- *     (src/sim/predecode), the hot-block timing memo
- *     (src/sim/block_cache.hh) and the superblock trace tier
- *     (src/sim/superblock.hh) -- on the operand-scanning multiply
- *     kernel.  `--no-predecode` / `--no-block-cache` /
- *     `--no-superblock` drop a layer from the grid (they compose: all
- *     three flags leave only the fully slow configuration).  The grid
- *     is nominally 2x2x2, but the superblock tier flattens block-memo
- *     entries, so its two block-memo-off cells are structurally empty
- *     and are skipped;
+ *  1. Pete's instruction throughput (MIPS) on the operand-scanning
+ *     multiply kernel with each of its two execution paths: the
+ *     per-step interpreter and the hot-block timing memo
+ *     (src/sim/block_cache.hh);
  *  2. the wall-clock of a full prime-field design-space sweep, serial
  *     vs. the parallel SweepRunner, and again with a warm evaluation
  *     memo (ULECC_EVAL_CACHE semantics, see docs/PERFORMANCE.md).
  *
  * The measured numbers are journaled as the sim_wall_seconds /
- * sim_mips / block_cache_hit_rate / block_cache_speedup /
- * superblock_hit_rate / superblock_speedup fields of the
+ * sim_mips / block_cache_hit_rate / block_cache_speedup fields of the
  * ulecc.bench.v1 record so perf regressions show up in telemetry
- * (tools/check.sh --bench compares a fresh journal line against the
- * committed BENCH_simspeed.json); the timings themselves are
- * host-dependent and are exempt from the byte-identity rule that
- * covers the paper benches.
+ * (tools/check.sh --bench gates the same-run speedup ratio and the
+ * deterministic hit rate against the committed BENCH_simspeed.json);
+ * the timings themselves are host-dependent and are exempt from the
+ * byte-identity rule that covers the paper benches.
  */
 
 #include <chrono>
-#include <cstring>
+#include <string>
+#include <thread>
 
 #include "workload/asm_kernels.hh"
 
@@ -56,13 +49,11 @@ struct SimSpeed
     double mips = 0;
     uint64_t instructions = 0;
     double blockHitRate = 0; ///< replays / lookups (0 with cache off)
-    double traceHitRate = 0; ///< trace-replayed insts / retired insts
 };
 
 /** Runs the k=17 operand-scanning multiply @p reps times. */
 SimSpeed
-measurePeteOnce(bool predecode, bool blockCache, bool superblock,
-                int reps)
+measurePeteOnce(bool blockCache, int reps)
 {
     Program program = assemble(kernelSource(AsmKernel::MulOs, 17));
     MpUint a = MpUint::powerOfTwo(543).sub(MpUint(12345));
@@ -70,13 +61,10 @@ measurePeteOnce(bool predecode, bool blockCache, bool superblock,
     SimSpeed speed;
     uint64_t lookups = 0;
     uint64_t replays = 0;
-    uint64_t traceInsts = 0;
     double t0 = now();
     for (int rep = 0; rep < reps; ++rep) {
         PeteConfig cfg;
-        cfg.predecode = predecode;
         cfg.blockCache = blockCache;
-        cfg.superblock = superblock;
         Pete cpu(program, cfg);
         for (int i = 0; i < 34; ++i)
             cpu.mem().poke32(0x10000400 + 4 * i, a.limb(i));
@@ -88,16 +76,11 @@ measurePeteOnce(bool predecode, bool blockCache, bool superblock,
             lookups += bc->lookups;
             replays += bc->replays;
         }
-        if (const SuperblockStats *sb = cpu.superblockStats())
-            traceInsts += sb->replayedInstructions;
     }
     speed.wallSeconds = now() - t0;
     speed.mips = speed.instructions / speed.wallSeconds / 1e6;
     if (lookups)
         speed.blockHitRate = double(replays) / double(lookups);
-    if (speed.instructions)
-        speed.traceHitRate =
-            double(traceInsts) / double(speed.instructions);
     return speed;
 }
 
@@ -106,26 +89,14 @@ measurePeteOnce(bool predecode, bool blockCache, bool superblock,
  *  noise on a busy host can halve a single reading; the minimum is
  *  the standard denoised estimate of the true cost. */
 SimSpeed
-measurePete(bool predecode, bool blockCache, bool superblock, int reps,
-            int trials = 5)
+measurePete(bool blockCache, int reps, int trials = 5)
 {
-    SimSpeed best = measurePeteOnce(predecode, blockCache, superblock,
-                                    reps);
-    SimSpeed last = best;
+    SimSpeed best = measurePeteOnce(blockCache, reps);
     for (int i = 1; i < trials; ++i) {
-        SimSpeed s = measurePeteOnce(predecode, blockCache, superblock,
-                                     reps);
+        SimSpeed s = measurePeteOnce(blockCache, reps);
         if (s.wallSeconds < best.wallSeconds)
             best = s;
-        last = s;
     }
-    // Timing from the fastest trial, hit rates from the final one:
-    // the superblock trace registry is process-wide, so only the
-    // first trial pays cold builds, and which trial wins on wall
-    // time is host noise -- the final trial's rates are the warm
-    // steady state and are deterministic run to run.
-    best.blockHitRate = last.blockHitRate;
-    best.traceHitRate = last.traceHitRate;
     return best;
 }
 
@@ -149,110 +120,32 @@ timeSweep(bool serial, bool clearEvalMemo)
     return now() - t0;
 }
 
-const char *
-configName(bool predecode, bool blockCache, bool superblock)
-{
-    if (superblock) {
-        return predecode ? "predecode + block memo + superblock"
-                         : "superblock, decode per retirement";
-    }
-    if (predecode && blockCache)
-        return "predecode + block memo";
-    if (predecode)
-        return "predecoded i-text";
-    if (blockCache)
-        return "block memo, decode per retirement";
-    return "decode per retirement";
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     SweepDriver sweep(argc, argv); // uniform CLI; drives nothing here
-    bool allowPredecode = true;
-    bool allowBlockCache = true;
-    bool allowSuperblock = true;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--no-predecode"))
-            allowPredecode = false;
-        if (!std::strcmp(argv[i], "--no-block-cache"))
-            allowBlockCache = false;
-        if (!std::strcmp(argv[i], "--no-superblock"))
-            allowSuperblock = false;
-    }
     banner("Sim speed", "Pete throughput and sweep wall-clock");
 
-    // The measurement grid: every combination of the three layers
-    // that the flags allow, slowest first so each "Speedup" cell is
-    // relative to the fully slow configuration.  Superblock rows
-    // without the block memo are structurally empty (the trace
-    // builder flattens block-memo entries) and are skipped.
+    // Pete's two execution paths, slowest first so each "Speedup" cell
+    // is relative to the interpreter.
     const int reps = 2000;
-    struct Row
-    {
-        bool predecode;
-        bool blockCache;
-        bool superblock;
-        SimSpeed speed;
-    };
-    std::vector<Row> rows;
-    for (bool superblock : {false, true}) {
-        if (superblock && (!allowSuperblock || !allowBlockCache))
-            continue;
-        for (bool blockCache : {false, true}) {
-            if (blockCache && !allowBlockCache)
-                continue;
-            if (superblock && !blockCache)
-                continue;
-            for (bool predecode : {false, true}) {
-                if (predecode && !allowPredecode)
-                    continue;
-                rows.push_back({predecode, blockCache, superblock,
-                                measurePete(predecode, blockCache,
-                                            superblock, reps)});
-            }
-        }
-    }
-    const SimSpeed &slow = rows.front().speed;
-    const SimSpeed &fast = rows.back().speed;
+    const SimSpeed slow = measurePete(false, reps);
+    const SimSpeed fast = measurePete(true, reps);
     Table t({"Configuration", "Instructions", "Wall s", "MIPS",
              "Speedup"});
-    for (const Row &row : rows) {
-        t.addRow({configName(row.predecode, row.blockCache,
-                             row.superblock),
-                  std::to_string(row.speed.instructions),
-                  fmt(row.speed.wallSeconds, 3), fmt(row.speed.mips, 1),
-                  fmt(slow.wallSeconds / row.speed.wallSeconds) + "x"});
+    for (const auto &[name, speed] :
+         {std::pair{"interpreter (decode per retirement)", slow},
+          std::pair{"block memo", fast}}) {
+        t.addRow({name, std::to_string(speed.instructions),
+                  fmt(speed.wallSeconds, 3), fmt(speed.mips, 1),
+                  fmt(slow.wallSeconds / speed.wallSeconds) + "x"});
     }
     t.print();
     BenchJournal::instance().recordSimSpeed(fast.wallSeconds, fast.mips);
-
-    // The per-layer headlines the journal baseline tracks: each tier
-    // on vs. off with the layers beneath it held at the shipped
-    // default, plus the tier's hit rate on the kernel's steady state.
-    auto findRow = [&rows](bool pd, bool bc, bool sb) -> const Row * {
-        for (const Row &row : rows)
-            if (row.predecode == pd && row.blockCache == bc
-                && row.superblock == sb)
-                return &row;
-        return nullptr;
-    };
-    if (const Row *off = findRow(true, false, false)) {
-        if (const Row *on = findRow(true, true, false)) {
-            BenchJournal::instance().recordBlockCache(
-                on->speed.blockHitRate,
-                off->speed.wallSeconds / on->speed.wallSeconds);
-        }
-    }
-    if (const Row *off = findRow(true, true, false)) {
-        if (const Row *on = findRow(true, true, true)) {
-            BenchJournal::instance().recordSuperblock(
-                on->speed.traceHitRate,
-                off->speed.wallSeconds / on->speed.wallSeconds);
-        }
-    }
+    BenchJournal::instance().recordBlockCache(
+        fast.blockHitRate, slow.wallSeconds / fast.wallSeconds);
 
     // In-process serial-vs-parallel numbers would be misleading here:
     // whichever sweep runs first warms the mutex-guarded kernel/trace
@@ -274,10 +167,23 @@ main(int argc, char **argv)
 
     footnote("timings are host-dependent (exempt from byte-identity); "
              "the journal's sim_wall_seconds/sim_mips fields track the "
-             "fastest configuration measured, block_cache_hit_rate/"
-             "block_cache_speedup the memo's replay rate and on/off "
-             "throughput ratio, superblock_hit_rate/superblock_speedup "
-             "the trace tier's instruction residency and on/off ratio "
-             "over the predecode + block memo stack");
+             "block memo, block_cache_hit_rate/block_cache_speedup the "
+             "memo's replay rate and its speedup over the interpreter "
+             "in the same run");
+    // The absolute timings above only mean something next to the host
+    // that produced them.
+#if defined(__clang__)
+    const char *compiler = "clang " __clang_version__;
+#else
+    const char *compiler = "GCC " __VERSION__;
+#endif
+#ifdef NDEBUG
+    const char *build = "NDEBUG build";
+#else
+    const char *build = "asserts enabled";
+#endif
+    footnote("host: "
+             + std::to_string(std::thread::hardware_concurrency())
+             + " hardware threads, " + compiler + ", " + build);
     return 0;
 }

@@ -235,15 +235,6 @@ BenchJournal::recordBlockCache(double hitRate, double speedup)
 }
 
 void
-BenchJournal::recordSuperblock(double hitRate, double speedup)
-{
-    if (!open_)
-        return;
-    record_["superblock_hit_rate"] = hitRate;
-    record_["superblock_speedup"] = speedup;
-}
-
-void
 BenchJournal::recordSvcSpeed(double requestsPerSec,
                              double telemetryOverhead)
 {

@@ -114,12 +114,6 @@ class BenchJournal
      * cache-on/cache-off throughput ratio. */
     void recordBlockCache(double hitRate, double speedup);
 
-    /** Captures the superblock trace tier's effectiveness
-     * (bench_simspeed): the fraction of retired instructions replayed
-     * inside traces, and the superblock-on/off throughput ratio with
-     * the layers beneath it (predecode + block memo) held on. */
-    void recordSuperblock(double hitRate, double speedup);
-
     /** Captures service-engine throughput (bench_svc): completed
      * requests per wall-clock second with telemetry off, and the
      * telemetry-on/telemetry-off wall-clock overhead ratio (1.0 =

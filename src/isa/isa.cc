@@ -117,9 +117,9 @@ const OpInfo kOps[] = {
 
 /**
  * Dispatch tables derived from kOps once at startup, so decode() is a
- * couple of indexed loads instead of a scan over every opcode (it runs
- * once per text word at predecode, and once per retirement when
- * predecode is off).  kOps stays the single source of truth.
+ * couple of indexed loads instead of a scan over every opcode (the
+ * interpreter decodes once per retirement, the block memo once per
+ * block discovery).  kOps stays the single source of truth.
  */
 struct DecodeTables
 {

@@ -1,6 +1,6 @@
 /**
  * @file
- * Hot-block timing memoization for Pete (the superblock fast path).
+ * Hot-block timing memoization for Pete (its one fast path).
  *
  * Cryptographic kernels are overwhelmingly straight-line loop bodies
  * that execute thousands of times with identical timing, so most of
@@ -173,7 +173,7 @@ class BlockCache
         State state = State::Unmemoizable;
         uint32_t entryPc = 0;
         uint64_t generation = 0; ///< text generation at discovery
-        std::vector<DecodedInst> insts; ///< own copies (predecode-free)
+        std::vector<DecodedInst> insts; ///< decoded at discovery
         int termIndex = -1; ///< control-transfer index, -1 if run-only
         bool condBranch = false;  ///< terminator is a Branch-class op
         bool issuesMultUnit = false; ///< some op sets multReadyCycle
@@ -221,10 +221,6 @@ class BlockCache
      *  predictor (predict + train + link writes); stats deferred. */
     static TermResult resolveTerminator(Pete &cpu, const Block &b,
                                         const DecodedInst &inst);
-
-    /// The superblock trace tier flattens Ready blocks through
-    /// blockFor (and shares this header's Block structure).
-    friend class SuperblockCache;
 
     Block *blockFor(Pete &cpu, uint32_t pc);
     void discover(Pete &cpu, Block &b, uint32_t pc);

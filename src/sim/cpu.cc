@@ -78,15 +78,6 @@ Pete::Pete(const Program &program, const PeteConfig &config)
     : config_(config)
 {
     mem_.loadRom(program.words);
-    if (config_.predecode) {
-        // The text image is immutable from here on, so every static
-        // instruction is decoded exactly once instead of once per
-        // retirement (the dominant per-step cost for the asm-kernel
-        // anchoring runs).
-        predecoded_.reserve(program.words.size());
-        for (uint32_t word : program.words)
-            predecoded_.push_back(decode(word));
-    }
     if (config_.icacheEnabled) {
         icache_ = std::make_unique<ICache>(config_.icache);
         icache_->invalidateAll();
@@ -96,15 +87,6 @@ Pete::Pete(const Program &program, const PeteConfig &config)
             parseBlockCacheMode(std::getenv("ULECC_BLOCK_CACHE"));
         if (mode != BlockCacheMode::Off)
             blockCache_ = std::make_unique<BlockCache>(mode);
-    }
-    if (blockCache_ && config_.superblock) {
-        // The trace tier sits above the block memo and needs it for
-        // block discovery and bailouts, so $ULECC_BLOCK_CACHE=off
-        // implies superblocks off too.
-        SuperblockMode mode =
-            parseSuperblockMode(std::getenv("ULECC_SUPERBLOCK"));
-        if (mode != SuperblockMode::Off)
-            superblock_ = std::make_unique<SuperblockCache>(mode);
     }
     predictor_.fill(1); // weakly not-taken
     // Bare-metal convention: stack at the top of RAM.
@@ -168,23 +150,6 @@ Pete::budgetError() const
                  + ") exhausted at pc=" + std::to_string(pc_)};
 }
 
-const DecodedInst &
-Pete::decoded(uint32_t pc, uint32_t word)
-{
-    // An attached hook may rewrite any architectural state between
-    // steps -- including program text through mem().corrupt32 -- so
-    // with one installed always decode the word actually fetched.
-    // The raw-word comparison makes direct (hook-less) text
-    // corruption safe as well.
-    if (!hook_) {
-        uint32_t idx = pc / 4;
-        if (idx < predecoded_.size() && predecoded_[idx].raw == word)
-            return predecoded_[idx];
-    }
-    scratchInst_ = decode(word);
-    return scratchInst_;
-}
-
 bool
 Pete::step()
 {
@@ -200,8 +165,9 @@ Pete::step()
 bool
 Pete::stepUnchecked()
 {
-    uint32_t word = fetch(pc_);
-    const DecodedInst &inst = decoded(pc_, word);
+    // Always the word actually fetched, so a strike on program text
+    // (mem().corrupt32, hooked or not) takes effect at its next fetch.
+    const DecodedInst inst = decode(fetch(pc_));
     if (inst.op == Op::Invalid) {
         throw UleccError(Errc::IllegalInstruction,
                          "Pete: illegal instruction at pc="
@@ -267,18 +233,6 @@ Pete::runChecked()
                 if (budgetExhausted())
                     return budgetError();
                 step();
-            }
-        } else if (superblock_) {
-            // Superblock trace tier (hook-free only): hot paths run as
-            // straight-line threaded code, everything else delegates
-            // to the block memo below.  The budget is polled here once
-            // per dispatch and by a looping trace at every back-edge,
-            // so a diverging program coasts at most one trace
-            // (SuperblockCache::kMaxTraceInsts) past the limit.
-            while (!halted_) {
-                if (budgetExhausted())
-                    return budgetError();
-                superblock_->run(*this);
             }
         } else if (blockCache_) {
             // Block-memoized fast path (hook-free only): hot basic

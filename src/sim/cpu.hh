@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <vector>
 
 #include "asmkit/assembler.hh"
 #include "base/error.hh"
@@ -35,7 +34,6 @@
 #include "sim/icache.hh"
 #include "sim/memory.hh"
 #include "sim/multiplier.hh"
-#include "sim/superblock.hh"
 
 namespace ulecc
 {
@@ -92,16 +90,6 @@ struct PeteConfig
     uint32_t divLatency = 34;  ///< binary restoring divider
     uint64_t maxCycles = 500'000'000;
     /**
-     * Decode each static instruction once at load time instead of
-     * once per retirement.  Program text is immutable after
-     * loadProgram, so this is purely an execution-speed optimisation;
-     * PeteStats and architectural state are bit-identical either way
-     * (tests/test_cpu.cpp pins this down).  Fault-injection backdoors
-     * that rewrite ROM words are still honoured: the cached entry is
-     * validated against the fetched word and re-decoded on mismatch.
-     */
-    bool predecode = true;
-    /**
      * Memoize hot basic blocks' timing so steady-state loop
      * iterations retire as one lookup plus a lean architectural
      * replay (src/sim/block_cache.hh).  Bit-identical PeteStats and
@@ -112,17 +100,6 @@ struct PeteConfig
      * injectors (all StepHooks) transparently get the slow path.
      */
     bool blockCache = true;
-    /**
-     * Flatten hot paths across taken branches into superblock traces
-     * executed as straight-line threaded code
-     * (src/sim/superblock.hh).  Requires the block memo (the trace
-     * tier discovers blocks through it and bails out to it), so
-     * blockCache=false or $ULECC_BLOCK_CACHE=off disables this too.
-     * Bit-identical PeteStats and architectural state either way;
-     * also gated by the $ULECC_SUPERBLOCK tri-state ("0"/"off"
-     * disables, "verify" adds sampled shadow re-execution).
-     */
-    bool superblock = true;
 };
 
 /**
@@ -246,20 +223,6 @@ class Pete
         return blockCache_ ? blockCache_->mode() : BlockCacheMode::Off;
     }
 
-    /** Superblock trace-tier counters, or nullptr when disabled. */
-    const SuperblockStats *
-    superblockStats() const
-    {
-        return superblock_ ? &superblock_->stats() : nullptr;
-    }
-
-    /** The trace tier's effective operating mode (Off when disabled). */
-    SuperblockMode
-    superblockMode() const
-    {
-        return superblock_ ? superblock_->mode() : SuperblockMode::Off;
-    }
-
     /** Current cycle count (monotonic simulated time). */
     uint64_t cycle() const { return stats_.cycles; }
 
@@ -280,15 +243,6 @@ class Pete
 
   private:
     uint32_t fetch(uint32_t addr);
-
-    /**
-     * Decoded form of the fetched @p word at @p pc.  Served from the
-     * predecoded i-text when it is enabled, the pc lies inside the
-     * loaded program, and the cached raw word still matches (it can
-     * differ after a mem().corrupt32 strike on program text); decoded
-     * on the spot otherwise.
-     */
-    const DecodedInst &decoded(uint32_t pc, uint32_t word);
 
     /** True once the cycle budget is spent (checked before a step). */
     bool budgetExhausted() const
@@ -323,19 +277,14 @@ class Pete
 
     void doBranch(bool taken, int32_t disp);
 
-    /// The block-timing memo and the superblock trace tier reach into
-    /// the pipeline state (they must replicate the slow path's
-    /// accounting bit-for-bit).
+    /// The block-timing memo reaches into the pipeline state (it must
+    /// replicate the slow path's accounting bit-for-bit).
     friend class BlockCache;
-    friend class SuperblockCache;
 
     PeteConfig config_;
     MemorySystem mem_;
-    std::vector<DecodedInst> predecoded_; ///< one entry per text word
-    DecodedInst scratchInst_; ///< slow-path decode target
     std::unique_ptr<ICache> icache_;
     std::unique_ptr<BlockCache> blockCache_; ///< null when disabled
-    std::unique_ptr<SuperblockCache> superblock_; ///< null when disabled
     Cop2 *cop2_ = nullptr;
     StepHook *hook_ = nullptr;
 

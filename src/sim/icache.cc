@@ -5,18 +5,49 @@
 
 #include "sim/icache.hh"
 
-#include <cassert>
+#include <string>
+
+#include "base/error.hh"
 
 namespace ulecc
 {
 
-ICache::ICache(const ICacheConfig &config)
-    : config_(config), lines_(config.sizeBytes / config.lineBytes),
-      tags_(lines_, 0), valid_(lines_, false)
+namespace
 {
-    assert(lines_ > 0 && (lines_ & (lines_ - 1)) == 0
-           && "line count must be a power of two");
+
+bool
+isPowerOfTwo(uint32_t n)
+{
+    return n != 0 && (n & (n - 1)) == 0;
 }
+
+/**
+ * The line count @p config describes.  lineIndex/tagOf divide by it
+ * and lineAddr masks with lineBytes - 1, so a zero or non-power-of-two
+ * geometry would fault (division by zero) or alias lines silently; it
+ * is rejected here rather than by an assert that NDEBUG compiles out.
+ */
+uint32_t
+checkedLineCount(const ICacheConfig &config)
+{
+    if (!isPowerOfTwo(config.lineBytes)
+        || config.sizeBytes % config.lineBytes != 0
+        || !isPowerOfTwo(config.sizeBytes / config.lineBytes)) {
+        throw UleccError(Errc::InvalidInput,
+                         "ICache: " + std::to_string(config.sizeBytes)
+                         + " bytes in " + std::to_string(config.lineBytes)
+                         + "-byte lines is not a power-of-two line "
+                         "count");
+    }
+    return config.sizeBytes / config.lineBytes;
+}
+
+} // namespace
+
+ICache::ICache(const ICacheConfig &config)
+    : config_(config), lines_(checkedLineCount(config)),
+      tags_(lines_, 0), valid_(lines_, false)
+{}
 
 void
 ICache::invalidateAll()

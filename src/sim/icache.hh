@@ -55,6 +55,10 @@ struct ICacheStats
 class ICache
 {
   public:
+    /**
+     * @throws UleccError (Errc::InvalidInput) unless the capacity is a
+     *         power-of-two number of power-of-two-sized lines.
+     */
     explicit ICache(const ICacheConfig &config);
 
     /**

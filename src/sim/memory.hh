@@ -257,21 +257,10 @@ class MemorySystem
      * Generation counter of the program text: bumped every time a word
      * inside ROM changes after loadRom.  Architectural stores cannot
      * reach ROM (write32 faults), so only the corrupt32 fault-injection
-     * backdoor advances it.  Consumers that cache derived forms of the
-     * text (the predecoded i-text, the block-timing memo) compare
-     * generations instead of re-reading the image.
+     * backdoor advances it.  The block-timing memo caches decoded
+     * text and compares generations instead of re-reading the image.
      */
     uint64_t romGeneration() const { return romGeneration_; }
-
-    /** @name Loaded-image access (content-keyed derived caches)
-     * The bytes below the ROM watermark are exactly the loaded program
-     * image until anything touches higher addresses; consumers hash
-     * them to recognise the same program across MemorySystem
-     * instances.  Only meaningful while romGeneration() == 0. */
-    /** @{ */
-    const uint8_t *romImage() const { return &rom_[0]; }
-    size_t romImageSize() const { return rom_.valid(); }
-    /** @} */
 
     MemCounters &romFetchCounters() { return romFetch_; }
     MemCounters &romDataCounters() { return romData_; }

@@ -27,8 +27,8 @@
  * diffuzz mpint oracle) -- and differs only in its timing schedule
  * and calibrated energy/area coefficients.  One MultiplierDesc per
  * variant is the SINGLE SOURCE of that contract: PeteConfig's default
- * latencies, KaratsubaTrace cycle counts, the block-cache/superblock
- * timing-context encodings, the kernel cost model's occupancy
+ * latencies, KaratsubaTrace cycle counts, the block cache's
+ * timing-context encoding, the kernel cost model's occupancy
  * formulas, and the eval-cache key all consume it.  Nothing may
  * hardcode a 4 again.
  */

@@ -383,6 +383,38 @@ TEST(Pete, ICacheMissPenaltyCharged)
               nocache.stats().cycles + cached.stats().icacheStalls);
 }
 
+TEST(ICache, RejectsGeometryWithoutPowerOfTwoLines)
+{
+    // lineIndex takes `% lines` and lineAddr masks with lineBytes - 1:
+    // a zero line count used to SIGFPE and a non-power-of-two one
+    // slipped past an assert compiled out under NDEBUG.
+    auto codeFor = [](uint32_t sizeBytes, uint32_t lineBytes) {
+        ICacheConfig cfg;
+        cfg.sizeBytes = sizeBytes;
+        cfg.lineBytes = lineBytes;
+        try {
+            ICache cache(cfg);
+        } catch (const UleccError &e) {
+            return e.code();
+        }
+        return Errc::Ok;
+    };
+    EXPECT_EQ(codeFor(1024, 16), Errc::Ok);
+    EXPECT_EQ(codeFor(16, 16), Errc::Ok); // a single line is 2^0
+    EXPECT_EQ(codeFor(0, 16), Errc::InvalidInput);
+    EXPECT_EQ(codeFor(8, 16), Errc::InvalidInput);    // zero lines
+    EXPECT_EQ(codeFor(3072, 16), Errc::InvalidInput); // 192 lines
+    EXPECT_EQ(codeFor(1032, 16), Errc::InvalidInput); // partial line
+    EXPECT_EQ(codeFor(1024, 0), Errc::InvalidInput);
+    EXPECT_EQ(codeFor(1024, 24), Errc::InvalidInput);
+
+    // Pete builds its cache from the config, so it rejects it too.
+    PeteConfig bad;
+    bad.icacheEnabled = true;
+    bad.icache.sizeBytes = 3 * 1024;
+    EXPECT_THROW(Pete(assemble("break"), bad), UleccError);
+}
+
 TEST(Pete, HaltsOnBreakAndSyscall)
 {
     Pete a = runProgram("break\n");
@@ -426,7 +458,7 @@ expectStatsEqual(const PeteStats &a, const PeteStats &b)
     EXPECT_EQ(a.divIssues, b.divIssues);
 }
 
-const char *kPredecodeWorkload = R"(
+const char *kLoopWorkload = R"(
         addiu $t0, $zero, 40
         addiu $t1, $zero, 0
         addiu $t2, $zero, 3
@@ -448,63 +480,6 @@ const char *kPredecodeWorkload = R"(
         addiu $t6, $t6, 1
 )";
 
-} // namespace
-
-TEST(Predecode, StatsBitIdenticalOnLoopProgram)
-{
-    PeteConfig on, off;
-    on.predecode = true;
-    off.predecode = false;
-    Pete fast = runProgram(kPredecodeWorkload, on);
-    Pete slow = runProgram(kPredecodeWorkload, off);
-    expectStatsEqual(fast.stats(), slow.stats());
-    for (int r = 0; r < 32; ++r)
-        EXPECT_EQ(fast.reg(r), slow.reg(r)) << "reg " << r;
-    EXPECT_EQ(fast.hi(), slow.hi());
-    EXPECT_EQ(fast.lo(), slow.lo());
-}
-
-TEST(Predecode, StatsBitIdenticalWithIcache)
-{
-    PeteConfig on, off;
-    on.icacheEnabled = off.icacheEnabled = true;
-    on.icache.sizeBytes = off.icache.sizeBytes = 1024;
-    on.predecode = true;
-    off.predecode = false;
-    Pete fast = runProgram(kPredecodeWorkload, on);
-    Pete slow = runProgram(kPredecodeWorkload, off);
-    expectStatsEqual(fast.stats(), slow.stats());
-}
-
-TEST(Predecode, CorruptedTextIsRevalidated)
-{
-    // A particle strike on program text (no hook attached!) must not be
-    // served a stale predecoded entry: the cached raw word mismatches
-    // and the fetched word decodes on the spot.
-    const char *src = R"(
-        addiu $t0, $zero, 5
-        addiu $t1, $zero, 0
-        break
-    )";
-    auto run = [&](bool predecode) {
-        PeteConfig cfg;
-        cfg.predecode = predecode;
-        Pete cpu(assemble(src), cfg);
-        // Flip one immediate bit of the second instruction (pc = 4):
-        // addiu $t1, $zero, 0 becomes addiu $t1, $zero, 8.
-        cpu.mem().corrupt32(4, 0x8);
-        EXPECT_TRUE(cpu.run());
-        return cpu;
-    };
-    Pete fast = run(true);
-    Pete slow = run(false);
-    EXPECT_EQ(fast.reg(9), 8u); // the corrupted immediate took effect
-    EXPECT_EQ(slow.reg(9), 8u);
-    expectStatsEqual(fast.stats(), slow.stats());
-}
-
-namespace
-{
 
 /** Hook that counts steps and strikes text once at a given step. */
 class CorruptingHook : public StepHook
@@ -529,72 +504,6 @@ class CorruptingHook : public StepHook
     uint32_t addr_;
     uint32_t mask_;
 };
-
-} // namespace
-
-TEST(Predecode, HookTakesSlowPathTransparently)
-{
-    // With a hook attached the predecoded i-text is bypassed entirely,
-    // so a mid-run strike on an already-executed instruction changes
-    // later iterations of the loop identically in both configurations.
-    const char *src = R"(
-        addiu $t0, $zero, 10
-        addiu $t1, $zero, 0
-    loop:
-        addiu $t1, $t1, 1
-        addiu $t0, $t0, -1
-        bne   $t0, $zero, loop
-        nop
-        break
-    )";
-    auto run = [&](bool predecode) {
-        PeteConfig cfg;
-        cfg.predecode = predecode;
-        Pete cpu(assemble(src), cfg);
-        // After ~3 loop iterations turn `addiu $t1, $t1, 1` (pc = 8)
-        // into `addiu $t1, $t1, 3`.
-        CorruptingHook hook(14, 8, 0x2);
-        cpu.attachStepHook(&hook);
-        EXPECT_TRUE(cpu.run());
-        EXPECT_GT(hook.steps(), 14u);
-        return cpu;
-    };
-    Pete fast = run(true);
-    Pete slow = run(false);
-    EXPECT_GT(fast.reg(9), 10u); // the strike inflated the counter
-    EXPECT_EQ(fast.reg(9), slow.reg(9));
-    expectStatsEqual(fast.stats(), slow.stats());
-}
-
-TEST(Predecode, TimeoutEquivalentOnFastAndSlowPaths)
-{
-    const char *src = R"(
-    spin:
-        beq $zero, $zero, spin
-        nop
-    )";
-    for (bool predecode : {true, false}) {
-        for (bool with_hook : {false, true}) {
-            PeteConfig cfg;
-            cfg.predecode = predecode;
-            cfg.maxCycles = 10'000;
-            Pete cpu(assemble(src), cfg);
-            CorruptingHook hook(1ull << 60, 0, 0); // never strikes
-            if (with_hook)
-                cpu.attachStepHook(&hook);
-            Result<uint64_t> r = cpu.runChecked();
-            ASSERT_FALSE(r.ok());
-            EXPECT_EQ(r.code(), Errc::SimTimeout);
-            // The batched fast-path check may overshoot by at most one
-            // check interval of single-cycle instructions.
-            EXPECT_GE(cpu.stats().cycles, cfg.maxCycles);
-            EXPECT_LT(cpu.stats().cycles, cfg.maxCycles + 512);
-        }
-    }
-}
-
-namespace
-{
 
 /** Scoped environment override (mirrors the test_par.cpp helper). */
 class EnvVar
@@ -656,9 +565,65 @@ expectCacheEquivalent(const std::string &src, PeteConfig base = {})
 
 } // namespace
 
+TEST(Pete, CorruptedTextTakesEffectOnEveryPath)
+{
+    // A particle strike on program text with no hook attached must
+    // never be masked by a stale decode: the interpreter decodes the
+    // word it fetched and the block memo decodes the struck text at
+    // discovery.  (A strike after discovery is
+    // BlockCache.TextStrikeInvalidatesMemoizedBlock.)
+    const char *src = R"(
+        addiu $t0, $zero, 5
+        addiu $t1, $zero, 0
+        break
+    )";
+    auto run = [&](bool blockCache) {
+        PeteConfig cfg;
+        cfg.blockCache = blockCache;
+        Pete cpu(assemble(src), cfg);
+        // Flip one immediate bit of the second instruction (pc = 4):
+        // addiu $t1, $zero, 0 becomes addiu $t1, $zero, 8.
+        cpu.mem().corrupt32(4, 0x8);
+        EXPECT_TRUE(cpu.run());
+        return cpu;
+    };
+    Pete fast = run(true);
+    Pete slow = run(false);
+    EXPECT_EQ(fast.reg(9), 8u); // the corrupted immediate took effect
+    EXPECT_EQ(slow.reg(9), 8u);
+    expectStatsEqual(fast.stats(), slow.stats());
+}
+
+TEST(Pete, TimeoutEquivalentOnFastAndSlowPaths)
+{
+    const char *src = R"(
+    spin:
+        beq $zero, $zero, spin
+        nop
+    )";
+    for (bool blockCache : {true, false}) {
+        for (bool with_hook : {false, true}) {
+            PeteConfig cfg;
+            cfg.blockCache = blockCache;
+            cfg.maxCycles = 10'000;
+            Pete cpu(assemble(src), cfg);
+            CorruptingHook hook(1ull << 60, 0, 0); // never strikes
+            if (with_hook)
+                cpu.attachStepHook(&hook);
+            Result<uint64_t> r = cpu.runChecked();
+            ASSERT_FALSE(r.ok());
+            EXPECT_EQ(r.code(), Errc::SimTimeout);
+            // The batched fast-path check may overshoot by at most one
+            // check interval of single-cycle instructions.
+            EXPECT_GE(cpu.stats().cycles, cfg.maxCycles);
+            EXPECT_LT(cpu.stats().cycles, cfg.maxCycles + 512);
+        }
+    }
+}
+
 TEST(BlockCache, StatsBitIdenticalOnLoopProgram)
 {
-    Pete fast = expectCacheEquivalent(kPredecodeWorkload);
+    Pete fast = expectCacheEquivalent(kLoopWorkload);
     const BlockCacheStats *bc = fast.blockCacheStats();
     ASSERT_NE(bc, nullptr);
     EXPECT_GT(bc->replays, 0u); // the loop actually took the memo
@@ -670,7 +635,7 @@ TEST(BlockCache, StatsBitIdenticalWithIcache)
     PeteConfig cfg;
     cfg.icacheEnabled = true;
     cfg.icache.sizeBytes = 1024;
-    Pete fast = expectCacheEquivalent(kPredecodeWorkload, cfg);
+    Pete fast = expectCacheEquivalent(kLoopWorkload, cfg);
     const BlockCacheStats *bc = fast.blockCacheStats();
     ASSERT_NE(bc, nullptr);
     EXPECT_GT(bc->replays, 0u); // resident lines still replay
@@ -916,12 +881,12 @@ TEST(BlockCache, HostileEnvValuesRunIdentically)
     // bit-identical; only the simulator's own path choice may change.
     PeteConfig off;
     off.blockCache = false;
-    Pete reference = runProgram(kPredecodeWorkload, off);
+    Pete reference = runProgram(kLoopWorkload, off);
     for (const char *value :
          {"", "1", "on", "ON", "0", "off", "verify", "shadow", "bogus",
           "99999999999999999999"}) {
         EnvVar env("ULECC_BLOCK_CACHE", value);
-        Pete cpu = runProgram(kPredecodeWorkload);
+        Pete cpu = runProgram(kLoopWorkload);
         expectStatsEqual(cpu.stats(), reference.stats());
         for (int r = 0; r < 32; ++r)
             EXPECT_EQ(cpu.reg(r), reference.reg(r))
@@ -932,10 +897,6 @@ TEST(BlockCache, HostileEnvValuesRunIdentically)
 TEST(BlockCache, ShadowVerifyModeCleanOnLoopProgram)
 {
     EnvVar env("ULECC_BLOCK_CACHE", "verify");
-    // Keep the hot loop on the block memo: with the superblock tier
-    // enabled the trace would absorb the steady-state dispatches and
-    // the sampled shadow check below would never fire.
-    EnvVar sbEnv("ULECC_SUPERBLOCK", "off");
     PeteConfig cfg;
     // A long enough loop that the sampled shadow check (every 64th
     // memo hit) actually fires several times.
@@ -975,272 +936,14 @@ TEST(BlockCache, TimeoutOvershootBounded)
     EXPECT_LT(cpu.stats().cycles, cfg.maxCycles + 512);
 }
 
-namespace
+TEST(BlockCache, ShadowVerifyModeCleanOnAlternatingProgram)
 {
-
-/** Runs @p src with the superblock trace tier on and off (the block
- *  memo it flattens stays on) and expects bit-identical PeteStats and
- *  architectural state.  Returns the tier-on Pete for extra
- *  assertions. */
-Pete
-expectSuperblockEquivalent(const std::string &src, PeteConfig base = {})
-{
-    PeteConfig on = base, off = base;
-    on.superblock = true;
-    off.superblock = false;
-    Pete fast(assemble(src), on);
-    Pete slow(assemble(src), off);
-    Result<uint64_t> rf = fast.runChecked();
-    Result<uint64_t> rs = slow.runChecked();
-    EXPECT_EQ(rf.ok(), rs.ok());
-    if (!rf.ok() && !rs.ok()) {
-        EXPECT_EQ(rf.code(), rs.code());
-        EXPECT_EQ(rf.error().context, rs.error().context);
-    }
-    expectStatsEqual(fast.stats(), slow.stats());
-    for (int r = 0; r < 32; ++r)
-        EXPECT_EQ(fast.reg(r), slow.reg(r)) << "reg " << r;
-    EXPECT_EQ(fast.hi(), slow.hi());
-    EXPECT_EQ(fast.lo(), slow.lo());
-    EXPECT_EQ(fast.ovflo(), slow.ovflo());
-    EXPECT_EQ(fast.pc(), slow.pc());
-    return fast;
-}
-
-} // namespace
-
-TEST(Superblock, StatsBitIdenticalOnLoopProgram)
-{
-    Pete fast = expectSuperblockEquivalent(kPredecodeWorkload);
-    const SuperblockStats *sb = fast.superblockStats();
-    ASSERT_NE(sb, nullptr);
-    EXPECT_GT(sb->traceRuns, 0u); // the loop actually ran threaded
-    EXPECT_GT(sb->replayedInstructions, 0u);
-    EXPECT_GT(sb->loopIterations, 0u); // back-edges stayed in-trace
-}
-
-TEST(Superblock, StatsBitIdenticalWithIcache)
-{
-    PeteConfig cfg;
-    cfg.icacheEnabled = true;
-    cfg.icache.sizeBytes = 1024;
-    Pete fast = expectSuperblockEquivalent(kPredecodeWorkload, cfg);
-    const SuperblockStats *sb = fast.superblockStats();
-    ASSERT_NE(sb, nullptr);
-    EXPECT_GT(sb->traceRuns, 0u); // resident lines still run threaded
-}
-
-TEST(Superblock, SixCycleMultiplierTraceTierStaysExact)
-{
-    // Same regression one tier up: traces compile the variant's
-    // per-op occupancy into TraceOp.aux and the registry key folds
-    // the variant, so a karatsuba2 run must stay bit-identical to
-    // its own slow path and stall more than the default.
-    PeteConfig cfg;
-    applyMultiplier(cfg, MultiplierVariant::Karatsuba2);
-    Pete slow6 = expectSuperblockEquivalent(kMultCrossingWorkload, cfg);
-    Pete dflt = expectSuperblockEquivalent(kMultCrossingWorkload);
-    EXPECT_GT(slow6.stats().multBusyStalls,
-              dflt.stats().multBusyStalls);
-    EXPECT_EQ(slow6.stats().instructions, dflt.stats().instructions);
-    EXPECT_EQ(slow6.lo(), dflt.lo());
-    EXPECT_EQ(slow6.hi(), dflt.hi());
-}
-
-TEST(Superblock, DataDependentBranchDirections)
-{
-    // The inner branch alternates with the counter's parity, so the
-    // trace's baked-in direction is wrong every other pass: the live
-    // predictor decides, the wrong passes take the side exit with the
-    // exact slow-path state, and the right ones stay in-trace.
-    Pete fast = expectSuperblockEquivalent(R"(
-        addiu $t0, $zero, 200
-        addiu $t1, $zero, 0
-    loop:
-        andi  $t3, $t0, 1
-        beq   $t3, $zero, even
-        nop
-        addiu $t1, $t1, 100
-    even:
-        addiu $t1, $t1, 1
-        addiu $t0, $t0, -1
-        bne   $t0, $zero, loop
-        nop
-        break
-    )");
-    const SuperblockStats *sb = fast.superblockStats();
-    ASSERT_NE(sb, nullptr);
-    EXPECT_GT(sb->exitsSideBranch, 0u);
-}
-
-TEST(Superblock, MultCountdownCrossesTraceEntry)
-{
-    // The multiply issues in the jump's delay slot, so the busy
-    // countdown is live at the next trace's entry: the executor's
-    // multReadyCycle_ carry-in/carry-out must be exact.
-    expectSuperblockEquivalent(R"(
-        addiu $t0, $zero, 30
-        addiu $t1, $zero, 0
-        addiu $t2, $zero, 7
-    loop:
-        j     body
-        mult  $t2, $t0
-    body:
-        mflo  $t3
-        addu  $t1, $t1, $t3
-        addiu $t0, $t0, -1
-        bne   $t0, $zero, loop
-        nop
-        break
-    )");
-}
-
-TEST(Superblock, MidTraceFaultReconstructsExactState)
-{
-    // The store address descends 4 bytes per iteration: a dozen clean
-    // RAM stores make the loop hot and in-trace, then the address
-    // drops below the RAM base and the same store record faults
-    // mid-trace.  The bailout must reconstruct the slow path's exact
-    // fault message, stats, and architectural state.
-    Pete fast = expectSuperblockEquivalent(R"(
-        lui   $t4, 0x1000
-        addiu $t4, $t4, 48
-        addiu $t0, $zero, 64
-        addiu $t1, $zero, 0
-    loop:
-        sw    $t1, 0($t4)
-        addiu $t1, $t1, 1
-        addiu $t4, $t4, -4
-        addiu $t0, $t0, -1
-        bne   $t0, $zero, loop
-        nop
-        break
-    )");
-    const SuperblockStats *sb = fast.superblockStats();
-    ASSERT_NE(sb, nullptr);
-    EXPECT_EQ(sb->exitsFault, 1u); // the fault really struck in-trace
-}
-
-TEST(Superblock, TextStrikeInvalidatesLiveTrace)
-{
-    // Pause the run mid-loop on the cycle budget, strike the
-    // post-loop text through the fault-injection backdoor, and
-    // resume: the loop's trace is stale (text generation moved) and
-    // must be dropped and rebuilt, and the corrupted instruction must
-    // take effect -- identically with the tier off.
-    const char *src = R"(
-        addiu $t0, $zero, 4000
-        addiu $t1, $zero, 0
-    loop:
-        addiu $t1, $t1, 1
-        addiu $t0, $t0, -1
-        bne   $t0, $zero, loop
-        nop
-        addiu $t6, $zero, 1
-        break
-    )";
-    auto run = [&](bool superblock) {
-        PeteConfig cfg;
-        cfg.superblock = superblock;
-        cfg.maxCycles = 2'000; // pauses well inside the loop
-        Pete cpu(assemble(src), cfg);
-        Result<uint64_t> paused = cpu.runChecked();
-        EXPECT_FALSE(paused.ok());
-        EXPECT_EQ(paused.code(), Errc::SimTimeout);
-        // Flip `addiu $t6, $zero, 1` (7th word) into `..., 9`.
-        cpu.mem().corrupt32(6 * 4, 0x8);
-        cfg.maxCycles = 500'000'000;
-        cpu.setMaxCycles(cfg.maxCycles);
-        EXPECT_TRUE(cpu.run());
-        return cpu;
-    };
-    Pete fast = run(true);
-    Pete slow = run(false);
-    expectStatsEqual(fast.stats(), slow.stats());
-    EXPECT_EQ(fast.reg(14), 9u); // the strike's immediate took effect
-    EXPECT_EQ(slow.reg(14), 9u);
-    for (int r = 0; r < 32; ++r)
-        EXPECT_EQ(fast.reg(r), slow.reg(r)) << "reg " << r;
-    const SuperblockStats *sb = fast.superblockStats();
-    ASSERT_NE(sb, nullptr);
-    EXPECT_GE(sb->invalidations, 1u);
-    EXPECT_GE(sb->tracesBuilt, 2u); // rebuilt after the strike
-}
-
-TEST(Superblock, RegistrySharesTracesAcrossInstances)
-{
-    // Two Petes over the same (unique) program text: the first builds
-    // the hot loop's trace and publishes it; the second must adopt it
-    // from the process-wide registry without building anything, and
-    // still match the tier-off run bit for bit.
-    const char *src = R"(
-        addiu $t0, $zero, 977
-        addiu $t1, $zero, 0
-    loop:
-        addiu $t1, $t1, 3
-        xor   $t2, $t1, $t0
-        addiu $t0, $t0, -1
-        bne   $t0, $zero, loop
-        nop
-        break
-    )";
-    Pete first = expectSuperblockEquivalent(src);
-    const SuperblockStats *sb1 = first.superblockStats();
-    ASSERT_NE(sb1, nullptr);
-    EXPECT_GE(sb1->tracesBuilt + sb1->sharedAdoptions, 1u);
-    Pete second = expectSuperblockEquivalent(src);
-    const SuperblockStats *sb2 = second.superblockStats();
-    ASSERT_NE(sb2, nullptr);
-    EXPECT_EQ(sb2->tracesBuilt, 0u);
-    EXPECT_GE(sb2->sharedAdoptions, 1u);
-}
-
-TEST(Superblock, EnvParseNeverErrors)
-{
-    // Direct parses: the documented values, then hostile ones, which
-    // must degrade to the default (On) -- the ULECC_JOBS contract.
-    EXPECT_EQ(parseSuperblockMode(nullptr), SuperblockMode::On);
-    EXPECT_EQ(parseSuperblockMode(""), SuperblockMode::On);
-    EXPECT_EQ(parseSuperblockMode("1"), SuperblockMode::On);
-    EXPECT_EQ(parseSuperblockMode("on"), SuperblockMode::On);
-    EXPECT_EQ(parseSuperblockMode("0"), SuperblockMode::Off);
-    EXPECT_EQ(parseSuperblockMode("off"), SuperblockMode::Off);
-    EXPECT_EQ(parseSuperblockMode("verify"), SuperblockMode::Verify);
-    EXPECT_EQ(parseSuperblockMode("shadow"), SuperblockMode::Verify);
-    EXPECT_EQ(parseSuperblockMode("ON"), SuperblockMode::On);
-    EXPECT_EQ(parseSuperblockMode("bogus"), SuperblockMode::On);
-    EXPECT_EQ(parseSuperblockMode("99999999999999999999"),
-              SuperblockMode::On);
-    EXPECT_EQ(parseSuperblockMode("-1"), SuperblockMode::On);
-    EXPECT_EQ(parseSuperblockMode("off "), SuperblockMode::On);
-}
-
-TEST(Superblock, HostileEnvValuesRunIdentically)
-{
-    // Whatever $ULECC_SUPERBLOCK says, simulated behaviour is
-    // bit-identical; only the simulator's own path choice may change.
-    PeteConfig off;
-    off.superblock = false;
-    Pete reference = runProgram(kPredecodeWorkload, off);
-    for (const char *value :
-         {"", "1", "on", "ON", "0", "off", "verify", "shadow", "bogus",
-          "99999999999999999999"}) {
-        EnvVar env("ULECC_SUPERBLOCK", value);
-        Pete cpu = runProgram(kPredecodeWorkload);
-        expectStatsEqual(cpu.stats(), reference.stats());
-        for (int r = 0; r < 32; ++r)
-            EXPECT_EQ(cpu.reg(r), reference.reg(r))
-                << "reg " << r << " under value '" << value << "'";
-    }
-}
-
-TEST(Superblock, ShadowVerifyModeCleanOnAlternatingProgram)
-{
-    // The alternating branch forces a trace re-entry per iteration,
-    // so the sampled shadow check (every 32nd trace run) fires
-    // several times over 400 iterations.  A clean program must sail
-    // through with exact stats; any executor/slow-path divergence
-    // would throw Errc::Internal here.
+    // The alternating branch sends every other pass down a different
+    // block sequence, so the memo keeps switching entries; over 400
+    // iterations the sampled shadow check (every 64th memo hit) fires
+    // several times.  A clean program must sail through with exact
+    // stats; any replay/slow-path divergence would throw
+    // Errc::Internal here.
     const char *src = R"(
         addiu $t0, $zero, 400
         addiu $t1, $zero, 0
@@ -1257,34 +960,39 @@ TEST(Superblock, ShadowVerifyModeCleanOnAlternatingProgram)
         break
     )";
     PeteConfig off;
-    off.superblock = false;
+    off.blockCache = false;
     Pete reference = runProgram(src, off);
-    EnvVar env("ULECC_SUPERBLOCK", "verify");
+    EnvVar env("ULECC_BLOCK_CACHE", "verify");
     Pete cpu = runProgram(src);
-    ASSERT_NE(cpu.superblockStats(), nullptr);
-    EXPECT_EQ(cpu.superblockMode(), SuperblockMode::Verify);
-    EXPECT_GT(cpu.superblockStats()->shadowVerifies, 0u);
+    ASSERT_NE(cpu.blockCacheStats(), nullptr);
+    EXPECT_EQ(cpu.blockCacheMode(), BlockCacheMode::Verify);
+    EXPECT_GT(cpu.blockCacheStats()->shadowVerifies, 0u);
     expectStatsEqual(cpu.stats(), reference.stats());
     for (int r = 0; r < 32; ++r)
         EXPECT_EQ(cpu.reg(r), reference.reg(r)) << "reg " << r;
 }
 
-TEST(Superblock, TimeoutOvershootBounded)
+TEST(BlockCache, MidLoopFaultReconstructsExactState)
 {
-    const char *src = R"(
-    spin:
-        beq $zero, $zero, spin
+    // The store address descends 4 bytes per iteration: a dozen clean
+    // RAM stores make the loop block hot and replayed, then the
+    // address drops below the RAM base and the same store faults
+    // inside a replay.  The bailout must reconstruct the slow path's
+    // exact fault message, stats, and architectural state.
+    Pete fast = expectCacheEquivalent(R"(
+        lui   $t4, 0x1000
+        addiu $t4, $t4, 48
+        addiu $t0, $zero, 64
+        addiu $t1, $zero, 0
+    loop:
+        sw    $t1, 0($t4)
+        addiu $t1, $t1, 1
+        addiu $t4, $t4, -4
+        addiu $t0, $t0, -1
+        bne   $t0, $zero, loop
         nop
-    )";
-    PeteConfig cfg;
-    cfg.superblock = true;
-    cfg.maxCycles = 10'000;
-    Pete cpu(assemble(src), cfg);
-    Result<uint64_t> r = cpu.runChecked();
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.code(), Errc::SimTimeout);
-    // The budget is polled at every trace back-edge, so the overshoot
-    // is bounded by one pass through the trace.
-    EXPECT_GE(cpu.stats().cycles, cfg.maxCycles);
-    EXPECT_LT(cpu.stats().cycles, cfg.maxCycles + 512);
+        break
+    )");
+    ASSERT_NE(fast.blockCacheStats(), nullptr);
+    EXPECT_GT(fast.blockCacheStats()->replays, 0u);
 }

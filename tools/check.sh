@@ -16,14 +16,15 @@
 # byte-identical timing-free report across two runs and across
 # --serial/parallel execution.
 #
-# --bench additionally runs bench_simspeed, validates its journal
-# record, and compares sim_mips / block_cache_hit_rate /
-# block_cache_speedup / superblock_hit_rate / superblock_speedup
-# against the committed BENCH_simspeed.json baseline.  Timings are host-dependent, so a slowdown merely warns
-# unless it exceeds 25%; hit rate is deterministic and checked tight.
-# It also runs bench_svc and compares svc_requests_per_sec /
-# svc_telemetry_overhead against BENCH_svc.json the same way, so
-# observability overhead regressions are caught.
+# --bench additionally runs bench_simspeed and bench_svc, validates
+# their journal records, and compares them against the committed
+# BENCH_simspeed.json / BENCH_svc.json baselines.  Those baselines come
+# from whatever host last regenerated them, so absolute throughput
+# (sim_mips, svc_requests_per_sec, ...) is printed for information
+# only.  The gates are host-independent: same-run ratios
+# (block_cache_speedup, svc_batch_speedup, svc_telemetry_overhead) fail
+# beyond a 25% shortfall against baseline, and deterministic counter
+# ratios (block_cache_hit_rate, svc_batch_occupancy) are checked tight.
 # Finally it re-runs the bench_multspace sweep and byte-compares the
 # ulecc.multspace.v1 journal against the committed BENCH_multspace.json
 # -- the multiplier design-space numbers are pure evaluation, so any
@@ -77,11 +78,9 @@ fi
 
 if [[ $run_tsan -eq 1 ]]; then
     # ThreadSanitizer covers the concurrency layer: the thread pool,
-    # the parallel sweep runner, the evaluation memo, the predecode /
-    # block-memo / superblock fast paths they all drive (test_par --
-    # the sweeps hammer the process-wide superblock trace registry
-    # from every worker), and the multi-threaded service engine
-    # (test_svc).  The serial suites add nothing under TSan, so only
+    # the parallel sweep runner, the evaluation memo, the per-Pete
+    # block memo the sweep workers all drive (test_par), and the
+    # multi-threaded service engine (test_svc).  The serial suites add nothing under TSan, so only
     # the concurrent tests run here.
     step "configure + build (tsan preset)"
     cmake --preset tsan
@@ -89,7 +88,7 @@ if [[ $run_tsan -eq 1 ]]; then
 
     step "test (tsan preset: parallel suites)"
     ctest --preset tsan -j "$(nproc)" \
-        -R '^(ThreadPool|Sweep|EvalCache|BenchSweep|Predecode|BlockCache|Superblock|Svc)'
+        -R '^(ThreadPool|Sweep|EvalCache|BenchSweep|BlockCache|Svc)'
 fi
 
 json_check="$repo/build/tools/json_check"
@@ -106,31 +105,33 @@ step "telemetry: ulecc-run metrics + trace"
     "$work/run_metrics.json"
 "$json_check" "$schemas/trace.schema.json" "$work/trace.json"
 
-step "superblock: PeteStats identical tier on vs off (reference kernel)"
-"$repo/build/tools/ulecc-run" --metrics "$work/sb_on.json" \
+step "block memo: PeteStats identical memo on vs off (reference kernel)"
+"$repo/build/tools/ulecc-run" --metrics "$work/bc_on.json" \
     "$repo/tools/mulos_k17.s" > /dev/null
-"$repo/build/tools/ulecc-run" --no-superblock \
-    --metrics "$work/sb_off.json" "$repo/tools/mulos_k17.s" > /dev/null
-python3 - "$work/sb_on.json" "$work/sb_off.json" <<'EOF'
+"$repo/build/tools/ulecc-run" --no-block-cache \
+    --metrics "$work/bc_off.json" "$repo/tools/mulos_k17.s" > /dev/null
+python3 - "$work/bc_on.json" "$work/bc_off.json" <<'EOF'
 import json, sys
 
-# The trace tier may only change how fast the host simulates, never
-# what it simulates: with the host-dependent wall-clock fields and the
-# simulator-internal cache sections stripped, the two metrics
-# documents must be byte-identical.
+# The memo may only change how fast the host simulates, never what it
+# simulates: with the host-dependent wall-clock fields and the
+# simulator-internal cache section stripped, the two metrics documents
+# must be byte-identical.
 docs = [json.load(open(p)) for p in sys.argv[1:3]]
+if "block_cache" not in docs[0] or "block_cache" in docs[1]:
+    print("FAIL: --no-block-cache did not switch the memo off")
+    sys.exit(1)
 for d in docs:
-    for key in ("sim_wall_seconds", "sim_mips", "block_cache",
-                "superblock"):
+    for key in ("sim_wall_seconds", "sim_mips", "block_cache"):
         d.pop(key, None)
 on, off = (json.dumps(d, sort_keys=True, indent=1) for d in docs)
 if on != off:
-    print("FAIL: architectural metrics differ superblock on vs off")
+    print("FAIL: architectural metrics differ block memo on vs off")
     for a, b in zip(on.splitlines(), off.splitlines()):
         if a != b:
             print(f"  on:  {a}\n  off: {b}")
     sys.exit(1)
-print("ok:   architectural metrics identical superblock on vs off")
+print("ok:   architectural metrics identical block memo on vs off")
 EOF
 
 step "telemetry: bench journal (zero-change JSONL capture)"
@@ -174,53 +175,11 @@ if [[ $run_bench -eq 1 ]]; then
         "$repo/build/bench/bench_simspeed" > "$work/bench_ss.txt"
     "$json_check" --jsonl "$schemas/bench_record.schema.json" \
         "$work/bench_ss.jsonl"
-    python3 - "$repo/BENCH_simspeed.json" "$work/bench_ss.jsonl" <<'EOF'
-import json, sys
-
-base = json.load(open(sys.argv[1]))
-fresh = json.loads(open(sys.argv[2]).read().splitlines()[0])
-fail = False
-
-def timing(name, higher_is_better=True):
-    global fail
-    b, f = base.get(name), fresh.get(name)
-    if b is None or f is None:
-        print(f"FAIL: {name} missing from baseline or fresh record")
-        fail = True
-        return
-    ratio = f / b if higher_is_better else b / f
-    if ratio >= 1.0:
-        print(f"ok:   {name} {f:.3g} (baseline {b:.3g})")
-    elif ratio >= 0.75:
-        # Timings are host-dependent; a small shortfall is noise.
-        print(f"warn: {name} {f:.3g} below baseline {b:.3g} "
-              f"({100 * (1 - ratio):.0f}% slower)")
-    else:
-        print(f"FAIL: {name} {f:.3g} vs baseline {b:.3g} "
-              f"(>25% regression)")
-        fail = True
-
-timing("sim_mips")
-timing("block_cache_speedup")
-timing("superblock_speedup")
-timing("sim_wall_seconds", higher_is_better=False)
-
-# The hit rates are deterministic (same kernel, same block/trace
-# structure), so any drift means a tier stopped covering the steady
-# state.
-for name in ("block_cache_hit_rate", "superblock_hit_rate"):
-    b, f = base.get(name), fresh.get(name)
-    if b is None or f is None:
-        print(f"FAIL: {name} missing")
-        fail = True
-    elif abs(f - b) > 1e-9:
-        print(f"FAIL: {name} {f} != baseline {b}")
-        fail = True
-    else:
-        print(f"ok:   {name} {f:.4f}")
-
-sys.exit(1 if fail else 0)
-EOF
+    python3 "$repo/tools/bench_gate.py" "$repo/BENCH_simspeed.json" \
+        "$work/bench_ss.jsonl" \
+        --info sim_mips sim_wall_seconds \
+        --ratio block_cache_speedup \
+        --exact block_cache_hit_rate
 
     step "bench: service-engine throughput vs committed baseline"
     : > "$work/bench_svc.jsonl"
@@ -228,51 +187,14 @@ EOF
         "$repo/build/bench/bench_svc" > "$work/bench_svc.txt"
     "$json_check" --jsonl "$schemas/bench_record.schema.json" \
         "$work/bench_svc.jsonl"
-    python3 - "$repo/BENCH_svc.json" "$work/bench_svc.jsonl" <<'EOF'
-import json, sys
-
-base = json.load(open(sys.argv[1]))
-fresh = json.loads(open(sys.argv[2]).read().splitlines()[0])
-fail = False
-
-def timing(name, higher_is_better=True):
-    global fail
-    b, f = base.get(name), fresh.get(name)
-    if b is None or f is None:
-        print(f"FAIL: {name} missing from baseline or fresh record")
-        fail = True
-        return
-    ratio = f / b if higher_is_better else b / f
-    if ratio >= 1.0:
-        print(f"ok:   {name} {f:.3g} (baseline {b:.3g})")
-    elif ratio >= 0.75:
-        # Timings are host-dependent; a small shortfall is noise.
-        print(f"warn: {name} {f:.3g} below baseline {b:.3g} "
-              f"({100 * (1 - ratio):.0f}% slower)")
-    else:
-        print(f"FAIL: {name} {f:.3g} vs baseline {b:.3g} "
-              f"(>25% regression)")
-        fail = True
-
-timing("svc_requests_per_sec")
-timing("svc_telemetry_overhead", higher_is_better=False)
-timing("svc_batch_on_rps")
-timing("svc_batch_speedup")
-
-# Occupancy is deterministic (a counter ratio, not a timing): a drop
-# means the former quietly stopped coalescing.
-b, f = base.get("svc_batch_occupancy"), fresh.get("svc_batch_occupancy")
-if b is None or f is None:
-    print("FAIL: svc_batch_occupancy missing")
-    fail = True
-elif f + 1e-9 < b:
-    print(f"FAIL: svc_batch_occupancy {f:.3g} below baseline {b:.3g}")
-    fail = True
-else:
-    print(f"ok:   svc_batch_occupancy {f:.3g} (baseline {b:.3g})")
-
-sys.exit(1 if fail else 0)
-EOF
+    # Occupancy is a counter ratio: a drop means the former quietly
+    # stopped coalescing (a rise is fine).
+    python3 "$repo/tools/bench_gate.py" "$repo/BENCH_svc.json" \
+        "$work/bench_svc.jsonl" \
+        --info svc_requests_per_sec svc_batch_off_rps svc_batch_on_rps \
+        --ratio svc_batch_speedup \
+        --ratio-lower svc_telemetry_overhead \
+        --at-least svc_batch_occupancy
 
     step "bench: multiplier design space vs committed baseline"
     if ! cmp -s "$repo/BENCH_multspace.json" \

@@ -3,8 +3,8 @@
 # kernelSource(AsmKernel::MulOs, 17) -- regenerate from there if the
 # generator changes).  Operands: A at 0x10000400 (2k limbs read),
 # B at 0x10000500, result R at 0x10000600.  tools/check.sh runs it
-# through ulecc-run with the superblock tier on and off and requires
-# the architectural metrics to match exactly.
+# through ulecc-run with the block memo on and off (--no-block-cache)
+# and requires the architectural metrics to match exactly.
     li $a0, 268436480
     li $a1, 268436736
     li $a2, 268436992

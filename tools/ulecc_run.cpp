@@ -5,6 +5,7 @@
  * Usage:
  *   ulecc-run [options] program.s
  *     --icache N     attach an N-KB direct-mapped instruction cache
+ *                    (N a power of two, at most the 256 KB ROM)
  *     --prefetch     enable the stream-buffer prefetcher
  *     --monte        attach the Monte coprocessor
  *     --billie       attach the Billie coprocessor (B-163, D = 3)
@@ -12,14 +13,10 @@
  *                    (karatsuba | schoolbook | karatsuba2 | clmulwide;
  *                    timing/energy only -- results are identical)
  *     --max-cycles N cycle budget (default 500M)
- *     --no-predecode decode at every retirement (the pre-fast-path
- *                    behaviour; for simulator-speed A/B runs)
  *     --no-block-cache
- *                    disable the hot-block timing memo (same A/B use;
- *                    also reachable via ULECC_BLOCK_CACHE=off)
- *     --no-superblock
- *                    disable the superblock trace tier (same A/B use;
- *                    also reachable via ULECC_SUPERBLOCK=off)
+ *                    disable the hot-block timing memo, leaving the
+ *                    per-step interpreter (for simulator-speed A/B
+ *                    runs; also reachable via ULECC_BLOCK_CACHE=off)
  *     --dump A N     after halt, hex-dump N words from address A
  *     --energy       print the energy estimate for the run
  *     --trace FILE   write a Chrome trace-event JSON of the pipeline
@@ -28,9 +25,17 @@
  *
  * The program sees the paper's memory map: 256 KB ROM at 0x0,
  * 16 KB RAM at 0x10000000; execution ends at `break`.
+ *
+ * Numeric arguments parse strictly (decimal; --max-cycles and --dump
+ * also take C-style 0x / 0 prefixes): trailing junk, signs, and
+ * out-of-range values exit 2 with an [invalid-input] message, as does
+ * an I-cache size that is not a power-of-two line count.
  */
 
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -61,12 +66,43 @@ usage()
                  "usage: ulecc-run [--icache KB] [--prefetch] [--monte] "
                  "[--billie]\n"
                  "                 [--multiplier VARIANT] "
-                 "[--max-cycles N] [--no-predecode]\n"
-                 "                 [--no-block-cache] [--no-superblock] "
+                 "[--max-cycles N]\n"
+                 "                 [--no-block-cache] "
                  "[--dump ADDR WORDS]\n"
                  "                 [--energy] [--trace FILE] [--profile] "
                  "[--metrics FILE]\n"
                  "                 program.s\n");
+}
+
+/**
+ * Strict parse of one numeric flag value into [@p min, @p max]: the
+ * whole string must be a single unsigned integer in @p base (0 also
+ * takes 0x-hex).  strtoull alone skips leading blanks, negates a
+ * leading '-' ("-1" would become 2^64 - 1) and stops at junk ("12x"),
+ * so a leading digit, full consumption and no ERANGE are demanded --
+ * the same contract as the ULECC_JOBS parse.  Reports and returns
+ * false on rejection.
+ */
+bool
+parseCount(const char *flag, const char *text, int base, uint64_t min,
+           uint64_t max, uint64_t &out)
+{
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long v = std::strtoull(text, &end, base);
+    bool clean = std::isdigit(static_cast<unsigned char>(text[0]))
+        && *end == '\0' && errno != ERANGE;
+    if (!clean || v < min || v > max) {
+        std::fprintf(stderr,
+                     "ulecc-run: [%s] %s expects an integer in "
+                     "[%llu, %llu], got '%s'\n",
+                     errcName(Errc::InvalidInput), flag,
+                     (unsigned long long)min, (unsigned long long)max,
+                     text);
+        return false;
+    }
+    out = v;
+    return true;
 }
 
 /** The run's activity, in the power model's terms. */
@@ -129,15 +165,20 @@ main(int argc, char **argv)
     PeteConfig config;
     bool use_monte = false, use_billie = false, energy = false;
     bool profile = false;
-    uint32_t dump_addr = 0, dump_words = 0;
+    uint64_t dump_addr = 0, dump_words = 0;
     const char *path = nullptr;
     const char *trace_path = nullptr;
     const char *metrics_path = nullptr;
 
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--icache") && i + 1 < argc) {
+            // A cache larger than the ROM it fronts has nothing to hold.
+            uint64_t kb = 0;
+            if (!parseCount("--icache", argv[++i], 10, 1,
+                            MemoryMap::romSize / 1024, kb))
+                return 2;
             config.icacheEnabled = true;
-            config.icache.sizeBytes = 1024u * std::atoi(argv[++i]);
+            config.icache.sizeBytes = static_cast<uint32_t>(kb * 1024);
         } else if (!std::strcmp(argv[i], "--prefetch")) {
             config.icache.prefetch = true;
         } else if (!std::strcmp(argv[i], "--monte")) {
@@ -157,16 +198,19 @@ main(int argc, char **argv)
             applyMultiplier(config, v);
         } else if (!std::strcmp(argv[i], "--max-cycles")
                    && i + 1 < argc) {
-            config.maxCycles = std::strtoull(argv[++i], nullptr, 0);
-        } else if (!std::strcmp(argv[i], "--no-predecode")) {
-            config.predecode = false;
+            if (!parseCount("--max-cycles", argv[++i], 0, 1, UINT64_MAX,
+                            config.maxCycles))
+                return 2;
         } else if (!std::strcmp(argv[i], "--no-block-cache")) {
             config.blockCache = false;
-        } else if (!std::strcmp(argv[i], "--no-superblock")) {
-            config.superblock = false;
         } else if (!std::strcmp(argv[i], "--dump") && i + 2 < argc) {
-            dump_addr = std::strtoul(argv[++i], nullptr, 0);
-            dump_words = std::strtoul(argv[++i], nullptr, 0);
+            // The dumped range may not wrap the 32-bit address space.
+            if (!parseCount("--dump address", argv[++i], 0, 0,
+                            UINT32_MAX, dump_addr)
+                || !parseCount("--dump words", argv[++i], 0, 0,
+                               ((1ull << 32) - dump_addr) / 4,
+                               dump_words))
+                return 2;
         } else if (!std::strcmp(argv[i], "--energy")) {
             energy = true;
         } else if (!std::strcmp(argv[i], "--trace") && i + 1 < argc) {
@@ -185,6 +229,17 @@ main(int argc, char **argv)
     if (!path) {
         usage();
         return 2;
+    }
+    if (config.icacheEnabled) {
+        // The cache geometry is validated where it is built; probe it
+        // here so a bad size is a usage error, not a simulation fault.
+        try {
+            ICache probe(config.icache);
+        } catch (const UleccError &e) {
+            std::fprintf(stderr, "ulecc-run: [%s] %s\n",
+                         errcName(e.code()), e.error().context.c_str());
+            return 2;
+        }
     }
 
     std::ifstream in(path);
@@ -281,26 +336,6 @@ main(int argc, char **argv)
                         (unsigned long)bc->records,
                         (unsigned long)bc->slowWalks);
         }
-        if (const SuperblockStats *sb = cpu.superblockStats()) {
-            std::printf("superblock: %lu trace runs / %lu dispatches "
-                        "(%.1f%% hit), %lu built (avg %.1f insts), "
-                        "%lu insts replayed\n",
-                        (unsigned long)sb->traceRuns,
-                        (unsigned long)sb->dispatches,
-                        100.0 * sb->hitRate(),
-                        (unsigned long)sb->tracesBuilt,
-                        sb->avgTraceLength(),
-                        (unsigned long)sb->replayedInstructions);
-            std::printf("superblock exits: %lu side-branch, %lu "
-                        "trace-end, %lu budget, %lu fault; fallbacks: "
-                        "%lu cold, %lu residency\n",
-                        (unsigned long)sb->exitsSideBranch,
-                        (unsigned long)sb->exitsTraceEnd,
-                        (unsigned long)sb->exitsBudget,
-                        (unsigned long)sb->exitsFault,
-                        (unsigned long)sb->fallbackCold,
-                        (unsigned long)sb->fallbackResidency);
-        }
         if (use_monte) {
             std::printf("monte: %lu mul, %lu add/sub, FFAU %lu cy, "
                         "DMA %lu cy, %lu forwarded loads\n",
@@ -388,33 +423,6 @@ main(int argc, char **argv)
                 cache["hit_rate"] = bc->hitRate();
                 reg.set("block_cache", std::move(cache));
             }
-            if (const SuperblockStats *sb = cpu.superblockStats()) {
-                Json sup = Json::object();
-                sup["mode"] =
-                    superblockModeName(cpu.superblockMode());
-                sup["dispatches"] = sb->dispatches;
-                sup["trace_runs"] = sb->traceRuns;
-                sup["hit_rate"] = sb->hitRate();
-                sup["replayed_instructions"] =
-                    sb->replayedInstructions;
-                sup["loop_iterations"] = sb->loopIterations;
-                sup["traces_built"] = sb->tracesBuilt;
-                sup["avg_trace_length"] = sb->avgTraceLength();
-                sup["fused_records"] = sb->fusedRecords;
-                sup["shared_adoptions"] = sb->sharedAdoptions;
-                sup["build_failures"] = sb->buildFailures;
-                sup["invalidations"] = sb->invalidations;
-                sup["shadow_verifies"] = sb->shadowVerifies;
-                Json exits = Json::object();
-                exits["side_branch"] = sb->exitsSideBranch;
-                exits["trace_end"] = sb->exitsTraceEnd;
-                exits["budget"] = sb->exitsBudget;
-                exits["fault"] = sb->exitsFault;
-                exits["fallback_cold"] = sb->fallbackCold;
-                exits["fallback_residency"] = sb->fallbackResidency;
-                sup["exits"] = std::move(exits);
-                reg.set("superblock", std::move(sup));
-            }
             EnergyLedger ledger;
             ledger.addPhase("run", ev);
             reg.set("energy", ledger.toJson());
@@ -430,11 +438,11 @@ main(int argc, char **argv)
             }
         }
         if (dump_words) {
-            for (uint32_t i = 0; i < dump_words; ++i) {
+            for (uint64_t i = 0; i < dump_words; ++i) {
+                uint32_t addr = static_cast<uint32_t>(dump_addr + 4 * i);
                 if (i % 4 == 0)
-                    std::printf("%08x:", dump_addr + 4 * i);
-                std::printf(" %08x",
-                            cpu.mem().peek32(dump_addr + 4 * i));
+                    std::printf("%08x:", addr);
+                std::printf(" %08x", cpu.mem().peek32(addr));
                 if (i % 4 == 3 || i + 1 == dump_words)
                     std::printf("\n");
             }
