@@ -1,6 +1,6 @@
 /**
  * @file
- * Thread pool implementation (central FIFO and work-stealing modes).
+ * Work-stealing thread pool implementation.
  */
 
 #include "par/thread_pool.hh"
@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
-#include <cstring>
 
 namespace ulecc
 {
@@ -55,18 +54,8 @@ ThreadPool::defaultThreads()
     return hw ? hw : 1;
 }
 
-ThreadPool::Mode
-ThreadPool::defaultMode()
-{
-    if (const char *env = std::getenv("ULECC_POOL")) {
-        if (!std::strcmp(env, "fifo"))
-            return Mode::Fifo;
-    }
-    return Mode::Steal;
-}
-
-ThreadPool::ThreadPool(unsigned threads, size_t maxQueued, Mode mode)
-    : mode_(mode), maxQueued_(maxQueued)
+ThreadPool::ThreadPool(unsigned threads, size_t maxQueued)
+    : maxQueued_(maxQueued)
 {
     if (threads == 0)
         threads = defaultThreads();
@@ -85,7 +74,7 @@ ThreadPool::~ThreadPool()
 void
 ThreadPool::enqueueLocked(std::function<void()> &&task)
 {
-    if (mode_ == Mode::Steal && tlsWorker.pool == this) {
+    if (tlsWorker.pool == this) {
         // Nested submission: keep the task hot on the submitting
         // worker's own deque (popped LIFO by that worker, stolen FIFO
         // by idle ones).
@@ -223,9 +212,7 @@ ThreadPool::takeTask(unsigned me, std::function<void()> &task)
         --queued_;
         return true;
     }
-    // Then the global injection queue, in submission order -- in Fifo
-    // mode this is the only populated queue, so the legacy central-
-    // queue behaviour falls out of the same code path.
+    // Then the global injection queue, in submission order.
     if (!injection_.empty()) {
         task = std::move(injection_.front());
         injection_.pop_front();

@@ -1,21 +1,15 @@
 /**
  * @file
- * A small fixed-size thread pool: the task substrate for the parallel
- * sweep runner and the crypto-as-a-service engine.
+ * A small fixed-size work-stealing thread pool: the task substrate for
+ * the parallel sweep runner and the crypto-as-a-service engine.
  *
- * Two scheduling modes share one lock and one contract:
- *
- *  - Mode::Fifo -- the classic single locked FIFO queue.  Every task,
- *    wherever it was submitted from, lands in one central queue and
- *    workers drain it in submission order.
- *  - Mode::Steal -- a work-stealing executor: each worker owns a
- *    deque, external producers push to a global injection queue, and
- *    an idle worker pops its own deque LIFO, then the injection queue
- *    FIFO, then steals FIFO from a victim's deque (scanning from its
- *    right-hand neighbour).  Tasks submitted *from inside* a worker
- *    stay on that worker's deque, so uneven fan-out (a batch that
- *    spawns follow-on work, a wide sweep with ragged task sizes) no
- *    longer serializes behind one queue position.
+ * Each worker owns a deque, external producers push to a global
+ * injection queue, and an idle worker pops its own deque LIFO, then
+ * the injection queue FIFO, then steals FIFO from a victim's deque
+ * (scanning from its right-hand neighbour).  Tasks submitted *from
+ * inside* a worker stay on that worker's deque, so uneven fan-out (a
+ * batch that spawns follow-on work, a wide sweep with ragged task
+ * sizes) does not serialize behind one queue position.
  *
  * The workloads this serves are coarse, CPU-bound tasks (whole
  * design-point evaluations, whole service batches -- tens of
@@ -23,11 +17,9 @@
  * every deque is contention-free in practice and keeps the scheduler
  * easy to reason about; the stealing is about *placement*, not about
  * lock-free throughput.  Sized explicitly, via $ULECC_JOBS, or from
- * the host's hardware concurrency; the mode comes from the
- * constructor or $ULECC_POOL (fifo|steal).
+ * the host's hardware concurrency.
  *
- * Robustness contract (pinned by tests/test_par.cpp, identical in
- * both modes):
+ * Robustness contract (pinned by tests/test_par.cpp):
  *
  *  - The queue may be *bounded*.  A bounded pool exerts backpressure
  *    on the total of queued-not-started tasks across every deque:
@@ -58,17 +50,10 @@
 namespace ulecc
 {
 
-/** Fixed pool of workers: central FIFO or work-stealing deques. */
+/** Fixed pool of workers over work-stealing deques. */
 class ThreadPool
 {
   public:
-    /** Task placement/scheduling policy. */
-    enum class Mode
-    {
-        Fifo,  ///< one central queue, strict submission order
-        Steal, ///< per-worker deques + injection queue, idle workers steal
-    };
-
     /**
      * Starts @p threads workers (0 = defaultThreads()).  A pool of
      * one still runs tasks on its worker, preserving the submit/wait
@@ -80,8 +65,7 @@ class ThreadPool
      *                   When the bound is reached, submit() blocks and
      *                   trySubmit() returns false.
      */
-    explicit ThreadPool(unsigned threads = 0, size_t maxQueued = 0,
-                        Mode mode = defaultMode());
+    explicit ThreadPool(unsigned threads = 0, size_t maxQueued = 0);
 
     /** Equivalent to shutdown(Shutdown::Drain). */
     ~ThreadPool();
@@ -115,21 +99,13 @@ class ThreadPool
     static unsigned defaultThreads();
 
     /**
-     * Scheduling mode the environment asks for: $ULECC_POOL=fifo
-     * selects the central queue, anything else (including unset)
-     * selects work stealing.
-     */
-    static Mode defaultMode();
-
-    /**
      * Enqueues one task, blocking while a bounded queue is full
      * (backpressure).  Returns false -- without running or keeping the
-     * task -- if the pool has been shut down.  In Steal mode a task
-     * submitted from inside one of this pool's workers lands on that
-     * worker's own deque; external submissions land on the injection
-     * queue.  Tasks must not throw; wrap fallible work in a
-     * Result-shaped closure (SweepRunner and the service engine do
-     * exactly this).
+     * task -- if the pool has been shut down.  A task submitted from
+     * inside one of this pool's workers lands on that worker's own
+     * deque; external submissions land on the injection queue.  Tasks
+     * must not throw; wrap fallible work in a Result-shaped closure
+     * (SweepRunner and the service engine do exactly this).
      */
     bool submit(std::function<void()> task);
 
@@ -170,8 +146,6 @@ class ThreadPool
     /** The queue bound this pool was built with (0 = unbounded). */
     size_t maxQueued() const { return maxQueued_; }
 
-    Mode mode() const { return mode_; }
-
     /** Tasks a worker took from another worker's deque. */
     uint64_t steals() const;
 
@@ -195,7 +169,6 @@ class ThreadPool
     std::deque<std::function<void()>> injection_;
     std::vector<std::deque<std::function<void()>>> local_;
     std::vector<std::thread> workers_;
-    Mode mode_ = Mode::Steal;
     size_t maxQueued_ = 0; ///< 0 = unbounded
     size_t queued_ = 0;    ///< queued-not-started, across all deques
     size_t inFlight_ = 0;  ///< queued + currently executing

@@ -20,16 +20,6 @@
 #include <string>
 
 #include "sim/cpu.hh"
-#include "sim/karatsuba_unit.hh"
-
-// leanExec is the replay loop's per-instruction body; an out-of-line
-// call per replayed instruction costs more than the dispatch switch
-// itself, so it is folded into replay() unconditionally.
-#if defined(__GNUC__)
-#define ULECC_ALWAYS_INLINE inline __attribute__((always_inline))
-#else
-#define ULECC_ALWAYS_INLINE inline
-#endif
 
 namespace ulecc
 {
@@ -60,52 +50,6 @@ blockCacheModeName(BlockCacheMode mode)
     }
     return "unknown";
 }
-
-namespace
-{
-
-/** Ops that load the mult/div unit's busy timer (set multReadyCycle). */
-bool
-loadsMultTimer(Op op)
-{
-    switch (op) {
-      case Op::Mult: case Op::Multu: case Op::Div: case Op::Divu:
-      case Op::Maddu: case Op::M2addu: case Op::Addau:
-      case Op::Mulgf2: case Op::Maddgf2:
-        return true;
-      default:
-        return false;
-    }
-}
-
-/** Ops that interlock on the unit (Pete::waitMultUnit callers). */
-bool
-interlocksOnMultUnit(Op op)
-{
-    InstClass cls = classOf(op);
-    return cls == InstClass::MulDiv || cls == InstClass::HiLoMove;
-}
-
-/** Ops counted in PeteStats::multIssues (not Addau/Sha). */
-bool
-countsMultIssue(Op op)
-{
-    switch (op) {
-      case Op::Mult: case Op::Multu: case Op::Maddu: case Op::M2addu:
-      case Op::Mulgf2: case Op::Maddgf2:
-        return true;
-      default:
-        return false;
-    }
-}
-
-bool
-countsDivIssue(Op op)
-{
-    return op == Op::Div || op == Op::Divu;
-}
-
-} // namespace
 
 bool
 BlockCache::runBlock(Pete &cpu)
@@ -225,24 +169,21 @@ BlockCache::discover(Pete &cpu, Block &b, uint32_t pc)
         if (!blockReplayable(ds.op) || endsBasicBlock(ds.op))
             return; // control flow / cop2 / system in a delay slot
         Op term = b.insts[size_t(b.termIndex)].op;
-        bool cond = classOf(term) == InstClass::Branch;
-        if (cond && interlocksOnMultUnit(ds.op))
+        bool cond = opTiming(term).predicted;
+        if (cond && opTiming(ds.op).waitsMultUnit)
             return; // its stall would depend on the branch outcome
         b.insts.push_back(ds);
         b.condBranch = cond;
-        b.jumpStalls = (term == Op::Jr || term == Op::Jalr) ? 1 : 0;
+        b.jumpStalls = opTiming(term).jumpBubble ? 1 : 0;
     }
     // A block that hits the cap with no terminator is a plain
     // straight-line run: perfectly memoizable, exits at entry + 4n.
     for (const DecodedInst &inst : b.insts) {
-        if (loadsMultTimer(inst.op))
-            b.issuesMultUnit = true;
-        if (interlocksOnMultUnit(inst.op))
-            b.waitsMultUnit = true;
-        if (countsMultIssue(inst.op))
-            b.multIssues++;
-        if (countsDivIssue(inst.op))
-            b.divIssues++;
+        const OpTiming &t = opTiming(inst.op);
+        b.issuesMultUnit |= t.timer != MultTimer::None;
+        b.waitsMultUnit |= t.waitsMultUnit;
+        b.multIssues += t.multIssue;
+        b.divIssues += t.divIssue;
     }
     int srcs[2];
     int n = srcGprs(b.insts[0], srcs);
@@ -330,192 +271,6 @@ BlockCache::record(Pete &cpu, Block &b, uint32_t key)
     return !cpu.halted_;
 }
 
-ULECC_ALWAYS_INLINE void
-BlockCache::leanExec(Pete &cpu, const DecodedInst &inst)
-{
-    auto rs = [&] { return cpu.regs_[inst.rs]; };
-    auto rt = [&] { return cpu.regs_[inst.rt]; };
-    auto wr = [&](int r, uint32_t v) { cpu.setReg(r, v); };
-    MemorySystem &mem = cpu.mem_;
-
-    switch (inst.op) {
-      case Op::Sll:
-        wr(inst.rd, rt() << inst.shamt);
-        break;
-      case Op::Srl:
-        wr(inst.rd, rt() >> inst.shamt);
-        break;
-      case Op::Sra:
-        wr(inst.rd, static_cast<uint32_t>(
-               static_cast<int32_t>(rt()) >> inst.shamt));
-        break;
-      case Op::Sllv:
-        wr(inst.rd, rt() << (rs() & 31));
-        break;
-      case Op::Srlv:
-        wr(inst.rd, rt() >> (rs() & 31));
-        break;
-      case Op::Srav:
-        wr(inst.rd, static_cast<uint32_t>(
-               static_cast<int32_t>(rt()) >> (rs() & 31)));
-        break;
-      case Op::Add:
-      case Op::Addu:
-        wr(inst.rd, rs() + rt());
-        break;
-      case Op::Sub:
-      case Op::Subu:
-        wr(inst.rd, rs() - rt());
-        break;
-      case Op::And:
-        wr(inst.rd, rs() & rt());
-        break;
-      case Op::Or:
-        wr(inst.rd, rs() | rt());
-        break;
-      case Op::Xor:
-        wr(inst.rd, rs() ^ rt());
-        break;
-      case Op::Nor:
-        wr(inst.rd, ~(rs() | rt()));
-        break;
-      case Op::Slt:
-        wr(inst.rd, static_cast<int32_t>(rs()) < static_cast<int32_t>(rt())
-           ? 1 : 0);
-        break;
-      case Op::Sltu:
-        wr(inst.rd, rs() < rt() ? 1 : 0);
-        break;
-      case Op::Addi:
-      case Op::Addiu:
-        wr(inst.rt, rs() + static_cast<uint32_t>(inst.simm));
-        break;
-      case Op::Slti:
-        wr(inst.rt, static_cast<int32_t>(rs()) < inst.simm ? 1 : 0);
-        break;
-      case Op::Sltiu:
-        wr(inst.rt, rs() < static_cast<uint32_t>(inst.simm) ? 1 : 0);
-        break;
-      case Op::Andi:
-        wr(inst.rt, rs() & inst.uimm);
-        break;
-      case Op::Ori:
-        wr(inst.rt, rs() | inst.uimm);
-        break;
-      case Op::Xori:
-        wr(inst.rt, rs() ^ inst.uimm);
-        break;
-      case Op::Lui:
-        wr(inst.rt, inst.uimm << 16);
-        break;
-      case Op::Lb:
-        wr(inst.rt, static_cast<uint32_t>(static_cast<int32_t>(
-               static_cast<int8_t>(mem.read8(rs() + inst.simm)))));
-        break;
-      case Op::Lbu:
-        wr(inst.rt, mem.read8(rs() + inst.simm));
-        break;
-      case Op::Lh:
-        wr(inst.rt, static_cast<uint32_t>(static_cast<int32_t>(
-               static_cast<int16_t>(mem.read16(rs() + inst.simm)))));
-        break;
-      case Op::Lhu:
-        wr(inst.rt, mem.read16(rs() + inst.simm));
-        break;
-      case Op::Lw:
-        wr(inst.rt, mem.read32(rs() + inst.simm));
-        break;
-      case Op::Sb:
-        mem.write8(rs() + inst.simm, rt());
-        break;
-      case Op::Sh:
-        mem.write16(rs() + inst.simm, rt());
-        break;
-      case Op::Sw:
-        mem.write32(rs() + inst.simm, rt());
-        break;
-      case Op::Mult:
-      case Op::Multu: {
-        KaratsubaUnit unit;
-        unit.set(cpu.hi_, cpu.lo_, cpu.ovflo_);
-        unit.execute(inst.op == Op::Mult ? KaratsubaOp::Mult
-                                         : KaratsubaOp::Multu,
-                     rs(), rt());
-        cpu.hi_ = unit.hi();
-        cpu.lo_ = unit.lo();
-        break;
-      }
-      case Op::Div: {
-        int32_t a = static_cast<int32_t>(rs());
-        int32_t b = static_cast<int32_t>(rt());
-        cpu.lo_ = b ? static_cast<uint32_t>(a / b) : 0;
-        cpu.hi_ = b ? static_cast<uint32_t>(a % b) : 0;
-        break;
-      }
-      case Op::Divu: {
-        uint32_t a = rs(), b = rt();
-        cpu.lo_ = b ? a / b : 0;
-        cpu.hi_ = b ? a % b : 0;
-        break;
-      }
-      case Op::Mfhi:
-        wr(inst.rd, cpu.hi_);
-        break;
-      case Op::Mflo:
-        wr(inst.rd, cpu.lo_);
-        break;
-      case Op::Mthi:
-        cpu.hi_ = rs();
-        break;
-      case Op::Mtlo:
-        cpu.lo_ = rs();
-        break;
-      case Op::Maddu:
-      case Op::M2addu: {
-        KaratsubaUnit unit;
-        unit.set(cpu.hi_, cpu.lo_, cpu.ovflo_);
-        unit.execute(inst.op == Op::Maddu ? KaratsubaOp::Maddu
-                                          : KaratsubaOp::M2addu,
-                     rs(), rt());
-        cpu.hi_ = unit.hi();
-        cpu.lo_ = unit.lo();
-        cpu.ovflo_ = unit.ovflo();
-        break;
-      }
-      case Op::Addau: {
-        uint64_t p = (static_cast<uint64_t>(rs()) << 32) | rt();
-        uint64_t old = (static_cast<uint64_t>(cpu.hi_) << 32) | cpu.lo_;
-        uint64_t sum = old + p;
-        if (sum < old)
-            cpu.ovflo_ += 1;
-        cpu.lo_ = static_cast<uint32_t>(sum);
-        cpu.hi_ = static_cast<uint32_t>(sum >> 32);
-        break;
-      }
-      case Op::Sha:
-        cpu.lo_ = cpu.hi_;
-        cpu.hi_ = cpu.ovflo_;
-        cpu.ovflo_ = 0;
-        break;
-      case Op::Mulgf2:
-      case Op::Maddgf2: {
-        KaratsubaUnit unit;
-        unit.set(cpu.hi_, cpu.lo_, cpu.ovflo_);
-        unit.execute(inst.op == Op::Mulgf2 ? KaratsubaOp::Mulgf2
-                                           : KaratsubaOp::Maddgf2,
-                     rs(), rt());
-        cpu.hi_ = unit.hi();
-        cpu.lo_ = unit.lo();
-        cpu.ovflo_ = unit.ovflo();
-        break;
-      }
-      default:
-        // Unreachable: discover() only admits replayable body ops.
-        throw UleccError(Errc::Internal,
-                         "BlockCache: non-replayable op in block body");
-    }
-}
-
 bool
 BlockCache::replay(Pete &cpu, Block &b, const Timing &t)
 {
@@ -534,25 +289,31 @@ BlockCache::replay(Pete &cpu, Block &b, const Timing &t)
         const size_t bodyEnd = b.termIndex >= 0 ? size_t(b.termIndex) : n;
         for (size_t i = 0; i < bodyEnd; ++i) {
             replayStep_ = i;
-            leanExec(cpu, insts[i]);
+            cpu.effect(insts[i], entryPc + 4 * uint32_t(i));
         }
         if (b.termIndex >= 0) {
+            // Semi-live terminator: the real predictor is consulted and
+            // trained; its counters are charged below (in bulk, or by
+            // the fault reconstruction).
             replayStep_ = bodyEnd;
-            TermResult r = resolveTerminator(cpu, b, insts[bodyEnd]);
-            nextPc = replayNextPc_ = r.nextPc;
-            mispredicted = replayMispredicted_ = r.mispredicted;
+            const uint32_t pc = entryPc + 4 * uint32_t(bodyEnd);
+            const Pete::Successor next = cpu.effect(insts[bodyEnd], pc);
+            if (b.condBranch)
+                mispredicted = replayMispredicted_ =
+                    cpu.mispredicts(pc, next.taken);
+            nextPc = replayNextPc_ = next.taken ? next.target : pc + 8;
             if (bodyEnd + 1 < n) {
                 replayStep_ = bodyEnd + 1; // the delay slot
-                leanExec(cpu, insts[bodyEnd + 1]);
+                cpu.effect(insts[bodyEnd + 1], pc + 4);
             }
         }
     } catch (const UleccError &) {
         // Reconstruct the exact slow-path accounting at the fault
         // point: steps 0..i-1 retired fully; step i fetched, charged
         // its base cycle plus any load-use slip, then faulted in
-        // execute.  Only memory ops throw out of leanExec, and those
-        // charge nothing further before the access, so step i's
-        // recorded deltas *are* its pre-fault deltas.
+        // execute.  Only memory ops throw out of the effect step, and
+        // those charge nothing further before the access, so step
+        // i's recorded deltas *are* its pre-fault deltas.
         const size_t i = replayStep_;
         const bool pastTerm = b.termIndex >= 0 && i > size_t(b.termIndex);
         for (size_t j = 0; j <= i && j < t.steps.size(); ++j) {
@@ -573,11 +334,9 @@ BlockCache::replay(Pete &cpu, Block &b, const Timing &t)
         }
         uint32_t mrel = kNoIssue;
         for (size_t j = 0; j < i && j < t.steps.size(); ++j) {
-            Op op = b.insts[j].op;
-            if (countsMultIssue(op))
-                s.multIssues++;
-            if (countsDivIssue(op))
-                s.divIssues++;
+            const OpTiming &rule = opTiming(b.insts[j].op);
+            s.multIssues += rule.multIssue;
+            s.divIssues += rule.divIssue;
             if (t.steps[j].multReadyRelAfter != kNoIssue)
                 mrel = t.steps[j].multReadyRelAfter;
         }
@@ -657,52 +416,6 @@ BlockCache::shadowVerify(Pete &cpu, Block &b, const Timing &t)
                          "BlockCache: shadow-verify divergence at pc="
                          + std::to_string(b.entryPc));
     return !cpu.halted_;
-}
-
-BlockCache::TermResult
-BlockCache::resolveTerminator(Pete &cpu, const Block &b,
-                              const DecodedInst &inst)
-{
-    uint32_t branchPc = b.entryPc + 4 * uint32_t(b.termIndex);
-    auto rs = [&] { return cpu.regs_[inst.rs]; };
-    auto rt = [&] { return cpu.regs_[inst.rt]; };
-    // Semi-live conditional branch: predict and train the real
-    // bimodal array exactly as doBranch does, but let the caller
-    // charge the branches/mispredict counters (bulk application on
-    // the success path, reconstruction on the fault path).
-    auto branch = [&](bool taken) {
-        bool predicted = cpu.predictTaken(branchPc);
-        cpu.trainPredictor(branchPc, taken);
-        uint32_t target =
-            branchPc + 4 + (static_cast<uint32_t>(inst.simm) << 2);
-        return TermResult{taken ? target : branchPc + 8,
-                          predicted != taken};
-    };
-    switch (inst.op) {
-      case Op::Beq: return branch(rs() == rt());
-      case Op::Bne: return branch(rs() != rt());
-      case Op::Blez: return branch(static_cast<int32_t>(rs()) <= 0);
-      case Op::Bgtz: return branch(static_cast<int32_t>(rs()) > 0);
-      case Op::Bltz: return branch(static_cast<int32_t>(rs()) < 0);
-      case Op::Bgez: return branch(static_cast<int32_t>(rs()) >= 0);
-      case Op::J:
-        return {((branchPc + 4) & 0xF0000000u) | (inst.target << 2),
-                false};
-      case Op::Jal:
-        cpu.setReg(31, branchPc + 8);
-        return {((branchPc + 4) & 0xF0000000u) | (inst.target << 2),
-                false};
-      case Op::Jr:
-        return {rs(), false};
-      case Op::Jalr:
-        // Link first, then read the target -- the slow path's order,
-        // which matters when rd aliases rs.
-        cpu.setReg(inst.rd, branchPc + 8);
-        return {rs(), false};
-      default:
-        throw UleccError(Errc::Internal,
-                         "BlockCache: non-terminator in terminator slot");
-    }
 }
 
 } // namespace ulecc

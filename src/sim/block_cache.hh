@@ -9,8 +9,9 @@
  * answers every iteration.  This layer carves the text into basic
  * blocks and memoizes, per block and per *entry timing context*, the
  * exact cycle and stall deltas one pass through the block charges.  A
- * steady-state iteration then retires as one table lookup plus a lean
- * architectural-effect replay (register/memory/Hi-Lo semantics only).
+ * steady-state iteration then retires as one table lookup plus a
+ * replay of Pete's own effect step (Pete::effect: register, memory and
+ * Hi/Lo semantics, no timing) over the block's decoded instructions.
  *
  * The entry context captures exactly what the five-stage model's
  * timing depends on across a block boundary:
@@ -205,22 +206,6 @@ class BlockCache
     static constexpr size_t kMaxBlocks = 4096;
     static constexpr size_t kMaxTimingsPerBlock = 8;
     static constexpr uint64_t kVerifyPeriod = 64;
-
-    /** Outcome of resolving a block's terminator semi-live. */
-    struct TermResult
-    {
-        uint32_t nextPc;
-        bool mispredicted;
-    };
-
-    /** Architectural effects only: registers, memory, Hi/Lo/OvFlo.
-     *  No fetch, no stats, no interlock or predictor bookkeeping. */
-    static void leanExec(Pete &cpu, const DecodedInst &inst);
-
-    /** Branch/jump resolution against live registers and the real
-     *  predictor (predict + train + link writes); stats deferred. */
-    static TermResult resolveTerminator(Pete &cpu, const Block &b,
-                                        const DecodedInst &inst);
 
     Block *blockFor(Pete &cpu, uint32_t pc);
     void discover(Pete &cpu, Block &b, uint32_t pc);

@@ -7,9 +7,6 @@
 
 #include <cstdlib>
 
-#include "mpint/binary_field.hh" // clmul32 for the GF(2) extensions
-#include "sim/karatsuba_unit.hh"
-
 namespace ulecc
 {
 
@@ -125,22 +122,6 @@ Pete::waitMultUnit()
     }
 }
 
-void
-Pete::doBranch(bool taken, int32_t disp)
-{
-    stats_.branches++;
-    bool predicted = predictTaken(pc_);
-    if (predicted != taken) {
-        stats_.branchMispredicts++;
-        stats_.cycles += 1; // flush the speculatively fetched slot
-    }
-    trainPredictor(pc_, taken);
-    if (taken)
-        npcAfter_ = pc_ + 4 + (static_cast<uint32_t>(disp) << 2);
-    // npcAfter_ redirects the instruction *after* the delay slot --
-    // the MIPS branch-delay-slot contract.
-}
-
 Error
 Pete::budgetError() const
 {
@@ -190,13 +171,10 @@ Pete::stepUnchecked()
             }
         }
     }
-    int load_dest = 0;
+    const InstClass cls = classOf(inst.op);
+    execute(inst, cls);
 
-    execute(inst);
-
-    if (classOf(inst.op) == InstClass::Load)
-        load_dest = destGpr(inst);
-    lastLoadDest_ = load_dest;
+    lastLoadDest_ = cls == InstClass::Load ? destGpr(inst) : 0;
     lastLoadInstr_ = stats_.instructions;
 
     uint32_t cur = npc_;
@@ -236,8 +214,8 @@ Pete::runChecked()
             }
         } else if (blockCache_) {
             // Block-memoized fast path (hook-free only): hot basic
-            // blocks retire as one memo lookup plus a lean
-            // architectural replay.  The budget is polled once per
+            // blocks retire as one memo lookup plus a replay of the
+            // effect step.  The budget is polled once per
             // block, so a diverging program can coast at most one
             // block (BlockCache::kMaxBlockLen + 1 instructions) past
             // the limit -- tighter than the batched interval below.
@@ -278,276 +256,55 @@ Pete::run()
 }
 
 void
-Pete::execute(const DecodedInst &inst)
+Pete::execute(const DecodedInst &inst, InstClass cls)
 {
     // Default successor of the delay slot.
     npcAfter_ = npc_ + 4;
-    auto rs = [&] { return regs_[inst.rs]; };
-    auto rt = [&] { return regs_[inst.rt]; };
-    auto wr = [&](int r, uint32_t v) { setReg(r, v); };
-
-    switch (inst.op) {
-      case Op::Sll:
-        wr(inst.rd, rt() << inst.shamt);
-        break;
-      case Op::Srl:
-        wr(inst.rd, rt() >> inst.shamt);
-        break;
-      case Op::Sra:
-        wr(inst.rd, static_cast<uint32_t>(
-               static_cast<int32_t>(rt()) >> inst.shamt));
-        break;
-      case Op::Sllv:
-        wr(inst.rd, rt() << (rs() & 31));
-        break;
-      case Op::Srlv:
-        wr(inst.rd, rt() >> (rs() & 31));
-        break;
-      case Op::Srav:
-        wr(inst.rd, static_cast<uint32_t>(
-               static_cast<int32_t>(rt()) >> (rs() & 31)));
-        break;
-      case Op::Add:
-      case Op::Addu:
-        wr(inst.rd, rs() + rt());
-        break;
-      case Op::Sub:
-      case Op::Subu:
-        wr(inst.rd, rs() - rt());
-        break;
-      case Op::And:
-        wr(inst.rd, rs() & rt());
-        break;
-      case Op::Or:
-        wr(inst.rd, rs() | rt());
-        break;
-      case Op::Xor:
-        wr(inst.rd, rs() ^ rt());
-        break;
-      case Op::Nor:
-        wr(inst.rd, ~(rs() | rt()));
-        break;
-      case Op::Slt:
-        wr(inst.rd, static_cast<int32_t>(rs()) < static_cast<int32_t>(rt())
-           ? 1 : 0);
-        break;
-      case Op::Sltu:
-        wr(inst.rd, rs() < rt() ? 1 : 0);
-        break;
-      case Op::Addi:
-      case Op::Addiu:
-        wr(inst.rt, rs() + static_cast<uint32_t>(inst.simm));
-        break;
-      case Op::Slti:
-        wr(inst.rt, static_cast<int32_t>(rs()) < inst.simm ? 1 : 0);
-        break;
-      case Op::Sltiu:
-        wr(inst.rt, rs() < static_cast<uint32_t>(inst.simm) ? 1 : 0);
-        break;
-      case Op::Andi:
-        wr(inst.rt, rs() & inst.uimm);
-        break;
-      case Op::Ori:
-        wr(inst.rt, rs() | inst.uimm);
-        break;
-      case Op::Xori:
-        wr(inst.rt, rs() ^ inst.uimm);
-        break;
-      case Op::Lui:
-        wr(inst.rt, inst.uimm << 16);
-        break;
-      case Op::Lb:
-        wr(inst.rt, static_cast<uint32_t>(static_cast<int32_t>(
-               static_cast<int8_t>(mem_.read8(rs() + inst.simm)))));
-        break;
-      case Op::Lbu:
-        wr(inst.rt, mem_.read8(rs() + inst.simm));
-        break;
-      case Op::Lh:
-        wr(inst.rt, static_cast<uint32_t>(static_cast<int32_t>(
-               static_cast<int16_t>(mem_.read16(rs() + inst.simm)))));
-        break;
-      case Op::Lhu:
-        wr(inst.rt, mem_.read16(rs() + inst.simm));
-        break;
-      case Op::Lw:
-        wr(inst.rt, mem_.read32(rs() + inst.simm));
-        break;
-      case Op::Sb:
-        mem_.write8(rs() + inst.simm, rt());
-        break;
-      case Op::Sh:
-        mem_.write16(rs() + inst.simm, rt());
-        break;
-      case Op::Sw:
-        mem_.write32(rs() + inst.simm, rt());
-        break;
-      case Op::Beq:
-        doBranch(rs() == rt(), inst.simm);
-        break;
-      case Op::Bne:
-        doBranch(rs() != rt(), inst.simm);
-        break;
-      case Op::Blez:
-        doBranch(static_cast<int32_t>(rs()) <= 0, inst.simm);
-        break;
-      case Op::Bgtz:
-        doBranch(static_cast<int32_t>(rs()) > 0, inst.simm);
-        break;
-      case Op::Bltz:
-        doBranch(static_cast<int32_t>(rs()) < 0, inst.simm);
-        break;
-      case Op::Bgez:
-        doBranch(static_cast<int32_t>(rs()) >= 0, inst.simm);
-        break;
-      case Op::J:
-        npcAfter_ = ((pc_ + 4) & 0xF0000000) | (inst.target << 2);
-        break;
-      case Op::Jal:
-        wr(31, pc_ + 8);
-        npcAfter_ = ((pc_ + 4) & 0xF0000000) | (inst.target << 2);
-        break;
-      case Op::Jr:
-        npcAfter_ = rs();
-        stats_.jumpStalls++;
-        stats_.cycles += 1;
-        break;
-      case Op::Jalr:
-        wr(inst.rd, pc_ + 8);
-        npcAfter_ = rs();
-        stats_.jumpStalls++;
-        stats_.cycles += 1;
-        break;
-      case Op::Mult:
-      case Op::Multu: {
-        // The multi-cycle Karatsuba unit (Section 5.1.2) performs the
-        // product with three half-width multiplications.
-        waitMultUnit();
-        stats_.multIssues++;
-        KaratsubaUnit unit;
-        unit.set(hi_, lo_, ovflo_);
-        unit.execute(inst.op == Op::Mult ? KaratsubaOp::Mult
-                                         : KaratsubaOp::Multu,
-                     rs(), rt());
-        hi_ = unit.hi();
-        lo_ = unit.lo();
-        multReadyCycle_ = stats_.cycles + config_.multLatency;
-        break;
-      }
-      case Op::Div: {
-        waitMultUnit();
-        stats_.divIssues++;
-        int32_t a = static_cast<int32_t>(rs());
-        int32_t b = static_cast<int32_t>(rt());
-        lo_ = b ? static_cast<uint32_t>(a / b) : 0;
-        hi_ = b ? static_cast<uint32_t>(a % b) : 0;
-        multReadyCycle_ = stats_.cycles + config_.divLatency;
-        break;
-      }
-      case Op::Divu: {
-        waitMultUnit();
-        stats_.divIssues++;
-        uint32_t a = rs(), b = rt();
-        lo_ = b ? a / b : 0;
-        hi_ = b ? a % b : 0;
-        multReadyCycle_ = stats_.cycles + config_.divLatency;
-        break;
-      }
-      case Op::Mfhi:
-        waitMultUnit();
-        wr(inst.rd, hi_);
-        break;
-      case Op::Mflo:
-        waitMultUnit();
-        wr(inst.rd, lo_);
-        break;
-      case Op::Mthi:
-        waitMultUnit();
-        hi_ = rs();
-        break;
-      case Op::Mtlo:
-        waitMultUnit();
-        lo_ = rs();
-        break;
-      case Op::Maddu:
-      case Op::M2addu: {
-        waitMultUnit();
-        stats_.multIssues++;
-        KaratsubaUnit unit;
-        unit.set(hi_, lo_, ovflo_);
-        unit.execute(inst.op == Op::Maddu ? KaratsubaOp::Maddu
-                                          : KaratsubaOp::M2addu,
-                     rs(), rt());
-        hi_ = unit.hi();
-        lo_ = unit.lo();
-        ovflo_ = unit.ovflo();
-        multReadyCycle_ = stats_.cycles + config_.macLatency;
-        break;
-      }
-      case Op::Addau: {
-        waitMultUnit();
-        uint64_t p = (static_cast<uint64_t>(rs()) << 32) | rt();
-        uint64_t old = (static_cast<uint64_t>(hi_) << 32) | lo_;
-        uint64_t sum = old + p;
-        if (sum < old)
-            ovflo_ += 1;
-        lo_ = static_cast<uint32_t>(sum);
-        hi_ = static_cast<uint32_t>(sum >> 32);
-        multReadyCycle_ = stats_.cycles + config_.addauLatency;
-        break;
-      }
-      case Op::Sha:
-        waitMultUnit();
-        lo_ = hi_;
-        hi_ = ovflo_;
-        ovflo_ = 0;
-        break;
-      case Op::Mulgf2:
-      case Op::Maddgf2: {
-        // The multiplexed 16x16 carry-less block (Fig 5.4).
-        waitMultUnit();
-        stats_.multIssues++;
-        KaratsubaUnit unit;
-        unit.set(hi_, lo_, ovflo_);
-        unit.execute(inst.op == Op::Mulgf2 ? KaratsubaOp::Mulgf2
-                                           : KaratsubaOp::Maddgf2,
-                     rs(), rt());
-        hi_ = unit.hi();
-        lo_ = unit.lo();
-        ovflo_ = unit.ovflo();
-        multReadyCycle_ = stats_.cycles + config_.gf2Latency;
-        break;
-      }
-      case Op::Ctc2:
-      case Op::Cop2sync:
-      case Op::Cop2lda:
-      case Op::Cop2ldb:
-      case Op::Cop2ldn:
-      case Op::Cop2mul:
-      case Op::Cop2add:
-      case Op::Cop2sub:
-      case Op::Cop2st:
-      case Op::Bld:
-      case Op::Bst:
-      case Op::Bmul:
-      case Op::Bsqr:
-      case Op::Badd: {
+    if (cls == InstClass::Cop2) {
         if (!cop2_)
             throw UleccError(Errc::Unsupported,
                              "Pete: COP2 with no coprocessor attached");
         uint64_t stall = cop2_->execute(inst, *this);
         addStall(stall, StallCause::Cop2);
-        break;
-      }
-      case Op::Syscall:
-      case Op::Break:
-        halted_ = true;
-        break;
-      default:
-        throw UleccError(Errc::IllegalInstruction,
-                         "Pete: unimplemented op at pc="
-                         + std::to_string(pc_));
+        return;
     }
+    if (cls == InstClass::System) {
+        halted_ = true;
+        return;
+    }
+
+    // The timing step, from the op's rules, around the effect step.
+    const OpTiming &t = opTiming(inst.op);
+    if (t.waitsMultUnit)
+        waitMultUnit();
+    const Successor next = effect(inst, pc_);
+    if (t.predicted) {
+        stats_.branches++;
+        if (mispredicts(pc_, next.taken)) {
+            stats_.branchMispredicts++;
+            stats_.cycles += 1; // flush the speculatively fetched slot
+        }
+    }
+    // A transfer redirects the instruction *after* the delay slot --
+    // the MIPS branch-delay-slot contract.
+    if (next.taken)
+        npcAfter_ = next.target;
+    if (t.timer != MultTimer::None) {
+        multReadyCycle_ = stats_.cycles + config_.latency(t.timer);
+        stats_.multIssues += t.multIssue;
+        stats_.divIssues += t.divIssue;
+    }
+    if (t.jumpBubble) {
+        stats_.jumpStalls++;
+        stats_.cycles += 1;
+    }
+}
+
+void
+Pete::unimplementedOp(uint32_t pc)
+{
+    throw UleccError(Errc::IllegalInstruction,
+                     "Pete: unimplemented op at pc=" + std::to_string(pc));
 }
 
 } // namespace ulecc

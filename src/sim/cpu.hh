@@ -24,14 +24,17 @@
 
 #include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 
 #include "asmkit/assembler.hh"
+#include "base/compiler.hh"
 #include "base/error.hh"
 #include "isa/isa.hh"
 #include "sim/block_cache.hh"
 #include "sim/icache.hh"
+#include "sim/karatsuba_unit.hh"
 #include "sim/memory.hh"
 #include "sim/multiplier.hh"
 
@@ -70,6 +73,70 @@ class StepHook
     virtual void onStep(Pete &cpu) = 0;
 };
 
+/** Which PeteConfig latency an op loads into the Hi/Lo unit's timer. */
+enum class MultTimer : uint8_t
+{
+    None,  ///< leaves the timer untouched
+    Mult,  ///< PeteConfig::multLatency
+    Mac,   ///< PeteConfig::macLatency
+    Gf2,   ///< PeteConfig::gf2Latency
+    Addau, ///< PeteConfig::addauLatency
+    Div,   ///< PeteConfig::divLatency
+};
+
+/**
+ * The timing rules of one op, apart from the interlocks every op shares
+ * (load-use, icache).  Pete's timing step applies them around the
+ * effect step; the block memo reads the same rules to key and total a
+ * block, so an op's timing is written down once, here.
+ */
+struct OpTiming
+{
+    bool waitsMultUnit = false; ///< interlocks until the Hi/Lo unit frees
+    MultTimer timer = MultTimer::None; ///< busy timer loaded on issue
+    bool multIssue = false;  ///< counted in PeteStats::multIssues
+    bool divIssue = false;   ///< counted in PeteStats::divIssues
+    bool jumpBubble = false; ///< register jump: one bubble for the target
+    bool predicted = false;  ///< conditional branch: bimodal prediction
+};
+
+/** The timing rules of @p op (ops not listed below have none). */
+inline const OpTiming &
+opTiming(Op op)
+{
+    static constexpr std::array<OpTiming, size_t(Op::NumOps)> table = [] {
+        std::array<OpTiming, size_t(Op::NumOps)> t{};
+        auto rule = [&t](std::initializer_list<Op> ops, OpTiming r) {
+            for (Op o : ops)
+                t[size_t(o)] = r;
+        };
+        // The multi-cycle Hi/Lo unit (Section 5.1.1): every op that
+        // reads or writes Hi/Lo waits for it; issuing ops load its
+        // busy timer.
+        rule({Op::Mult, Op::Multu},
+             {.waitsMultUnit = true, .timer = MultTimer::Mult,
+              .multIssue = true});
+        rule({Op::Maddu, Op::M2addu},
+             {.waitsMultUnit = true, .timer = MultTimer::Mac,
+              .multIssue = true});
+        rule({Op::Mulgf2, Op::Maddgf2},
+             {.waitsMultUnit = true, .timer = MultTimer::Gf2,
+              .multIssue = true});
+        rule({Op::Div, Op::Divu},
+             {.waitsMultUnit = true, .timer = MultTimer::Div,
+              .divIssue = true});
+        rule({Op::Addau},
+             {.waitsMultUnit = true, .timer = MultTimer::Addau});
+        rule({Op::Sha, Op::Mfhi, Op::Mflo, Op::Mthi, Op::Mtlo},
+             {.waitsMultUnit = true});
+        rule({Op::Jr, Op::Jalr}, {.jumpBubble = true});
+        rule({Op::Beq, Op::Bne, Op::Blez, Op::Bgtz, Op::Bltz, Op::Bgez},
+             {.predicted = true});
+        return t;
+    }();
+    return table[size_t(op)];
+}
+
 /** Pete configuration. */
 struct PeteConfig
 {
@@ -91,8 +158,8 @@ struct PeteConfig
     uint64_t maxCycles = 500'000'000;
     /**
      * Memoize hot basic blocks' timing so steady-state loop
-     * iterations retire as one lookup plus a lean architectural
-     * replay (src/sim/block_cache.hh).  Bit-identical PeteStats and
+     * iterations retire as one lookup plus a replay of the effect
+     * step (src/sim/block_cache.hh).  Bit-identical PeteStats and
      * architectural state either way; also gated by the
      * $ULECC_BLOCK_CACHE tri-state ("0"/"off" disables, "verify"
      * adds sampled shadow re-execution).  Only the hook-free
@@ -100,6 +167,21 @@ struct PeteConfig
      * injectors (all StepHooks) transparently get the slow path.
      */
     bool blockCache = true;
+
+    /** The busy time @p timer loads into the Hi/Lo unit. */
+    uint32_t
+    latency(MultTimer timer) const
+    {
+        switch (timer) {
+          case MultTimer::Mult: return multLatency;
+          case MultTimer::Mac: return macLatency;
+          case MultTimer::Gf2: return gf2Latency;
+          case MultTimer::Addau: return addauLatency;
+          case MultTimer::Div: return divLatency;
+          case MultTimer::None: break;
+        }
+        return 0;
+    }
 };
 
 /**
@@ -257,25 +339,47 @@ class Pete
     bool stepUnchecked();
 
     void waitMultUnit();
-    void execute(const DecodedInst &inst);
 
-    bool
-    predictTaken(uint32_t pc)
+    /** One instruction: the timing step around the effect step. */
+    void execute(const DecodedInst &inst, InstClass cls);
+
+    /** Where a control transfer sends the instruction after its
+     *  delay slot (taken == false: fall through). */
+    struct Successor
     {
-        return predictor_[(pc >> 2) % predictor_.size()] >= 2;
-    }
+        uint32_t target;
+        bool taken;
+    };
 
-    void
-    trainPredictor(uint32_t pc, bool taken)
+    /**
+     * The effect step: what the instruction at @p pc does to the
+     * architecture -- GPRs, Hi/Lo/OvFlo, memory, the link register --
+     * and the successor of a branch or jump.  No timing, no
+     * statistics, no predictor.  The single copy of the instruction
+     * semantics: execute() and the block memo's replay both run it.
+     * Cop2 and System ops are execute()'s alone.  Memory ops are the
+     * only ones that fault, and they fault before changing any state.
+     */
+    ULECC_ALWAYS_INLINE Successor effect(const DecodedInst &inst,
+                                         uint32_t pc);
+
+    /** Throws for an op the effect step does not implement (kept out
+     *  of line, off the inlined fast path). */
+    [[noreturn]] static void unimplementedOp(uint32_t pc);
+
+    /** Predicts the conditional branch at @p pc, trains the bimodal
+     *  counter on the actual outcome; true on a mispredict. */
+    bool
+    mispredicts(uint32_t pc, bool taken)
     {
         uint8_t &ctr = predictor_[(pc >> 2) % predictor_.size()];
+        bool predicted = ctr >= 2;
         if (taken && ctr < 3)
             ++ctr;
         else if (!taken && ctr > 0)
             --ctr;
+        return predicted != taken;
     }
-
-    void doBranch(bool taken, int32_t disp);
 
     /// The block-timing memo reaches into the pipeline state (it must
     /// replicate the slow path's accounting bit-for-bit).
@@ -305,6 +409,218 @@ class Pete
 
     PeteStats stats_;
 };
+
+ULECC_ALWAYS_INLINE Pete::Successor
+Pete::effect(const DecodedInst &inst, uint32_t pc)
+{
+    auto rs = [&] { return regs_[inst.rs]; };
+    auto rt = [&] { return regs_[inst.rt]; };
+    auto wr = [&](int r, uint32_t v) { setReg(r, v); };
+    auto branch = [&](bool taken) {
+        return Successor{pc + 4 + (static_cast<uint32_t>(inst.simm) << 2),
+                         taken};
+    };
+    auto jump = [&] {
+        return Successor{((pc + 4) & 0xF0000000u) | (inst.target << 2),
+                         true};
+    };
+    // The Karatsuba unit (Section 5.1.2) behind Hi/Lo/OvFlo.
+    auto karatsuba = [&](KaratsubaOp op) {
+        KaratsubaUnit unit;
+        unit.set(hi_, lo_, ovflo_);
+        unit.execute(op, rs(), rt());
+        hi_ = unit.hi();
+        lo_ = unit.lo();
+        return unit.ovflo();
+    };
+
+    switch (inst.op) {
+      case Op::Sll:
+        wr(inst.rd, rt() << inst.shamt);
+        break;
+      case Op::Srl:
+        wr(inst.rd, rt() >> inst.shamt);
+        break;
+      case Op::Sra:
+        wr(inst.rd, static_cast<uint32_t>(
+               static_cast<int32_t>(rt()) >> inst.shamt));
+        break;
+      case Op::Sllv:
+        wr(inst.rd, rt() << (rs() & 31));
+        break;
+      case Op::Srlv:
+        wr(inst.rd, rt() >> (rs() & 31));
+        break;
+      case Op::Srav:
+        wr(inst.rd, static_cast<uint32_t>(
+               static_cast<int32_t>(rt()) >> (rs() & 31)));
+        break;
+      case Op::Add:
+      case Op::Addu:
+        wr(inst.rd, rs() + rt());
+        break;
+      case Op::Sub:
+      case Op::Subu:
+        wr(inst.rd, rs() - rt());
+        break;
+      case Op::And:
+        wr(inst.rd, rs() & rt());
+        break;
+      case Op::Or:
+        wr(inst.rd, rs() | rt());
+        break;
+      case Op::Xor:
+        wr(inst.rd, rs() ^ rt());
+        break;
+      case Op::Nor:
+        wr(inst.rd, ~(rs() | rt()));
+        break;
+      case Op::Slt:
+        wr(inst.rd, static_cast<int32_t>(rs()) < static_cast<int32_t>(rt())
+           ? 1 : 0);
+        break;
+      case Op::Sltu:
+        wr(inst.rd, rs() < rt() ? 1 : 0);
+        break;
+      case Op::Addi:
+      case Op::Addiu:
+        wr(inst.rt, rs() + static_cast<uint32_t>(inst.simm));
+        break;
+      case Op::Slti:
+        wr(inst.rt, static_cast<int32_t>(rs()) < inst.simm ? 1 : 0);
+        break;
+      case Op::Sltiu:
+        wr(inst.rt, rs() < static_cast<uint32_t>(inst.simm) ? 1 : 0);
+        break;
+      case Op::Andi:
+        wr(inst.rt, rs() & inst.uimm);
+        break;
+      case Op::Ori:
+        wr(inst.rt, rs() | inst.uimm);
+        break;
+      case Op::Xori:
+        wr(inst.rt, rs() ^ inst.uimm);
+        break;
+      case Op::Lui:
+        wr(inst.rt, inst.uimm << 16);
+        break;
+      case Op::Lb:
+        wr(inst.rt, static_cast<uint32_t>(static_cast<int32_t>(
+               static_cast<int8_t>(mem_.read8(rs() + inst.simm)))));
+        break;
+      case Op::Lbu:
+        wr(inst.rt, mem_.read8(rs() + inst.simm));
+        break;
+      case Op::Lh:
+        wr(inst.rt, static_cast<uint32_t>(static_cast<int32_t>(
+               static_cast<int16_t>(mem_.read16(rs() + inst.simm)))));
+        break;
+      case Op::Lhu:
+        wr(inst.rt, mem_.read16(rs() + inst.simm));
+        break;
+      case Op::Lw:
+        wr(inst.rt, mem_.read32(rs() + inst.simm));
+        break;
+      case Op::Sb:
+        mem_.write8(rs() + inst.simm, rt());
+        break;
+      case Op::Sh:
+        mem_.write16(rs() + inst.simm, rt());
+        break;
+      case Op::Sw:
+        mem_.write32(rs() + inst.simm, rt());
+        break;
+      case Op::Beq:
+        return branch(rs() == rt());
+      case Op::Bne:
+        return branch(rs() != rt());
+      case Op::Blez:
+        return branch(static_cast<int32_t>(rs()) <= 0);
+      case Op::Bgtz:
+        return branch(static_cast<int32_t>(rs()) > 0);
+      case Op::Bltz:
+        return branch(static_cast<int32_t>(rs()) < 0);
+      case Op::Bgez:
+        return branch(static_cast<int32_t>(rs()) >= 0);
+      case Op::J:
+        return jump();
+      case Op::Jal:
+        wr(31, pc + 8);
+        return jump();
+      case Op::Jr:
+        return {rs(), true};
+      case Op::Jalr:
+        // Link first, then read the target: with rd == rs the jump
+        // lands on the link address.
+        wr(inst.rd, pc + 8);
+        return {rs(), true};
+      case Op::Mult:
+        karatsuba(KaratsubaOp::Mult);
+        break;
+      case Op::Multu:
+        karatsuba(KaratsubaOp::Multu);
+        break;
+      case Op::Div: {
+        // Divided in 64 bits: INT32_MIN / -1 overflows 32-bit signed
+        // division (a host trap); the divider returns the quotient's
+        // low word, 0x80000000, with remainder 0.
+        int64_t a = static_cast<int32_t>(rs());
+        int64_t b = static_cast<int32_t>(rt());
+        lo_ = b ? static_cast<uint32_t>(a / b) : 0;
+        hi_ = b ? static_cast<uint32_t>(a % b) : 0;
+        break;
+      }
+      case Op::Divu: {
+        uint32_t a = rs(), b = rt();
+        lo_ = b ? a / b : 0;
+        hi_ = b ? a % b : 0;
+        break;
+      }
+      case Op::Mfhi:
+        wr(inst.rd, hi_);
+        break;
+      case Op::Mflo:
+        wr(inst.rd, lo_);
+        break;
+      case Op::Mthi:
+        hi_ = rs();
+        break;
+      case Op::Mtlo:
+        lo_ = rs();
+        break;
+      case Op::Maddu:
+        ovflo_ = karatsuba(KaratsubaOp::Maddu);
+        break;
+      case Op::M2addu:
+        ovflo_ = karatsuba(KaratsubaOp::M2addu);
+        break;
+      case Op::Addau: {
+        uint64_t p = (static_cast<uint64_t>(rs()) << 32) | rt();
+        uint64_t old = (static_cast<uint64_t>(hi_) << 32) | lo_;
+        uint64_t sum = old + p;
+        if (sum < old)
+            ovflo_ += 1;
+        lo_ = static_cast<uint32_t>(sum);
+        hi_ = static_cast<uint32_t>(sum >> 32);
+        break;
+      }
+      case Op::Sha:
+        lo_ = hi_;
+        hi_ = ovflo_;
+        ovflo_ = 0;
+        break;
+      case Op::Mulgf2:
+        // The multiplexed 16x16 carry-less block (Fig 5.4).
+        ovflo_ = karatsuba(KaratsubaOp::Mulgf2);
+        break;
+      case Op::Maddgf2:
+        ovflo_ = karatsuba(KaratsubaOp::Maddgf2);
+        break;
+      default:
+        unimplementedOp(pc);
+    }
+    return {0, false};
+}
 
 } // namespace ulecc
 

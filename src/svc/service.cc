@@ -49,16 +49,6 @@ opKindName(OpKind op)
     return "unknown";
 }
 
-const char *
-poolModeName(PoolMode mode)
-{
-    switch (mode) {
-      case PoolMode::Steal: return "steal";
-      case PoolMode::Fifo: return "fifo";
-    }
-    return "unknown";
-}
-
 namespace
 {
 
@@ -1131,10 +1121,7 @@ struct Server::Impl
         if (cfg.warmEvalCache)
             warmEvalCache();
         if (!cfg.serial)
-            pool.emplace(cfg.jobs, 0,
-                         cfg.poolMode == PoolMode::Fifo
-                             ? ThreadPool::Mode::Fifo
-                             : ThreadPool::Mode::Steal);
+            pool.emplace(cfg.jobs);
         former.emplace(cfg.batch);
         workerFreeNs.assign(
             cfg.virtualWorkers ? cfg.virtualWorkers : 1, 0);

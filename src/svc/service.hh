@@ -29,9 +29,9 @@
  * (the host-side cryptography, chaos strikes, co-simulations) is a
  * pure function of (seed, request id, attempt) farmed out to a
  * ThreadPool -- one pooled task per batch, which may fan member
- * subtasks onto the work-stealing deques.  Parallel, serial, and
- * work-stealing runs therefore produce byte-identical timing-free
- * reports: threads change wall-clock, never outcomes.
+ * subtasks onto the work-stealing deques.  Parallel and serial runs
+ * therefore produce byte-identical timing-free reports: threads
+ * change wall-clock, never outcomes.
  */
 
 #ifndef ULECC_SVC_SERVICE_HH
@@ -53,16 +53,6 @@
 namespace ulecc
 {
 
-/** Real-executor scheduling policy (par/thread_pool.hh modes). */
-enum class PoolMode
-{
-    Steal, ///< work-stealing deques (the default executor)
-    Fifo,  ///< legacy single central queue
-};
-
-/** Stable short name (logs/JSON). */
-const char *poolModeName(PoolMode mode);
-
 /** Service engine configuration. */
 struct SvcConfig
 {
@@ -76,8 +66,6 @@ struct SvcConfig
     unsigned jobs = 0;
     /** Execute requests inline on the coordinator (--serial). */
     bool serial = false;
-    /** Real-executor scheduling policy (ignored when serial). */
-    PoolMode poolMode = PoolMode::Steal;
 
     /** Admission control: max requests waiting for a worker. */
     size_t queueCap = 64;

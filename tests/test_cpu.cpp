@@ -560,6 +560,35 @@ expectCacheEquivalent(const std::string &src, PeteConfig base = {})
     EXPECT_EQ(fast.lo(), slow.lo());
     EXPECT_EQ(fast.ovflo(), slow.ovflo());
     EXPECT_EQ(fast.pc(), slow.pc());
+    for (uint32_t a = MemoryMap::ramBase;
+         a < MemoryMap::ramBase + MemoryMap::ramSize; a += 4)
+        EXPECT_EQ(fast.mem().peek32(a), slow.mem().peek32(a))
+            << "ram word " << std::hex << a;
+    auto expectCountersEqual = [](const MemCounters &a,
+                                  const MemCounters &b) {
+        EXPECT_EQ(a.reads, b.reads);
+        EXPECT_EQ(a.wideReads, b.wideReads);
+        EXPECT_EQ(a.writes, b.writes);
+    };
+    expectCountersEqual(fast.mem().ramCounters(), slow.mem().ramCounters());
+    expectCountersEqual(fast.mem().romFetchCounters(),
+                        slow.mem().romFetchCounters());
+    expectCountersEqual(fast.mem().romDataCounters(),
+                        slow.mem().romDataCounters());
+    EXPECT_EQ(fast.icache() != nullptr, slow.icache() != nullptr);
+    if (fast.icache() && slow.icache()) {
+        const ICacheStats &a = fast.icache()->stats();
+        const ICacheStats &b = slow.icache()->stats();
+        EXPECT_EQ(a.accesses, b.accesses);
+        EXPECT_EQ(a.hits, b.hits);
+        EXPECT_EQ(a.misses, b.misses);
+        EXPECT_EQ(a.prefetchHits, b.prefetchHits);
+        EXPECT_EQ(a.lineFills, b.lineFills);
+        EXPECT_EQ(a.prefetchFills, b.prefetchFills);
+        EXPECT_EQ(a.tagReads, b.tagReads);
+        EXPECT_EQ(a.dataReads, b.dataReads);
+        EXPECT_EQ(a.dataWrites, b.dataWrites);
+    }
     return fast;
 }
 
@@ -619,6 +648,29 @@ TEST(Pete, TimeoutEquivalentOnFastAndSlowPaths)
             EXPECT_LT(cpu.stats().cycles, cfg.maxCycles + 512);
         }
     }
+}
+
+TEST(Pete, SignedDivideOverflowDoesNotTrap)
+{
+    // INT32_MIN / -1 is the one signed quotient that does not fit in
+    // 32 bits.  A simulated program must never crash the simulator:
+    // the quotient wraps to its low word and the remainder is 0, on
+    // the interpreter and the block memo alike.
+    Pete cpu = expectCacheEquivalent(R"(
+        lui   $t2, 0x8000
+        addiu $t3, $zero, -1
+        addiu $s0, $zero, 8
+    loop:
+        div   $t2, $t3
+        mflo  $t0
+        mfhi  $t1
+        addiu $s0, $s0, -1
+        bne   $s0, $zero, loop
+        nop
+        break
+    )");
+    EXPECT_EQ(cpu.reg(8), 0x80000000u);
+    EXPECT_EQ(cpu.reg(9), 0u);
 }
 
 TEST(BlockCache, StatsBitIdenticalOnLoopProgram)
@@ -756,7 +808,7 @@ TEST(BlockCache, StoreToTextFaultsInsideReplayedBlock)
 {
     // Iteration 1 stores to RAM (and records the block); iteration 2
     // replays the same block and the store lands on program text,
-    // which must fault out of the lean replay with the slow path's
+    // which must fault out of the replay with the slow path's
     // exact message, stats, and architectural state.
     expectCacheEquivalent(R"(
         lui   $t4, 0x1000
@@ -995,4 +1047,147 @@ TEST(BlockCache, MidLoopFaultReconstructsExactState)
     )");
     ASSERT_NE(fast.blockCacheStats(), nullptr);
     EXPECT_GT(fast.blockCacheStats()->replays, 0u);
+}
+
+namespace
+{
+
+/** One op class exercised in a hot loop (see EveryOpClassMatches). */
+struct OpCase
+{
+    const char *name;
+    const char *body; ///< loop body; leaves its results in $t0/$t1
+    const char *tail = ""; ///< code placed after the final break
+};
+
+// Each body runs 24 times on fresh operands: $s1/$s2 are stepped by
+// xorshift32 every iteration, so signs, zero-ish values and shift
+// amounts vary.  $s6 points at a scratch RAM word; $t0/$t1 are logged
+// to RAM after every iteration ($t1 first, so a load into $t1 at the
+// end of a body exposes the load-use interlock).
+const OpCase kOpCases[] = {
+    {"sll_srl", "sll $t0, $s1, 7\n srl $t1, $s1, 31"},
+    {"sra", "sra $t0, $s1, 9\n sra $t1, $s2, 31"},
+    {"srav", "srav $t0, $s1, $s2\n srav $t1, $s2, $s1"},
+    {"sllv_srlv", "sllv $t0, $s1, $s2\n srlv $t1, $s1, $s2"},
+    {"add_sub", "add $t0, $s1, $s2\n sub $t1, $s1, $s2"},
+    {"addu_subu", "addu $t0, $s1, $s2\n subu $t1, $s2, $s1"},
+    {"and_or_xor_nor",
+     "and $t0, $s1, $s2\n or $t1, $s1, $s2\n xor $t2, $t0, $t1\n"
+     " nor $t0, $t2, $s2"},
+    {"slt_sltu", "slt $t0, $s1, $s2\n sltu $t1, $s1, $s2"},
+    {"addi_addiu", "addi $t0, $s1, -1234\n addiu $t1, $s2, 32767"},
+    {"slti_sltiu_negative_imm",
+     "slti $t0, $s1, -5\n sltiu $t1, $s1, -5\n slti $t2, $s2, -32768"},
+    {"andi_ori_xori",
+     "andi $t0, $s1, 0xf0f0\n ori $t1, $s1, 0x8001\n"
+     " xori $t1, $t1, 0xffff"},
+    {"lui", "lui $t0, 0x8001\n xor $t1, $t0, $s1"},
+    {"lb_lbu_sign_extension",
+     "sw $s1, 0($s6)\n lb $t0, 3($s6)\n lbu $t1, 1($s6)"},
+    {"lh_lhu_sign_extension",
+     "sw $s1, 0($s6)\n lh $t0, 2($s6)\n lhu $t1, 0($s6)"},
+    {"lw_load_use", "sw $s2, 0($s6)\n lw $t0, 0($s6)\n addu $t1, $t0, $s1"},
+    {"sb_sh",
+     "sw $zero, 0($s6)\n sb $s1, 1($s6)\n sh $s2, 2($s6)\n"
+     " lw $t0, 0($s6)\n lb $t1, 1($s6)"},
+    {"beq",
+     "andi $t2, $s1, 1\n addiu $t0, $zero, 0\n beq $t2, $zero, over\n"
+     " addiu $t1, $s1, 1\n addiu $t0, $zero, 7\n over:"},
+    {"bne",
+     "andi $t2, $s1, 2\n addiu $t0, $zero, 0\n bne $t2, $zero, over\n"
+     " addiu $t1, $s1, 1\n addiu $t0, $zero, 7\n over:"},
+    {"blez",
+     "sra $t2, $s1, 30\n addiu $t0, $zero, 0\n blez $t2, over\n"
+     " addiu $t1, $t2, 1\n addiu $t0, $zero, 7\n over:"},
+    {"bgtz",
+     "sra $t2, $s1, 30\n addiu $t0, $zero, 0\n bgtz $t2, over\n"
+     " addiu $t1, $t2, 1\n addiu $t0, $zero, 7\n over:"},
+    {"bltz",
+     "sra $t2, $s1, 30\n addiu $t0, $zero, 0\n bltz $t2, over\n"
+     " addiu $t1, $t2, 1\n addiu $t0, $zero, 7\n over:"},
+    {"bgez",
+     "sra $t2, $s1, 30\n addiu $t0, $zero, 0\n bgez $t2, over\n"
+     " addiu $t1, $t2, 1\n addiu $t0, $zero, 7\n over:"},
+    {"j",
+     "j over\n addiu $t0, $s1, 3\n addiu $t0, $zero, 99\n"
+     " over: addiu $t1, $t0, 1"},
+    {"jal_jr", "jal leaf\n addiu $t0, $s1, 3",
+     "leaf: jr $ra\n addiu $t1, $s2, 5"},
+    {"jalr", "la $t3, leaf\n jalr $t3\n addiu $t0, $s1, 1",
+     "leaf: jr $ra\n addiu $t1, $s2, 2"},
+    // Link first, then read the target: with rd == rs the jump lands
+    // on the instruction after the delay slot, never on `far`.
+    {"jalr_rd_eq_rs",
+     "la $t2, far\n jalr $t2, $t2\n addiu $t0, $s1, 1\n"
+     " addiu $t1, $t2, 0",
+     "far: addiu $t1, $zero, 1\n break"},
+    {"mult_multu",
+     "mult $s1, $s2\n mflo $t0\n multu $s1, $s2\n mfhi $t1"},
+    {"div", "div $s1, $s2\n mflo $t0\n mfhi $t1"},
+    {"divu", "divu $s1, $s2\n mflo $t0\n mfhi $t1"},
+    {"div_divu_by_zero",
+     "div $s1, $zero\n mflo $t0\n divu $s2, $zero\n mfhi $t1"},
+    {"mthi_mtlo",
+     "mult $s1, $s2\n mthi $s1\n mtlo $s2\n maddu $s1, $s2\n"
+     " mfhi $t0\n mflo $t1"},
+    {"maddu_m2addu",
+     "maddu $s1, $s2\n m2addu $s2, $s1\n mfhi $t0\n mflo $t1"},
+    {"addau_sha",
+     "addau $s1, $s2\n addau $s2, $s1\n mflo $t0\n sha\n mfhi $t1"},
+    {"mulgf2_maddgf2",
+     "mulgf2 $s1, $s2\n maddgf2 $s2, $s1\n mflo $t0\n mfhi $t1"},
+    {"mult_in_jump_delay_slot",
+     "j next\n mult $s1, $s2\n next: mflo $t0\n mfhi $t1"},
+};
+
+std::string
+opCaseProgram(const OpCase &c)
+{
+    return std::string(R"(
+        li    $s1, 0x9e3779b9
+        li    $s2, 0x85ebca6b
+        lui   $s7, 0x1000
+        lui   $s6, 0x1000
+        ori   $s6, $s6, 0x2000
+        addiu $s0, $zero, 24
+    loop:
+    )") + c.body + R"(
+        sw    $t1, 4($s7)
+        sw    $t0, 0($s7)
+        addiu $s7, $s7, 8
+        sll   $t9, $s1, 13
+        xor   $s1, $s1, $t9
+        srl   $t9, $s1, 17
+        xor   $s1, $s1, $t9
+        sll   $t9, $s1, 5
+        xor   $s1, $s1, $t9
+        addu  $s2, $s2, $s1
+        addiu $s0, $s0, -1
+        bne   $s0, $zero, loop
+        nop
+        break
+    )" + c.tail + "\n";
+}
+
+} // namespace
+
+TEST(BlockCache, EveryOpClassMatchesTheInterpreter)
+{
+    // One hot loop per op class, so every instruction's semantics and
+    // timing are replayed through the memo (not only the few the
+    // kernel suites happen to use), with and without an I-cache.
+    for (const OpCase &c : kOpCases) {
+        for (bool icache : {false, true}) {
+            SCOPED_TRACE(std::string(c.name)
+                         + (icache ? " (icache)" : " (no icache)"));
+            PeteConfig cfg;
+            cfg.icacheEnabled = icache;
+            cfg.icache.sizeBytes = 1024;
+            Pete fast = expectCacheEquivalent(opCaseProgram(c), cfg);
+            ASSERT_NE(fast.blockCacheStats(), nullptr);
+            EXPECT_GT(fast.blockCacheStats()->replays, 0u);
+            EXPECT_EQ(fast.reg(16), 0u); // the loop ran to completion
+        }
+    }
 }

@@ -295,31 +295,11 @@ TEST(ThreadPool, BoundedQueueExertsBackpressure)
     EXPECT_EQ(done.load(), 3);
 }
 
-TEST(ThreadPool, DefaultModeHonoursUleccPool)
-{
-    {
-        EnvVar mode("ULECC_POOL", "fifo");
-        EXPECT_EQ(ThreadPool::defaultMode(), ThreadPool::Mode::Fifo);
-    }
-    {
-        EnvVar mode("ULECC_POOL", "steal");
-        EXPECT_EQ(ThreadPool::defaultMode(), ThreadPool::Mode::Steal);
-    }
-    {
-        EnvVar mode("ULECC_POOL", nullptr);
-        EXPECT_EQ(ThreadPool::defaultMode(), ThreadPool::Mode::Steal);
-    }
-    ThreadPool fifo(2, 0, ThreadPool::Mode::Fifo);
-    EXPECT_EQ(fifo.mode(), ThreadPool::Mode::Fifo);
-    ThreadPool steal(2, 0, ThreadPool::Mode::Steal);
-    EXPECT_EQ(steal.mode(), ThreadPool::Mode::Steal);
-}
-
 TEST(ThreadPool, NestedSubmitsLandOnTheWorkersOwnDeque)
 {
     // One worker, so nothing can be stolen: every task submitted from
     // inside a task must come back off the worker's own deque.
-    ThreadPool pool(1, 0, ThreadPool::Mode::Steal);
+    ThreadPool pool(1);
     std::atomic<int> done{0};
     pool.submit([&] {
         for (int i = 0; i < 25; ++i)
@@ -340,7 +320,7 @@ TEST(ThreadPool, IdleWorkersStealNestedBacklog)
     // While the producer is parked its deque can only drain by theft,
     // so at least one steal is guaranteed -- even on a single-CPU host
     // where the producer would otherwise outrun every idle thief.
-    ThreadPool pool(4, 0, ThreadPool::Mode::Steal);
+    ThreadPool pool(4);
     std::atomic<int> done{0};
     std::promise<void> stolen;
     std::shared_future<void> first = stolen.get_future().share();
@@ -363,7 +343,7 @@ TEST(ThreadPool, IdleWorkersStealNestedBacklog)
 
 TEST(ThreadPool, CancelDropsTasksQueuedOnLocalDeques)
 {
-    ThreadPool pool(1, 0, ThreadPool::Mode::Steal);
+    ThreadPool pool(1);
     std::promise<void> submitted;
     std::promise<void> gate;
     std::shared_future<void> open = gate.get_future().share();
@@ -386,7 +366,7 @@ TEST(ThreadPool, CancelDropsTasksQueuedOnLocalDeques)
 
 TEST(ThreadPool, StealModeBoundedQueueExertsBackpressure)
 {
-    ThreadPool pool(1, 2, ThreadPool::Mode::Steal);
+    ThreadPool pool(1, 2);
     std::promise<void> gate;
     std::shared_future<void> open = gate.get_future().share();
     std::atomic<int> done{0};
@@ -412,7 +392,7 @@ TEST(ThreadPool, StealRaceStressLosesNoTasks)
     // fan-out racing idle thieves -- and count completions.  Run under
     // the TSan preset this doubles as a data-race hunt on the deques.
     for (int round = 0; round < 5; ++round) {
-        ThreadPool pool(4, 0, ThreadPool::Mode::Steal);
+        ThreadPool pool(4);
         std::atomic<int> done{0};
         constexpr int kProducers = 3;
         constexpr int kRoots = 20;
@@ -438,23 +418,6 @@ TEST(ThreadPool, StealRaceStressLosesNoTasks)
                       + pool.steals(),
                   static_cast<uint64_t>(done.load()));
     }
-}
-
-TEST(ThreadPool, FifoModeDrainsNestedSubmitsThroughInjection)
-{
-    // Legacy mode: everything funnels through the central queue, so
-    // the deque counters stay zero and nothing is stolen.
-    ThreadPool pool(2, 0, ThreadPool::Mode::Fifo);
-    std::atomic<int> done{0};
-    pool.submit([&] {
-        for (int i = 0; i < 15; ++i)
-            pool.submit([&] { done.fetch_add(1); });
-    });
-    pool.wait();
-    EXPECT_EQ(done.load(), 15);
-    EXPECT_EQ(pool.localPops(), 0u);
-    EXPECT_EQ(pool.steals(), 0u);
-    EXPECT_EQ(pool.injectionPops(), 16u);
 }
 
 TEST(Sweep, ParallelMatchesSerialBitExact)

@@ -788,16 +788,15 @@ TEST(SvcBatch, ArtifactsByteIdenticalAcrossPoolModesWithBatchingOn)
 {
     // The tentpole determinism contract: with batching on and chaos
     // striking, the report and all four telemetry artifacts are
-    // byte-identical whether requests execute serially, on the legacy
-    // FIFO pool, or on the work-stealing pool.
+    // byte-identical whether requests execute on the work-stealing
+    // pool or serially.
     std::vector<std::string> reports, traces, timelines, slos, flights;
-    for (int mode = 0; mode < 3; ++mode) {
+    for (int mode = 0; mode < 2; ++mode) {
         SvcConfig run = soakConfig(23, 500);
         run.batch.maxSize = 8;
         run.batch.lingerNs = 3'000'000;
-        run.serial = mode == 2;
-        run.jobs = mode == 2 ? 0 : 3;
-        run.poolMode = mode == 1 ? PoolMode::Fifo : PoolMode::Steal;
+        run.serial = mode == 1;
+        run.jobs = mode == 1 ? 0 : 3;
         Server server(run);
         RequestTracer tracer;
         TimelineAggregator timeline;
@@ -816,13 +815,11 @@ TEST(SvcBatch, ArtifactsByteIdenticalAcrossPoolModesWithBatchingOn)
         slos.push_back(slo.dumpJsonl());
         flights.push_back(flight.toJson().dump(2));
     }
-    for (int mode = 1; mode < 3; ++mode) {
-        EXPECT_EQ(reports[0], reports[mode]) << "mode " << mode;
-        EXPECT_EQ(traces[0], traces[mode]) << "mode " << mode;
-        EXPECT_EQ(timelines[0], timelines[mode]) << "mode " << mode;
-        EXPECT_EQ(slos[0], slos[mode]) << "mode " << mode;
-        EXPECT_EQ(flights[0], flights[mode]) << "mode " << mode;
-    }
+    EXPECT_EQ(reports[0], reports[1]);
+    EXPECT_EQ(traces[0], traces[1]);
+    EXPECT_EQ(timelines[0], timelines[1]);
+    EXPECT_EQ(slos[0], slos[1]);
+    EXPECT_EQ(flights[0], flights[1]);
 }
 
 TEST(SvcBatch, ChaosSoakWithBatchingHoldsEveryInvariant)

@@ -105,35 +105,6 @@ step "telemetry: ulecc-run metrics + trace"
     "$work/run_metrics.json"
 "$json_check" "$schemas/trace.schema.json" "$work/trace.json"
 
-step "block memo: PeteStats identical memo on vs off (reference kernel)"
-"$repo/build/tools/ulecc-run" --metrics "$work/bc_on.json" \
-    "$repo/tools/mulos_k17.s" > /dev/null
-"$repo/build/tools/ulecc-run" --no-block-cache \
-    --metrics "$work/bc_off.json" "$repo/tools/mulos_k17.s" > /dev/null
-python3 - "$work/bc_on.json" "$work/bc_off.json" <<'EOF'
-import json, sys
-
-# The memo may only change how fast the host simulates, never what it
-# simulates: with the host-dependent wall-clock fields and the
-# simulator-internal cache section stripped, the two metrics documents
-# must be byte-identical.
-docs = [json.load(open(p)) for p in sys.argv[1:3]]
-if "block_cache" not in docs[0] or "block_cache" in docs[1]:
-    print("FAIL: --no-block-cache did not switch the memo off")
-    sys.exit(1)
-for d in docs:
-    for key in ("sim_wall_seconds", "sim_mips", "block_cache"):
-        d.pop(key, None)
-on, off = (json.dumps(d, sort_keys=True, indent=1) for d in docs)
-if on != off:
-    print("FAIL: architectural metrics differ block memo on vs off")
-    for a, b in zip(on.splitlines(), off.splitlines()):
-        if a != b:
-            print(f"  on:  {a}\n  off: {b}")
-    sys.exit(1)
-print("ok:   architectural metrics identical block memo on vs off")
-EOF
-
 step "telemetry: bench journal (zero-change JSONL capture)"
 : > "$work/bench.jsonl"
 ULECC_BENCH_METRICS="$work/bench.jsonl" \
@@ -299,16 +270,14 @@ EOF
     done
 fi
 
-step "telemetry: svc artifacts (serial vs fifo vs work-stealing)"
+step "telemetry: svc artifacts (serial vs work-stealing)"
 # Batching on (explicitly, with a close policy that actually
 # coalesces): every artifact must still be byte-identical whether
-# requests execute inline, on the legacy FIFO pool, or on the
-# work-stealing deques.
+# requests execute inline or on the work-stealing deques.
 svc_tel_args=(--seed 11 --requests 400 --chaos 20 --arrival bursty
               --batch-max 8 --batch-linger-us 3000 --quiet)
-for mode in par fifo ser; do
+for mode in par ser; do
     extra=()
-    [[ $mode == fifo ]] && extra=(--pool fifo)
     [[ $mode == ser ]] && extra=(--serial)
     "$repo/build/tools/svc_run" "${svc_tel_args[@]}" "${extra[@]}" \
         --json "$work/svc_$mode.json" \
@@ -317,14 +286,12 @@ for mode in par fifo ser; do
         --slo "$work/svc_$mode.slo" \
         --flight-recorder "$work/svc_$mode.flight"
 done
-for other in fifo ser; do
-    for ext in json trace timeline slo flight; do
-        if ! cmp -s "$work/svc_par.$ext" "$work/svc_$other.$ext"; then
-            echo "FAIL: svc $ext artifact differs par vs $other" >&2
-            diff "$work/svc_par.$ext" "$work/svc_$other.$ext" >&2 || true
-            exit 1
-        fi
-    done
+for ext in json trace timeline slo flight; do
+    if ! cmp -s "$work/svc_par.$ext" "$work/svc_ser.$ext"; then
+        echo "FAIL: svc $ext artifact differs par vs ser" >&2
+        diff "$work/svc_par.$ext" "$work/svc_ser.$ext" >&2 || true
+        exit 1
+    fi
 done
 
 step "batching: batch-on vs batch-off outcome cross-check"

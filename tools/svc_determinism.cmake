@@ -1,8 +1,7 @@
 # Determinism check for svc_run: the timing-free report AND every
 # telemetry artifact (request trace, timeline, SLO alert log, flight
 # recorder dump) must be byte-identical for the same seed across
-# independent parallel runs, across --serial/parallel execution, and
-# across pool scheduling modes (work-stealing vs legacy FIFO).
+# independent parallel runs and across --serial/parallel execution.
 #
 # Invoked by ctest (tool_svc_run_determinism) with:
 #   -DSVC_RUN=<path to svc_run> -DWORK_DIR=<scratch dir>
@@ -27,9 +26,8 @@ endfunction()
 svc_det_run(a "")
 svc_det_run(b "")
 svc_det_run(serial "--serial")
-svc_det_run(fifo "--pool;fifo")
 
-foreach(other b serial fifo)
+foreach(other b serial)
     foreach(ext json trace timeline slo flight)
         execute_process(
             COMMAND ${CMAKE_COMMAND} -E compare_files

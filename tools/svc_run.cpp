@@ -4,7 +4,7 @@
  *
  * Usage:
  *   svc_run [--seed N] [--requests N] [--users N] [--workers N]
- *           [--jobs N] [--serial] [--pool steal|fifo] [--queue-cap N]
+ *           [--jobs N] [--serial] [--queue-cap N]
  *           [--arrival poisson|bursty|closed-loop] [--rate R]
  *           [--clients N] [--think-ms MS] [--diurnal] [--day-ms MS]
  *           [--diurnal-amp A] [--diurnal-steps N] [--chaos PCT]
@@ -31,6 +31,10 @@
  *   --slo              ulecc.svc.slo.v1 burn-rate alert log + verdict
  *   --flight-recorder  ulecc.svc.flight.v1 last-N request ring dump
  *
+ * Every numeric flag is parsed strictly (tools/flag_parse.hh): a
+ * malformed, signed, overflowing, non-finite or out-of-range value is
+ * rejected with an [invalid-input] message.
+ *
  * Exit codes: 0 success; 1 a robustness invariant failed (a request
  * was lost, a wrong answer escaped, an unstructured exception was
  * caught, or --slo found a budget breach with no alert fired); 2
@@ -42,16 +46,31 @@
 #include <cstring>
 #include <optional>
 #include <string>
+#include <type_traits>
 
 #include "core/report.hh"
 #include "obs/metrics.hh"
+#include "par/thread_pool.hh"
 #include "svc/service.hh"
 #include "svc/telemetry.hh"
+
+#include "flag_parse.hh"
 
 using namespace ulecc;
 
 namespace
 {
+
+constexpr const char *kTool = "svc_run";
+
+/**
+ * Campaign size cap: arrivals are generated up front, so memory grows
+ * with the campaign, not with the requests in flight.
+ */
+constexpr uint64_t kMaxRequests = 10'000'000;
+
+/** Cap on the virtual-time flags (1e12 ms is ~31 virtual years). */
+constexpr double kMaxTime = 1e12;
 
 void
 usage()
@@ -59,8 +78,7 @@ usage()
     std::fprintf(
         stderr,
         "usage: svc_run [--seed N] [--requests N] [--users N]\n"
-        "               [--workers N] [--jobs N] [--serial]\n"
-        "               [--pool steal|fifo] [--queue-cap N]\n"
+        "               [--workers N] [--jobs N] [--serial] [--queue-cap N]\n"
         "               [--arrival poisson|bursty|closed-loop]\n"
         "               [--rate R] [--clients N] [--think-ms MS]\n"
         "               [--diurnal] [--day-ms MS] [--diurnal-amp A]\n"
@@ -88,36 +106,43 @@ main(int argc, char **argv)
     uint64_t windowMs = 50;
     bool quiet = false;
     for (int i = 1; i < argc; ++i) {
-        auto num = [&](uint64_t &out) {
-            out = std::strtoull(argv[++i], nullptr, 0);
+        const char *flag = argv[i];
+        bool valued = i + 1 < argc;
+        // Strict numeric parses into a flag's range; false = reject.
+        auto count = [&](uint64_t min, uint64_t max, auto &out) {
+            uint64_t v = 0;
+            if (!parseCount(kTool, flag, argv[++i], 0, min, max, v))
+                return false;
+            out = static_cast<std::remove_reference_t<decltype(out)>>(v);
+            return true;
         };
-        if (!std::strcmp(argv[i], "--seed") && i + 1 < argc) {
-            num(cfg.seed);
-        } else if (!std::strcmp(argv[i], "--requests") && i + 1 < argc) {
-            num(cfg.requests);
-        } else if (!std::strcmp(argv[i], "--users") && i + 1 < argc) {
-            num(cfg.users);
-        } else if (!std::strcmp(argv[i], "--workers") && i + 1 < argc) {
-            cfg.virtualWorkers = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 0));
-        } else if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc) {
-            cfg.jobs = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 0));
-        } else if (!std::strcmp(argv[i], "--serial")) {
+        auto real = [&](double min, double max, double &out) {
+            return parseReal(kTool, flag, argv[++i], min, max, out);
+        };
+        // A virtual duration in units of @p ns nanoseconds.
+        auto duration = [&](double ns, uint64_t &out) {
+            double v = 0;
+            if (!parseReal(kTool, flag, argv[++i], 0, kMaxTime, v))
+                return false;
+            out = static_cast<uint64_t>(v * ns);
+            return true;
+        };
+        bool ok = true;
+        if (!std::strcmp(flag, "--seed") && valued) {
+            ok = count(0, UINT64_MAX, cfg.seed);
+        } else if (!std::strcmp(flag, "--requests") && valued) {
+            ok = count(1, kMaxRequests, cfg.requests);
+        } else if (!std::strcmp(flag, "--users") && valued) {
+            ok = count(1, UINT64_MAX, cfg.users);
+        } else if (!std::strcmp(flag, "--workers") && valued) {
+            ok = count(1, 1u << 16, cfg.virtualWorkers);
+        } else if (!std::strcmp(flag, "--jobs") && valued) {
+            ok = count(0, ThreadPool::maxThreads, cfg.jobs);
+        } else if (!std::strcmp(flag, "--serial")) {
             cfg.serial = true;
-        } else if (!std::strcmp(argv[i], "--pool") && i + 1 < argc) {
-            const char *mode = argv[++i];
-            if (!std::strcmp(mode, "steal")) {
-                cfg.poolMode = PoolMode::Steal;
-            } else if (!std::strcmp(mode, "fifo")) {
-                cfg.poolMode = PoolMode::Fifo;
-            } else {
-                usage();
-                return 2;
-            }
-        } else if (!std::strcmp(argv[i], "--queue-cap") && i + 1 < argc) {
-            cfg.queueCap = std::strtoull(argv[++i], nullptr, 0);
-        } else if (!std::strcmp(argv[i], "--arrival") && i + 1 < argc) {
+        } else if (!std::strcmp(flag, "--queue-cap") && valued) {
+            ok = count(0, SIZE_MAX, cfg.queueCap);
+        } else if (!std::strcmp(flag, "--arrival") && valued) {
             const char *kind = argv[++i];
             if (!std::strcmp(kind, "poisson")) {
                 cfg.arrivals.kind = ArrivalKind::Poisson;
@@ -129,82 +154,61 @@ main(int argc, char **argv)
                 usage();
                 return 2;
             }
-        } else if (!std::strcmp(argv[i], "--rate") && i + 1 < argc) {
-            cfg.arrivals.ratePerSec = std::strtod(argv[++i], nullptr);
-        } else if (!std::strcmp(argv[i], "--clients") && i + 1 < argc) {
-            cfg.arrivals.clients = static_cast<uint32_t>(
-                std::strtoul(argv[++i], nullptr, 0));
-        } else if (!std::strcmp(argv[i], "--think-ms") && i + 1 < argc) {
-            cfg.arrivals.thinkNs = static_cast<uint64_t>(
-                std::strtod(argv[++i], nullptr) * 1e6);
-        } else if (!std::strcmp(argv[i], "--diurnal")) {
+        } else if (!std::strcmp(flag, "--rate") && valued) {
+            ok = real(1e-3, 1e9, cfg.arrivals.ratePerSec);
+        } else if (!std::strcmp(flag, "--clients") && valued) {
+            ok = count(1, UINT32_MAX, cfg.arrivals.clients);
+        } else if (!std::strcmp(flag, "--think-ms") && valued) {
+            ok = duration(1e6, cfg.arrivals.thinkNs);
+        } else if (!std::strcmp(flag, "--diurnal")) {
             cfg.arrivals.diurnal = true;
-        } else if (!std::strcmp(argv[i], "--day-ms") && i + 1 < argc) {
-            cfg.arrivals.dayNs = static_cast<uint64_t>(
-                std::strtod(argv[++i], nullptr) * 1e6);
-        } else if (!std::strcmp(argv[i], "--diurnal-amp")
-                   && i + 1 < argc) {
-            cfg.arrivals.diurnalAmp = std::strtod(argv[++i], nullptr);
-        } else if (!std::strcmp(argv[i], "--diurnal-steps")
-                   && i + 1 < argc) {
-            cfg.arrivals.diurnalSteps = static_cast<uint32_t>(
-                std::strtoul(argv[++i], nullptr, 0));
-        } else if (!std::strcmp(argv[i], "--no-batch")) {
+        } else if (!std::strcmp(flag, "--day-ms") && valued) {
+            ok = duration(1e6, cfg.arrivals.dayNs);
+        } else if (!std::strcmp(flag, "--diurnal-amp") && valued) {
+            ok = real(0, 0.95, cfg.arrivals.diurnalAmp);
+        } else if (!std::strcmp(flag, "--diurnal-steps") && valued) {
+            ok = count(1, UINT32_MAX, cfg.arrivals.diurnalSteps);
+        } else if (!std::strcmp(flag, "--no-batch")) {
             cfg.batch.enabled = false;
-        } else if (!std::strcmp(argv[i], "--batch-max") && i + 1 < argc) {
-            cfg.batch.maxSize = static_cast<uint32_t>(
-                std::strtoul(argv[++i], nullptr, 0));
-        } else if (!std::strcmp(argv[i], "--batch-linger-us")
-                   && i + 1 < argc) {
-            cfg.batch.lingerNs = static_cast<uint64_t>(
-                std::strtod(argv[++i], nullptr) * 1e3);
-        } else if (!std::strcmp(argv[i], "--batch-slack")
-                   && i + 1 < argc) {
-            cfg.batch.deadlineSlack = std::strtod(argv[++i], nullptr);
-        } else if (!std::strcmp(argv[i], "--batch-setup")
-                   && i + 1 < argc) {
-            cfg.batch.setupFraction = std::strtod(argv[++i], nullptr);
-        } else if (!std::strcmp(argv[i], "--chaos") && i + 1 < argc) {
-            cfg.chaos.percent = static_cast<uint32_t>(
-                std::strtoul(argv[++i], nullptr, 0));
-        } else if (!std::strcmp(argv[i], "--deadline-factor")
-                   && i + 1 < argc) {
-            cfg.deadlineFactor = std::strtod(argv[++i], nullptr);
-        } else if (!std::strcmp(argv[i], "--deadline-floor-ms")
-                   && i + 1 < argc) {
-            cfg.deadlineFloorNs = static_cast<uint64_t>(
-                std::strtod(argv[++i], nullptr) * 1e6);
-        } else if (!std::strcmp(argv[i], "--retries") && i + 1 < argc) {
-            cfg.backoff.maxAttempts = static_cast<uint32_t>(
-                std::strtoul(argv[++i], nullptr, 0));
-        } else if (!std::strcmp(argv[i], "--no-warm")) {
+        } else if (!std::strcmp(flag, "--batch-max") && valued) {
+            ok = count(1, UINT32_MAX, cfg.batch.maxSize);
+        } else if (!std::strcmp(flag, "--batch-linger-us") && valued) {
+            ok = duration(1e3, cfg.batch.lingerNs);
+        } else if (!std::strcmp(flag, "--batch-slack") && valued) {
+            ok = real(0, kMaxTime, cfg.batch.deadlineSlack);
+        } else if (!std::strcmp(flag, "--batch-setup") && valued) {
+            ok = real(0, 0.49, cfg.batch.setupFraction);
+        } else if (!std::strcmp(flag, "--chaos") && valued) {
+            ok = count(0, 100, cfg.chaos.percent);
+        } else if (!std::strcmp(flag, "--deadline-factor") && valued) {
+            ok = real(0, kMaxTime, cfg.deadlineFactor);
+        } else if (!std::strcmp(flag, "--deadline-floor-ms") && valued) {
+            ok = duration(1e6, cfg.deadlineFloorNs);
+        } else if (!std::strcmp(flag, "--retries") && valued) {
+            // The exponential backoff saturates long before 64 tries.
+            ok = count(1, 64, cfg.backoff.maxAttempts);
+        } else if (!std::strcmp(flag, "--no-warm")) {
             cfg.warmEvalCache = false;
-        } else if (!std::strcmp(argv[i], "--json") && i + 1 < argc) {
+        } else if (!std::strcmp(flag, "--json") && valued) {
             jsonPath = argv[++i];
-        } else if (!std::strcmp(argv[i], "--trace-requests")
-                   && i + 1 < argc) {
+        } else if (!std::strcmp(flag, "--trace-requests") && valued) {
             tracePath = argv[++i];
-        } else if (!std::strcmp(argv[i], "--timeline") && i + 1 < argc) {
+        } else if (!std::strcmp(flag, "--timeline") && valued) {
             timelinePath = argv[++i];
-        } else if (!std::strcmp(argv[i], "--window-ms") && i + 1 < argc) {
-            num(windowMs);
-        } else if (!std::strcmp(argv[i], "--slo") && i + 1 < argc) {
+        } else if (!std::strcmp(flag, "--window-ms") && valued) {
+            ok = count(1, uint64_t(kMaxTime), windowMs);
+        } else if (!std::strcmp(flag, "--slo") && valued) {
             sloPath = argv[++i];
-        } else if (!std::strcmp(argv[i], "--flight-recorder")
-                   && i + 1 < argc) {
+        } else if (!std::strcmp(flag, "--flight-recorder") && valued) {
             flightPath = argv[++i];
-        } else if (!std::strcmp(argv[i], "--quiet")) {
+        } else if (!std::strcmp(flag, "--quiet")) {
             quiet = true;
         } else {
             usage();
             return 2;
         }
-    }
-    if (cfg.requests == 0 || cfg.virtualWorkers == 0
-        || cfg.backoff.maxAttempts == 0 || cfg.chaos.percent > 100
-        || windowMs == 0) {
-        usage();
-        return 2;
+        if (!ok)
+            return 2;
     }
 
     BenchJournal::instance().begin(

@@ -32,8 +32,6 @@
  * an I-cache size that is not a power-of-two line count.
  */
 
-#include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -54,10 +52,14 @@
 #include "obs/trace.hh"
 #include "sim/cpu.hh"
 
+#include "flag_parse.hh"
+
 using namespace ulecc;
 
 namespace
 {
+
+constexpr const char *kTool = "ulecc-run";
 
 void
 usage()
@@ -72,37 +74,6 @@ usage()
                  "                 [--energy] [--trace FILE] [--profile] "
                  "[--metrics FILE]\n"
                  "                 program.s\n");
-}
-
-/**
- * Strict parse of one numeric flag value into [@p min, @p max]: the
- * whole string must be a single unsigned integer in @p base (0 also
- * takes 0x-hex).  strtoull alone skips leading blanks, negates a
- * leading '-' ("-1" would become 2^64 - 1) and stops at junk ("12x"),
- * so a leading digit, full consumption and no ERANGE are demanded --
- * the same contract as the ULECC_JOBS parse.  Reports and returns
- * false on rejection.
- */
-bool
-parseCount(const char *flag, const char *text, int base, uint64_t min,
-           uint64_t max, uint64_t &out)
-{
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(text, &end, base);
-    bool clean = std::isdigit(static_cast<unsigned char>(text[0]))
-        && *end == '\0' && errno != ERANGE;
-    if (!clean || v < min || v > max) {
-        std::fprintf(stderr,
-                     "ulecc-run: [%s] %s expects an integer in "
-                     "[%llu, %llu], got '%s'\n",
-                     errcName(Errc::InvalidInput), flag,
-                     (unsigned long long)min, (unsigned long long)max,
-                     text);
-        return false;
-    }
-    out = v;
-    return true;
 }
 
 /** The run's activity, in the power model's terms. */
@@ -174,7 +145,7 @@ main(int argc, char **argv)
         if (!std::strcmp(argv[i], "--icache") && i + 1 < argc) {
             // A cache larger than the ROM it fronts has nothing to hold.
             uint64_t kb = 0;
-            if (!parseCount("--icache", argv[++i], 10, 1,
+            if (!parseCount(kTool, "--icache", argv[++i], 10, 1,
                             MemoryMap::romSize / 1024, kb))
                 return 2;
             config.icacheEnabled = true;
@@ -198,16 +169,16 @@ main(int argc, char **argv)
             applyMultiplier(config, v);
         } else if (!std::strcmp(argv[i], "--max-cycles")
                    && i + 1 < argc) {
-            if (!parseCount("--max-cycles", argv[++i], 0, 1, UINT64_MAX,
-                            config.maxCycles))
+            if (!parseCount(kTool, "--max-cycles", argv[++i], 0, 1,
+                            UINT64_MAX, config.maxCycles))
                 return 2;
         } else if (!std::strcmp(argv[i], "--no-block-cache")) {
             config.blockCache = false;
         } else if (!std::strcmp(argv[i], "--dump") && i + 2 < argc) {
             // The dumped range may not wrap the 32-bit address space.
-            if (!parseCount("--dump address", argv[++i], 0, 0,
+            if (!parseCount(kTool, "--dump address", argv[++i], 0, 0,
                             UINT32_MAX, dump_addr)
-                || !parseCount("--dump words", argv[++i], 0, 0,
+                || !parseCount(kTool, "--dump words", argv[++i], 0, 0,
                                ((1ull << 32) - dump_addr) / 4,
                                dump_words))
                 return 2;
