@@ -5,20 +5,18 @@
  * Measures the host-side cost of the reproduction pipeline itself:
  *
  *  1. Pete's instruction throughput (MIPS) on the operand-scanning
- *     multiply kernel with each of its two execution paths: the
- *     per-step interpreter and the hot-block timing memo
- *     (src/sim/block_cache.hh);
+ *     multiply kernel (Pete has one execution path, the per-step
+ *     interpreter);
  *  2. the wall-clock of a full prime-field design-space sweep, serial
  *     vs. the parallel SweepRunner, and again with a warm evaluation
  *     memo (ULECC_EVAL_CACHE semantics, see docs/PERFORMANCE.md).
  *
  * The measured numbers are journaled as the sim_wall_seconds /
- * sim_mips / block_cache_hit_rate / block_cache_speedup fields of the
- * ulecc.bench.v1 record so perf regressions show up in telemetry
- * (tools/check.sh --bench gates the same-run speedup ratio and the
- * deterministic hit rate against the committed BENCH_simspeed.json);
- * the timings themselves are host-dependent and are exempt from the
- * byte-identity rule that covers the paper benches.
+ * sim_mips fields of the ulecc.bench.v1 record so perf regressions
+ * show up in telemetry (tools/check.sh --bench prints them beside the
+ * committed BENCH_simspeed.json); the timings themselves are
+ * host-dependent and are exempt from the byte-identity rule that
+ * covers the paper benches.
  */
 
 #include <chrono>
@@ -48,39 +46,28 @@ struct SimSpeed
     double wallSeconds = 0;
     double mips = 0;
     uint64_t instructions = 0;
-    double blockHitRate = 0; ///< replays / lookups (0 with cache off)
 };
 
 /** Runs the k=17 operand-scanning multiply @p reps times. */
 SimSpeed
-measurePeteOnce(bool blockCache, int reps)
+measurePeteOnce(int reps)
 {
     Program program = assemble(kernelSource(AsmKernel::MulOs, 17));
     MpUint a = MpUint::powerOfTwo(543).sub(MpUint(12345));
     MpUint b = MpUint::powerOfTwo(541).add(MpUint(99));
     SimSpeed speed;
-    uint64_t lookups = 0;
-    uint64_t replays = 0;
     double t0 = now();
     for (int rep = 0; rep < reps; ++rep) {
-        PeteConfig cfg;
-        cfg.blockCache = blockCache;
-        Pete cpu(program, cfg);
+        Pete cpu(program);
         for (int i = 0; i < 34; ++i)
             cpu.mem().poke32(0x10000400 + 4 * i, a.limb(i));
         for (int i = 0; i < 17; ++i)
             cpu.mem().poke32(0x10000500 + 4 * i, b.limb(i));
         cpu.run();
         speed.instructions += cpu.stats().instructions;
-        if (const BlockCacheStats *bc = cpu.blockCacheStats()) {
-            lookups += bc->lookups;
-            replays += bc->replays;
-        }
     }
     speed.wallSeconds = now() - t0;
     speed.mips = speed.instructions / speed.wallSeconds / 1e6;
-    if (lookups)
-        speed.blockHitRate = double(replays) / double(lookups);
     return speed;
 }
 
@@ -89,11 +76,11 @@ measurePeteOnce(bool blockCache, int reps)
  *  noise on a busy host can halve a single reading; the minimum is
  *  the standard denoised estimate of the true cost. */
 SimSpeed
-measurePete(bool blockCache, int reps, int trials = 5)
+measurePete(int reps, int trials = 5)
 {
-    SimSpeed best = measurePeteOnce(blockCache, reps);
+    SimSpeed best = measurePeteOnce(reps);
     for (int i = 1; i < trials; ++i) {
-        SimSpeed s = measurePeteOnce(blockCache, reps);
+        SimSpeed s = measurePeteOnce(reps);
         if (s.wallSeconds < best.wallSeconds)
             best = s;
     }
@@ -128,24 +115,13 @@ main(int argc, char **argv)
     SweepDriver sweep(argc, argv); // uniform CLI; drives nothing here
     banner("Sim speed", "Pete throughput and sweep wall-clock");
 
-    // Pete's two execution paths, slowest first so each "Speedup" cell
-    // is relative to the interpreter.
-    const int reps = 2000;
-    const SimSpeed slow = measurePete(false, reps);
-    const SimSpeed fast = measurePete(true, reps);
-    Table t({"Configuration", "Instructions", "Wall s", "MIPS",
-             "Speedup"});
-    for (const auto &[name, speed] :
-         {std::pair{"interpreter (decode per retirement)", slow},
-          std::pair{"block memo", fast}}) {
-        t.addRow({name, std::to_string(speed.instructions),
-                  fmt(speed.wallSeconds, 3), fmt(speed.mips, 1),
-                  fmt(slow.wallSeconds / speed.wallSeconds) + "x"});
-    }
+    const SimSpeed speed = measurePete(2000);
+    Table t({"Configuration", "Instructions", "Wall s", "MIPS"});
+    t.addRow({"interpreter (decode per retirement)",
+              std::to_string(speed.instructions),
+              fmt(speed.wallSeconds, 3), fmt(speed.mips, 1)});
     t.print();
-    BenchJournal::instance().recordSimSpeed(fast.wallSeconds, fast.mips);
-    BenchJournal::instance().recordBlockCache(
-        fast.blockHitRate, slow.wallSeconds / fast.wallSeconds);
+    BenchJournal::instance().recordSimSpeed(speed.wallSeconds, speed.mips);
 
     // In-process serial-vs-parallel numbers would be misleading here:
     // whichever sweep runs first warms the mutex-guarded kernel/trace
@@ -167,9 +143,7 @@ main(int argc, char **argv)
 
     footnote("timings are host-dependent (exempt from byte-identity); "
              "the journal's sim_wall_seconds/sim_mips fields track the "
-             "block memo, block_cache_hit_rate/block_cache_speedup the "
-             "memo's replay rate and its speedup over the interpreter "
-             "in the same run");
+             "interpreter");
     // The absolute timings above only mean something next to the host
     // that produced them.
 #if defined(__clang__)

@@ -226,15 +226,6 @@ BenchJournal::recordSimSpeed(double wallSeconds, double mips)
 }
 
 void
-BenchJournal::recordBlockCache(double hitRate, double speedup)
-{
-    if (!open_)
-        return;
-    record_["block_cache_hit_rate"] = hitRate;
-    record_["block_cache_speedup"] = speedup;
-}
-
-void
 BenchJournal::recordSvcSpeed(double requestsPerSec,
                              double telemetryOverhead)
 {

@@ -109,11 +109,6 @@ class BenchJournal
      * seconds spent simulating and retired-instruction MIPS. */
     void recordSimSpeed(double wallSeconds, double mips);
 
-    /** Captures the block-timing memo's effectiveness
-     * (bench_simspeed): replay hit rate over block dispatches and the
-     * cache-on/cache-off throughput ratio. */
-    void recordBlockCache(double hitRate, double speedup);
-
     /** Captures service-engine throughput (bench_svc): completed
      * requests per wall-clock second with telemetry off, and the
      * telemetry-on/telemetry-off wall-clock overhead ratio (1.0 =

@@ -118,8 +118,8 @@ const OpInfo kOps[] = {
 /**
  * Dispatch tables derived from kOps once at startup, so decode() is a
  * couple of indexed loads instead of a scan over every opcode (the
- * interpreter decodes once per retirement, the block memo once per
- * block discovery).  kOps stays the single source of truth.
+ * interpreter decodes once per retirement).  kOps stays the single
+ * source of truth.
  */
 struct DecodeTables
 {
@@ -273,33 +273,6 @@ classOf(Op op)
         return InstClass::System;
       default:
         return InstClass::Alu;
-    }
-}
-
-bool
-endsBasicBlock(Op op)
-{
-    switch (classOf(op)) {
-      case InstClass::Branch:
-      case InstClass::Jump:
-      case InstClass::System:
-        return true;
-      default:
-        return op == Op::Invalid;
-    }
-}
-
-bool
-blockReplayable(Op op)
-{
-    if (op == Op::Invalid)
-        return false;
-    switch (classOf(op)) {
-      case InstClass::Cop2:
-      case InstClass::System:
-        return false;
-      default:
-        return true;
     }
 }
 

@@ -125,24 +125,6 @@ int destGpr(const DecodedInst &inst);
 /** Source GPRs: fills up to two registers; returns count. */
 int srcGprs(const DecodedInst &inst, int out[2]);
 
-/**
- * True for ops that end a basic block: control transfers (branches and
- * jumps) and the System class (Syscall/Break halt the machine, so
- * nothing ever executes past them fall-through).  The block-memoizing
- * simulator fast path (src/sim/block_cache.hh) stops its static scan
- * at the first such op.
- */
-bool endsBasicBlock(Op op);
-
-/**
- * True for ops whose timing and architectural effects are a pure
- * function of the block-entry context the fast path keys on (GPRs,
- * Hi/Lo/OvFlo, memory, multiplier countdown, load-use exposure).
- * Cop2 commands (accelerator-model state), System ops and Invalid
- * words are excluded; a block containing one is never memoized.
- */
-bool blockReplayable(Op op);
-
 /** Canonical register names ($zero, $at, $v0, ...). */
 const char *regName(int index);
 

@@ -5,8 +5,6 @@
 
 #include "sim/cpu.hh"
 
-#include <cstdlib>
-
 namespace ulecc
 {
 
@@ -79,12 +77,6 @@ Pete::Pete(const Program &program, const PeteConfig &config)
         icache_ = std::make_unique<ICache>(config_.icache);
         icache_->invalidateAll();
     }
-    if (config_.blockCache) {
-        BlockCacheMode mode =
-            parseBlockCacheMode(std::getenv("ULECC_BLOCK_CACHE"));
-        if (mode != BlockCacheMode::Off)
-            blockCache_ = std::make_unique<BlockCache>(mode);
-    }
     predictor_.fill(1); // weakly not-taken
     // Bare-metal convention: stack at the top of RAM.
     regs_[29] = MemoryMap::ramBase + MemoryMap::ramSize - 16;
@@ -140,12 +132,7 @@ Pete::step()
         hook_->onStep(*this);
     if (budgetExhausted())
         throw UleccError(budgetError());
-    return stepUnchecked();
-}
 
-bool
-Pete::stepUnchecked()
-{
     // Always the word actually fetched, so a strike on program text
     // (mem().corrupt32, hooked or not) takes effect at its next fetch.
     const DecodedInst inst = decode(fetch(pc_));
@@ -183,60 +170,17 @@ Pete::stepUnchecked()
     return !halted_;
 }
 
-namespace
-{
-
-/**
- * How many fast-path steps run between cycle-budget checks.  Every
- * step retires at least one cycle, so exhaustion is detected within
- * one interval of the exact step; the budget is a runaway guard
- * (default 500M cycles), not a precision timer, and the only
- * observable difference is how far past the limit a diverging program
- * coasts before Errc::SimTimeout surfaces.
- */
-constexpr int kBudgetCheckInterval = 256;
-
-} // namespace
-
 Result<uint64_t>
 Pete::runChecked()
 {
     try {
-        if (hook_) {
-            // Observation/injection present: keep the exact per-step
-            // hook and budget semantics (the hook may stall the clock
-            // straight past the budget, which must surface before the
-            // next instruction executes).
-            while (!halted_) {
-                if (budgetExhausted())
-                    return budgetError();
-                step();
-            }
-        } else if (blockCache_) {
-            // Block-memoized fast path (hook-free only): hot basic
-            // blocks retire as one memo lookup plus a replay of the
-            // effect step.  The budget is polled once per
-            // block, so a diverging program can coast at most one
-            // block (BlockCache::kMaxBlockLen + 1 instructions) past
-            // the limit -- tighter than the batched interval below.
-            while (!halted_) {
-                if (budgetExhausted())
-                    return budgetError();
-                blockCache_->runBlock(*this);
-            }
-        } else {
-            // Hook-free fast path: the hook dispatch and the budget
-            // check are hoisted out of the per-step loop.  Cycle
-            // *accounting* is exact either way; only the budget poll
-            // is batched.
-            while (!halted_) {
-                if (budgetExhausted())
-                    return budgetError();
-                for (int i = 0; i < kBudgetCheckInterval; ++i) {
-                    if (!stepUnchecked())
-                        break;
-                }
-            }
+        // One loop, hooked or not: the budget is checked before every
+        // instruction, and again by step() after the hook (which may
+        // stall the clock straight past it).
+        while (!halted_) {
+            if (budgetExhausted())
+                return budgetError();
+            step();
         }
     } catch (const UleccError &e) {
         return e.error();

@@ -32,7 +32,6 @@
 #include "base/compiler.hh"
 #include "base/error.hh"
 #include "isa/isa.hh"
-#include "sim/block_cache.hh"
 #include "sim/icache.hh"
 #include "sim/karatsuba_unit.hh"
 #include "sim/memory.hh"
@@ -87,8 +86,7 @@ enum class MultTimer : uint8_t
 /**
  * The timing rules of one op, apart from the interlocks every op shares
  * (load-use, icache).  Pete's timing step applies them around the
- * effect step; the block memo reads the same rules to key and total a
- * block, so an op's timing is written down once, here.
+ * effect step, so an op's timing is written down once, here.
  */
 struct OpTiming
 {
@@ -155,18 +153,9 @@ struct PeteConfig
     uint32_t gf2Latency = kKaratsubaDesc.gf2Latency;    ///< MULGF2/MADDGF2
     uint32_t addauLatency = 2; ///< ADDAU through the four-port adder
     uint32_t divLatency = 34;  ///< binary restoring divider
+    /** Cycle budget, checked before every instruction: a run stops
+     *  at the first instruction boundary at or past it. */
     uint64_t maxCycles = 500'000'000;
-    /**
-     * Memoize hot basic blocks' timing so steady-state loop
-     * iterations retire as one lookup plus a replay of the effect
-     * step (src/sim/block_cache.hh).  Bit-identical PeteStats and
-     * architectural state either way; also gated by the
-     * $ULECC_BLOCK_CACHE tri-state ("0"/"off" disables, "verify"
-     * adds sampled shadow re-execution).  Only the hook-free
-     * runChecked loop engages it, so tracers, profilers, and fault
-     * injectors (all StepHooks) transparently get the slow path.
-     */
-    bool blockCache = true;
 
     /** The busy time @p timer loads into the Hi/Lo unit. */
     uint32_t
@@ -291,20 +280,6 @@ class Pete
     const PeteStats &stats() const { return stats_; }
     const ICache *icache() const { return icache_.get(); }
 
-    /** Block-timing memo counters, or nullptr when it is disabled. */
-    const BlockCacheStats *
-    blockCacheStats() const
-    {
-        return blockCache_ ? &blockCache_->stats() : nullptr;
-    }
-
-    /** The memo's effective operating mode (Off when disabled). */
-    BlockCacheMode
-    blockCacheMode() const
-    {
-        return blockCache_ ? blockCache_->mode() : BlockCacheMode::Off;
-    }
-
     /** Current cycle count (monotonic simulated time). */
     uint64_t cycle() const { return stats_.cycles; }
 
@@ -335,9 +310,6 @@ class Pete
     /** The one place the (costly) timeout message is built. */
     Error budgetError() const;
 
-    /** step() minus the hook dispatch and cycle-budget check. */
-    bool stepUnchecked();
-
     void waitMultUnit();
 
     /** One instruction: the timing step around the effect step. */
@@ -355,10 +327,9 @@ class Pete
      * The effect step: what the instruction at @p pc does to the
      * architecture -- GPRs, Hi/Lo/OvFlo, memory, the link register --
      * and the successor of a branch or jump.  No timing, no
-     * statistics, no predictor.  The single copy of the instruction
-     * semantics: execute() and the block memo's replay both run it.
-     * Cop2 and System ops are execute()'s alone.  Memory ops are the
-     * only ones that fault, and they fault before changing any state.
+     * statistics, no predictor.  Cop2 and System ops are execute()'s
+     * alone.  Memory ops are the only ones that fault, and they fault
+     * before changing any state.
      */
     ULECC_ALWAYS_INLINE Successor effect(const DecodedInst &inst,
                                          uint32_t pc);
@@ -381,14 +352,9 @@ class Pete
         return predicted != taken;
     }
 
-    /// The block-timing memo reaches into the pipeline state (it must
-    /// replicate the slow path's accounting bit-for-bit).
-    friend class BlockCache;
-
     PeteConfig config_;
     MemorySystem mem_;
     std::unique_ptr<ICache> icache_;
-    std::unique_ptr<BlockCache> blockCache_; ///< null when disabled
     Cop2 *cop2_ = nullptr;
     StepHook *hook_ = nullptr;
 

@@ -73,33 +73,6 @@ class ICache
     /** Invalidates every line (the reset routine's cache init). */
     void invalidateAll();
 
-    /**
-     * True when a fetch at @p addr would hit the cache proper (not the
-     * stream buffer) right now.  Pure probe: no statistics, no state
-     * change.  The block-memoizing fast path uses it to establish that
-     * every line a block touches is resident, in which case replaying
-     * the block cannot change cache state at all -- a hit only bumps
-     * counters (see access()).
-     */
-    bool resident(uint32_t addr) const
-    {
-        uint32_t idx = lineIndex(addr);
-        return valid_[idx] && tags_[idx] == tagOf(addr);
-    }
-
-    /**
-     * Accounts @p n fetches that were pre-established (via resident())
-     * to be hits, exactly as n access() calls would have: accesses,
-     * hits, and one tag + one data read each.
-     */
-    void creditResidentFetches(uint64_t n)
-    {
-        stats_.accesses += n;
-        stats_.hits += n;
-        stats_.tagReads += n;
-        stats_.dataReads += n;
-    }
-
     const ICacheConfig &config() const { return config_; }
     const ICacheStats &stats() const { return stats_; }
 

@@ -83,8 +83,8 @@ class KaratsubaUnit
      * Executes one operation over its four-cycle schedule.
      *
      * The integer datapath is inline so callers that discard the trace
-     * (the simulator's retirement loop and the block-replay fast path)
-     * compile down to just the three half-products and the recombine;
+     * (the simulator's retirement loop) compile down to just the three
+     * half-products and the recombine;
      * the carry-less variants stay out of line with their clmul32
      * dependency.
      */

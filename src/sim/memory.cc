@@ -116,8 +116,6 @@ MemorySystem::corrupt32(uint32_t addr, uint32_t mask)
     std::memcpy(&v, p, 4);
     v ^= mask;
     std::memcpy(p, &v, 4);
-    if (inRom(addr))
-        romGeneration_++;
 }
 
 uint32_t

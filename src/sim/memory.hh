@@ -253,15 +253,6 @@ class MemorySystem
         return addr < MemoryMap::romSize;
     }
 
-    /**
-     * Generation counter of the program text: bumped every time a word
-     * inside ROM changes after loadRom.  Architectural stores cannot
-     * reach ROM (write32 faults), so only the corrupt32 fault-injection
-     * backdoor advances it.  The block-timing memo caches decoded
-     * text and compares generations instead of re-reading the image.
-     */
-    uint64_t romGeneration() const { return romGeneration_; }
-
     MemCounters &romFetchCounters() { return romFetch_; }
     MemCounters &romDataCounters() { return romData_; }
     MemCounters &ramCounters() { return ramCnt_; }
@@ -281,7 +272,6 @@ class MemorySystem
 
     LazyZeroBytes rom_;
     LazyZeroBytes ram_;
-    uint64_t romGeneration_ = 0;
     MemCounters romFetch_;
     MemCounters romData_;
     MemCounters ramCnt_;

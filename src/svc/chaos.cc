@@ -128,7 +128,7 @@ chaosSimStrike(SplitMix64 &rng)
     // Budget: generous multiple of golden, so only genuine runaways
     // (corrupted control flow, budget-exhaust faults) time out -- and
     // the timeout itself is the safe-point cancellation: Pete checks
-    // its budget every 256 instructions and stops with a structured
+    // its budget before every instruction and stops with a structured
     // Errc::SimTimeout instead of hanging.
     VictimRun faulty =
         runVictim(vc, a, b, golden.cycles * 4 + 100'000, &injector);

@@ -72,9 +72,9 @@ SimStrikeResult chaosSimStrike(SplitMix64 &rng);
 /**
  * Budget-exhaust strike: runs the victim kernel under a deliberately
  * starved cycle budget.  Expected outcome: Errc::SimTimeout, raised
- * at the simulator's next budget safe point (every 256 instructions)
- * -- the service's model of timeout cancellation inside a real
- * simulation.
+ * at the simulator's next budget safe point (before every
+ * instruction) -- the service's model of timeout cancellation inside
+ * a real simulation.
  */
 SimStrikeResult chaosBudgetStrike(SplitMix64 &rng);
 

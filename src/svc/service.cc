@@ -1447,6 +1447,10 @@ Server::run()
     if (impl_->ran)
         throw UleccError(Errc::InvalidInput,
                          "Server::run is single-shot");
+    // Every request draws its curve from this list.
+    if (impl_->cfg.curves.empty())
+        throw UleccError(Errc::InvalidInput,
+                         "Server::run needs at least one curve");
     impl_->run();
 }
 

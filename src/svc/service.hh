@@ -13,8 +13,8 @@
  *  - admission control sheds on queue depth and on deadline budget
  *    (a request that cannot start in time is refused immediately);
  *  - per-request end-to-end deadlines with cancellation at safe
- *    points (phase boundaries in virtual time; the 256-instruction
- *    budget check inside Pete for real simulations);
+ *    points (phase boundaries in virtual time; the budget check
+ *    Pete makes before every instruction for real simulations);
  *  - taxonomy-driven retry (errcRetryable) with capped exponential
  *    backoff and deterministic jitter;
  *  - graceful degradation tiers (svc/degrade.hh) selected by load;

@@ -7,13 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include "asmkit/assembler.hh"
 #include "mpint/binary_field.hh"
 #include "mpint/prime_field.hh"
 #include "workload/asm_kernels.hh"
+#include "golden.hh"
 #include "test_util.hh"
 
 using namespace ulecc;
+using ulecc::test::expectMatchesGolden;
 using ulecc::test::Rng;
+using ulecc::test::statsLine;
 
 namespace
 {
@@ -136,4 +140,31 @@ TEST(AsmKernels, ICacheMakesKernelsHitAfterWarmup)
     // ROM narrow fetches vanish with the cache on.
     EXPECT_EQ(cached.romFetches, 0u);
     EXPECT_GT(plain.romFetches, 400u);
+}
+
+TEST(AsmKernels, PeteStatsMatchGoldenAtK6)
+{
+    // Every counter of every kernel on the interpreter, pinned in
+    // tests/golden/pete_asm_kernels_k6.txt.
+    const std::pair<AsmKernel, const char *> kernels[] = {
+        {AsmKernel::MpAdd, "mp_add"},
+        {AsmKernel::MulOs, "mul_os"},
+        {AsmKernel::MulPsMaddu, "mul_ps_maddu"},
+        {AsmKernel::MulGf2, "mul_gf2"},
+        {AsmKernel::RedP192, "red_p192"},
+    };
+    const int k = 6;
+    MpUint a = MpUint::powerOfTwo(32 * k - 1).sub(MpUint(12345));
+    MpUint b = MpUint::powerOfTwo(32 * k - 2).add(MpUint(99));
+    std::string actual;
+    for (const auto &[kernel, name] : kernels) {
+        Pete cpu(assemble(kernelSource(kernel, k)));
+        for (int i = 0; i < 2 * k; ++i)
+            cpu.mem().poke32(0x10000400 + 4 * i, a.limb(i));
+        for (int i = 0; i < k; ++i)
+            cpu.mem().poke32(0x10000500 + 4 * i, b.limb(i));
+        EXPECT_TRUE(cpu.run()) << name;
+        actual += std::string(name) + " " + statsLine(cpu.stats()) + "\n";
+    }
+    expectMatchesGolden("pete_asm_kernels_k6.txt", actual);
 }

@@ -7,10 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "asmkit/assembler.hh"
 #include "sim/cpu.hh"
+#include "workload/asm_kernels.hh"
+#include "golden.hh"
 
 using namespace ulecc;
+using ulecc::test::expectMatchesGolden;
+using ulecc::test::statsLine;
 
 namespace
 {
@@ -440,24 +446,6 @@ TEST(Pete, Cop2WithoutCoprocessorThrows)
 namespace
 {
 
-/** Full-width PeteStats comparison (every counter, not just cycles). */
-void
-expectStatsEqual(const PeteStats &a, const PeteStats &b)
-{
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.loadUseStalls, b.loadUseStalls);
-    EXPECT_EQ(a.branches, b.branches);
-    EXPECT_EQ(a.branchMispredicts, b.branchMispredicts);
-    EXPECT_EQ(a.jumpStalls, b.jumpStalls);
-    EXPECT_EQ(a.multBusyStalls, b.multBusyStalls);
-    EXPECT_EQ(a.icacheStalls, b.icacheStalls);
-    EXPECT_EQ(a.cop2Stalls, b.cop2Stalls);
-    EXPECT_EQ(a.externalStalls, b.externalStalls);
-    EXPECT_EQ(a.multIssues, b.multIssues);
-    EXPECT_EQ(a.divIssues, b.divIssues);
-}
-
 const char *kLoopWorkload = R"(
         addiu $t0, $zero, 40
         addiu $t1, $zero, 0
@@ -505,158 +493,146 @@ class CorruptingHook : public StepHook
     uint32_t mask_;
 };
 
-/** Scoped environment override (mirrors the test_par.cpp helper). */
-class EnvVar
+/** FNV-1a over every architectural word and memory/I-cache counter:
+ *  GPRs, Hi/Lo/OvFlo, pc, all of RAM, the ROM/RAM access counters and
+ *  ICacheStats. */
+uint64_t
+stateDigest(Pete &cpu)
 {
-  public:
-    EnvVar(const char *name, const char *value) : name_(name)
-    {
-        if (const char *old = std::getenv(name)) {
-            hadOld_ = true;
-            old_ = old;
+    uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
         }
-        if (value)
-            setenv(name, value, 1);
-        else
-            unsetenv(name);
-    }
-
-    ~EnvVar()
-    {
-        if (hadOld_)
-            setenv(name_.c_str(), old_.c_str(), 1);
-        else
-            unsetenv(name_.c_str());
-    }
-
-  private:
-    std::string name_;
-    std::string old_;
-    bool hadOld_ = false;
-};
-
-/** Runs @p src with the block cache on and off (all else equal) and
- *  expects bit-identical PeteStats and architectural state.  Returns
- *  the cache-on Pete for extra assertions. */
-Pete
-expectCacheEquivalent(const std::string &src, PeteConfig base = {})
-{
-    PeteConfig on = base, off = base;
-    on.blockCache = true;
-    off.blockCache = false;
-    Pete fast(assemble(src), on);
-    Pete slow(assemble(src), off);
-    Result<uint64_t> rf = fast.runChecked();
-    Result<uint64_t> rs = slow.runChecked();
-    EXPECT_EQ(rf.ok(), rs.ok());
-    if (!rf.ok() && !rs.ok()) {
-        EXPECT_EQ(rf.code(), rs.code());
-        EXPECT_EQ(rf.error().context, rs.error().context);
-    }
-    expectStatsEqual(fast.stats(), slow.stats());
+    };
     for (int r = 0; r < 32; ++r)
-        EXPECT_EQ(fast.reg(r), slow.reg(r)) << "reg " << r;
-    EXPECT_EQ(fast.hi(), slow.hi());
-    EXPECT_EQ(fast.lo(), slow.lo());
-    EXPECT_EQ(fast.ovflo(), slow.ovflo());
-    EXPECT_EQ(fast.pc(), slow.pc());
+        mix(cpu.reg(r));
+    mix(cpu.hi());
+    mix(cpu.lo());
+    mix(cpu.ovflo());
+    mix(cpu.pc());
     for (uint32_t a = MemoryMap::ramBase;
          a < MemoryMap::ramBase + MemoryMap::ramSize; a += 4)
-        EXPECT_EQ(fast.mem().peek32(a), slow.mem().peek32(a))
-            << "ram word " << std::hex << a;
-    auto expectCountersEqual = [](const MemCounters &a,
-                                  const MemCounters &b) {
-        EXPECT_EQ(a.reads, b.reads);
-        EXPECT_EQ(a.wideReads, b.wideReads);
-        EXPECT_EQ(a.writes, b.writes);
-    };
-    expectCountersEqual(fast.mem().ramCounters(), slow.mem().ramCounters());
-    expectCountersEqual(fast.mem().romFetchCounters(),
-                        slow.mem().romFetchCounters());
-    expectCountersEqual(fast.mem().romDataCounters(),
-                        slow.mem().romDataCounters());
-    EXPECT_EQ(fast.icache() != nullptr, slow.icache() != nullptr);
-    if (fast.icache() && slow.icache()) {
-        const ICacheStats &a = fast.icache()->stats();
-        const ICacheStats &b = slow.icache()->stats();
-        EXPECT_EQ(a.accesses, b.accesses);
-        EXPECT_EQ(a.hits, b.hits);
-        EXPECT_EQ(a.misses, b.misses);
-        EXPECT_EQ(a.prefetchHits, b.prefetchHits);
-        EXPECT_EQ(a.lineFills, b.lineFills);
-        EXPECT_EQ(a.prefetchFills, b.prefetchFills);
-        EXPECT_EQ(a.tagReads, b.tagReads);
-        EXPECT_EQ(a.dataReads, b.dataReads);
-        EXPECT_EQ(a.dataWrites, b.dataWrites);
+        mix(cpu.mem().peek32(a));
+    for (const MemCounters *c :
+         {&cpu.mem().ramCounters(), &cpu.mem().romFetchCounters(),
+          &cpu.mem().romDataCounters()}) {
+        mix(c->reads);
+        mix(c->wideReads);
+        mix(c->writes);
     }
-    return fast;
+    if (const ICache *ic = cpu.icache()) {
+        const ICacheStats &s = ic->stats();
+        for (uint64_t v : {s.accesses, s.hits, s.misses, s.prefetchHits,
+                           s.lineFills, s.prefetchFills, s.tagReads,
+                           s.dataReads, s.dataWrites})
+            mix(v);
+    }
+    return h;
 }
 
 } // namespace
 
 TEST(Pete, CorruptedTextTakesEffectOnEveryPath)
 {
-    // A particle strike on program text with no hook attached must
-    // never be masked by a stale decode: the interpreter decodes the
-    // word it fetched and the block memo decodes the struck text at
-    // discovery.  (A strike after discovery is
-    // BlockCache.TextStrikeInvalidatesMemoizedBlock.)
+    // A particle strike on program text must never be masked by a
+    // stale decode: the interpreter decodes the word it fetched, with
+    // or without a step hook attached.
     const char *src = R"(
         addiu $t0, $zero, 5
         addiu $t1, $zero, 0
         break
     )";
-    auto run = [&](bool blockCache) {
-        PeteConfig cfg;
-        cfg.blockCache = blockCache;
-        Pete cpu(assemble(src), cfg);
+    auto run = [&](bool withHook) {
+        Pete cpu(assemble(src));
+        CorruptingHook hook(1ull << 60, 0, 0); // never strikes
+        if (withHook)
+            cpu.attachStepHook(&hook);
         // Flip one immediate bit of the second instruction (pc = 4):
         // addiu $t1, $zero, 0 becomes addiu $t1, $zero, 8.
         cpu.mem().corrupt32(4, 0x8);
         EXPECT_TRUE(cpu.run());
         return cpu;
     };
-    Pete fast = run(true);
-    Pete slow = run(false);
-    EXPECT_EQ(fast.reg(9), 8u); // the corrupted immediate took effect
-    EXPECT_EQ(slow.reg(9), 8u);
-    expectStatsEqual(fast.stats(), slow.stats());
+    Pete plain = run(false);
+    Pete hooked = run(true);
+    EXPECT_EQ(plain.reg(9), 8u); // the corrupted immediate took effect
+    EXPECT_EQ(hooked.reg(9), 8u);
+    EXPECT_EQ(statsLine(plain.stats()), statsLine(hooked.stats()));
 }
 
 TEST(Pete, TimeoutEquivalentOnFastAndSlowPaths)
 {
-    const char *src = R"(
-    spin:
-        beq $zero, $zero, spin
-        nop
-    )";
-    for (bool blockCache : {true, false}) {
-        for (bool with_hook : {false, true}) {
+    // The budget is checked before every instruction, hooked or not,
+    // so both runs stop at the same instruction boundary: the first
+    // one at or past the budget.  mulos_k17's 5000-cycle budget falls
+    // in the middle of a basic block of its inner loop.
+    struct Case
+    {
+        const char *name;
+        std::string src;
+        uint64_t maxCycles;
+    };
+    const Case cases[] = {
+        {"spin", "spin:\n beq $zero, $zero, spin\n nop\n", 10'000},
+        {"mulos_k17", kernelSource(AsmKernel::MulOs, 17), 5'000},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        PeteStats stats[2];
+        for (bool withHook : {false, true}) {
             PeteConfig cfg;
-            cfg.blockCache = blockCache;
-            cfg.maxCycles = 10'000;
-            Pete cpu(assemble(src), cfg);
+            cfg.maxCycles = c.maxCycles;
+            Pete cpu(assemble(c.src), cfg);
             CorruptingHook hook(1ull << 60, 0, 0); // never strikes
-            if (with_hook)
+            if (withHook)
                 cpu.attachStepHook(&hook);
             Result<uint64_t> r = cpu.runChecked();
             ASSERT_FALSE(r.ok());
             EXPECT_EQ(r.code(), Errc::SimTimeout);
-            // The batched fast-path check may overshoot by at most one
-            // check interval of single-cycle instructions.
-            EXPECT_GE(cpu.stats().cycles, cfg.maxCycles);
-            EXPECT_LT(cpu.stats().cycles, cfg.maxCycles + 512);
+            // Both programs retire one cycle per instruction at the
+            // crossing, so they stop exactly on the budget.
+            EXPECT_EQ(cpu.stats().cycles, c.maxCycles);
+            stats[withHook] = cpu.stats();
         }
+        EXPECT_EQ(statsLine(stats[0]), statsLine(stats[1]));
     }
+}
+
+TEST(Pete, TimeoutStopsExactlyAtBudget)
+{
+    // An instruction that starts under budget completes, however long
+    // it stalls; nothing after it runs.  The divide issues at cycle 2
+    // and frees the unit at 2 + 34; MFLO retires at cycle 3 and waits
+    // 33 cycles for it, landing on 36 > 10.
+    PeteConfig cfg;
+    cfg.maxCycles = 10;
+    Pete cpu(assemble(R"(
+        addiu $t0, $zero, 7
+        div   $t0, $t0
+        mflo  $t1
+    spin:
+        beq   $zero, $zero, spin
+        nop
+    )"),
+             cfg);
+    Result<uint64_t> r = cpu.runChecked();
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.code(), Errc::SimTimeout);
+    EXPECT_EQ(cpu.stats().cycles, 36u);
+    EXPECT_EQ(cpu.stats().instructions, 3u);
+    EXPECT_EQ(cpu.stats().multBusyStalls, 33u);
+    EXPECT_EQ(cpu.pc(), 12u);
+    EXPECT_EQ(cpu.reg(9), 1u);
 }
 
 TEST(Pete, SignedDivideOverflowDoesNotTrap)
 {
     // INT32_MIN / -1 is the one signed quotient that does not fit in
     // 32 bits.  A simulated program must never crash the simulator:
-    // the quotient wraps to its low word and the remainder is 0, on
-    // the interpreter and the block memo alike.
-    Pete cpu = expectCacheEquivalent(R"(
+    // the quotient wraps to its low word and the remainder is 0.
+    Pete cpu = runProgram(R"(
         lui   $t2, 0x8000
         addiu $t3, $zero, -1
         addiu $s0, $zero, 8
@@ -673,55 +649,60 @@ TEST(Pete, SignedDivideOverflowDoesNotTrap)
     EXPECT_EQ(cpu.reg(9), 0u);
 }
 
-TEST(BlockCache, StatsBitIdenticalOnLoopProgram)
+TEST(Pete, LoopWorkloadStats)
 {
-    Pete fast = expectCacheEquivalent(kLoopWorkload);
-    const BlockCacheStats *bc = fast.blockCacheStats();
-    ASSERT_NE(bc, nullptr);
-    EXPECT_GT(bc->replays, 0u); // the loop actually took the memo
-    EXPECT_GT(bc->replayedInstructions, 0u);
+    // Per iteration: nine instructions, and MFLO waits three cycles
+    // for the 4-cycle MULT issued just before it (12 cycles).  The
+    // loop branch mispredicts on its first (taken) and last (not
+    // taken) pass.  The call adds five instructions and one jump
+    // bubble: 3 + 40 * 12 + 2 + 6 = 491 cycles.
+    Pete cpu = runProgram(kLoopWorkload);
+    const PeteStats &s = cpu.stats();
+    EXPECT_EQ(s.instructions, 3u + 40 * 9 + 5);
+    EXPECT_EQ(s.cycles, 491u);
+    EXPECT_EQ(s.multBusyStalls, 40u * 3);
+    EXPECT_EQ(s.multIssues, 40u);
+    EXPECT_EQ(s.branches, 40u);
+    EXPECT_EQ(s.branchMispredicts, 2u);
+    EXPECT_EQ(s.jumpStalls, 1u);
+    EXPECT_EQ(s.loadUseStalls, 0u);
+    EXPECT_EQ(s.icacheStalls, 0u);
+    EXPECT_EQ(cpu.reg(9), 40u * 9);        // $t1: the sum of 9s
+    EXPECT_EQ(cpu.reg(14), 1u);            // $t6: the leaf ran once
+    EXPECT_EQ(cpu.mem().ramCounters().writes, 40u);
+    EXPECT_EQ(cpu.mem().ramCounters().reads, 40u);
 }
 
-TEST(BlockCache, StatsBitIdenticalWithIcache)
+TEST(Pete, LoopWorkloadStatsWithIcache)
 {
+    // The 68-byte program spans five 16-byte lines; each is filled
+    // once (3 cycles) and every other fetch hits.  The fill of MFLO's
+    // line hides under the multiply it waits for: that wait shrinks
+    // from 3 cycles to 0 on the first pass, so the run is 12 cycles
+    // longer, not 15.
     PeteConfig cfg;
     cfg.icacheEnabled = true;
     cfg.icache.sizeBytes = 1024;
-    Pete fast = expectCacheEquivalent(kLoopWorkload, cfg);
-    const BlockCacheStats *bc = fast.blockCacheStats();
-    ASSERT_NE(bc, nullptr);
-    EXPECT_GT(bc->replays, 0u); // resident lines still replay
-}
-
-TEST(BlockCache, MultCountdownCrossesBlockBoundary)
-{
-    // The multiply issues in the jump's delay slot, so the busy
-    // countdown is live when the next block's MFLO interlocks on it:
-    // the entry-context key (not the static block) must carry it.
-    expectCacheEquivalent(R"(
-        addiu $t0, $zero, 30
-        addiu $t1, $zero, 0
-        addiu $t2, $zero, 7
-    loop:
-        j     body
-        mult  $t2, $t0
-    body:
-        mflo  $t3
-        addu  $t1, $t1, $t3
-        addiu $t0, $t0, -1
-        bne   $t0, $zero, loop
-        nop
-        break
-    )");
+    Pete cpu = runProgram(kLoopWorkload, cfg);
+    const PeteStats &s = cpu.stats();
+    EXPECT_EQ(s.icacheStalls, 5u * 3);
+    EXPECT_EQ(s.multBusyStalls, 40u * 3 - 3);
+    EXPECT_EQ(s.cycles, 491u + 5 * 3 - 3);
+    EXPECT_EQ(s.instructions, 3u + 40 * 9 + 5);
+    ASSERT_NE(cpu.icache(), nullptr);
+    const ICacheStats &ic = cpu.icache()->stats();
+    EXPECT_EQ(ic.accesses, s.instructions);
+    EXPECT_EQ(ic.misses, 5u);
+    EXPECT_EQ(ic.lineFills, 5u);
+    EXPECT_EQ(ic.hits, s.instructions - 5);
+    EXPECT_EQ(cpu.mem().romFetchCounters().wideReads, 5u);
 }
 
 namespace
 {
 
-// The countdown-crossing workload shared by the multiplier-variant
-// regressions: the multiply issues in the jump's delay slot, so the
-// busy countdown is live at the next block's entry and its width is
-// variant-dependent.
+// The multiply issues in the jump's delay slot, so the unit's busy
+// countdown is live across the jump when MFLO interlocks on it.
 constexpr const char *kMultCrossingWorkload = R"(
         addiu $t0, $zero, 30
         addiu $t1, $zero, 0
@@ -740,31 +721,49 @@ constexpr const char *kMultCrossingWorkload = R"(
 
 } // namespace
 
-TEST(BlockCache, SixCycleMultiplierCountdownStaysExact)
+TEST(Pete, MultCountdownCrossesBranch)
 {
-    // A 6-cycle variant (karatsuba2) widens the live countdown past
-    // what the old 200-cap key packing assumed; the entry-context key
-    // must still carry it exactly -- bit-identical stats on vs off,
-    // and MORE mult-busy stalls than the 4-cycle default, never a
-    // corrupted count.
+    // Per iteration: seven instructions, and MFLO waits latency - 1 =
+    // 3 cycles for the multiply issued the cycle before (10 cycles).
+    // The loop branch mispredicts twice.
+    Pete cpu = runProgram(kMultCrossingWorkload);
+    const PeteStats &s = cpu.stats();
+    EXPECT_EQ(s.instructions, 3u + 30 * 7 + 1);
+    EXPECT_EQ(s.cycles, 3u + 30 * 10 + 2 + 1);
+    EXPECT_EQ(s.multBusyStalls, 30u * 3);
+    EXPECT_EQ(s.multIssues, 30u);
+    EXPECT_EQ(s.branches, 30u);
+    EXPECT_EQ(s.branchMispredicts, 2u);
+    EXPECT_EQ(s.jumpStalls, 0u); // J is PC-relative: no bubble
+    EXPECT_EQ(cpu.reg(9), 7u * (30 * 31 / 2));
+    EXPECT_EQ(cpu.lo(), 7u); // the last multiply: 7 * 1
+}
+
+TEST(Pete, SixCycleMultiplierCountdown)
+{
+    // A 6-cycle variant (karatsuba2) makes MFLO wait five cycles per
+    // iteration instead of three: 60 more stall cycles, the same
+    // instructions and the same arithmetic.
     PeteConfig cfg;
     applyMultiplier(cfg, MultiplierVariant::Karatsuba2);
     ASSERT_EQ(cfg.multLatency, 6u);
-    Pete slow6 = expectCacheEquivalent(kMultCrossingWorkload, cfg);
-    Pete dflt = expectCacheEquivalent(kMultCrossingWorkload);
-    EXPECT_GT(slow6.stats().multBusyStalls,
-              dflt.stats().multBusyStalls);
-    EXPECT_EQ(slow6.stats().instructions, dflt.stats().instructions);
-    EXPECT_EQ(slow6.lo(), dflt.lo()); // timing only, same arithmetic
-    EXPECT_EQ(slow6.hi(), dflt.hi());
+    Pete six = runProgram(kMultCrossingWorkload, cfg);
+    Pete four = runProgram(kMultCrossingWorkload);
+    EXPECT_EQ(six.stats().multBusyStalls, 30u * 5);
+    EXPECT_EQ(six.stats().cycles, four.stats().cycles + 30 * 2);
+    EXPECT_EQ(six.stats().instructions, four.stats().instructions);
+    EXPECT_EQ(six.lo(), four.lo());
+    EXPECT_EQ(six.hi(), four.hi());
+    EXPECT_EQ(six.reg(9), four.reg(9));
 }
 
-TEST(BlockCache, DataDependentBranchDirections)
+TEST(Pete, DataDependentBranchDirections)
 {
     // The inner branch alternates taken/not-taken with the counter's
-    // parity, so the bimodal predictor keeps mispredicting; replay
-    // resolves it against the live predictor, never from the memo.
-    expectCacheEquivalent(R"(
+    // parity, so the 2-bit counter (weakly not-taken at reset) flips
+    // between its two weak states and mispredicts all 40 times; the
+    // loop branch mispredicts only its first and last pass.
+    Pete cpu = runProgram(R"(
         addiu $t0, $zero, 40
         addiu $t1, $zero, 0
     loop:
@@ -779,13 +778,21 @@ TEST(BlockCache, DataDependentBranchDirections)
         nop
         break
     )");
+    const PeteStats &s = cpu.stats();
+    EXPECT_EQ(s.branches, 80u);
+    EXPECT_EQ(s.branchMispredicts, 40u + 2);
+    // 20 even passes of 7 instructions, 20 odd passes of 8.
+    EXPECT_EQ(s.instructions, 2u + 20 * 7 + 20 * 8 + 1);
+    EXPECT_EQ(s.cycles, s.instructions + s.branchMispredicts);
+    EXPECT_EQ(cpu.reg(9), 40u + 20 * 100);
 }
 
-TEST(BlockCache, JrLoopReplays)
+TEST(Pete, JrCallLoop)
 {
-    // A call loop: JAL enters the leaf, JR returns through a
-    // register target; both are block terminators resolved live.
-    Pete fast = expectCacheEquivalent(R"(
+    // A call loop: JAL enters the leaf, JR returns through a register
+    // target (one bubble each); seven instructions and eight cycles a
+    // pass, plus the loop branch's two mispredicts.
+    Pete cpu = runProgram(R"(
         addiu $t0, $zero, 25
         addiu $t1, $zero, 0
     loop:
@@ -799,18 +806,21 @@ TEST(BlockCache, JrLoopReplays)
         jr    $ra
         addiu $t1, $t1, 2
     )");
-    ASSERT_NE(fast.blockCacheStats(), nullptr);
-    EXPECT_GT(fast.blockCacheStats()->replays, 0u);
-    EXPECT_EQ(fast.reg(9), 50u);
+    const PeteStats &s = cpu.stats();
+    EXPECT_EQ(s.instructions, 2u + 25 * 7 + 1);
+    EXPECT_EQ(s.jumpStalls, 25u);
+    EXPECT_EQ(s.branchMispredicts, 2u);
+    EXPECT_EQ(s.cycles, 2u + 25 * 8 + 2 + 1);
+    EXPECT_EQ(cpu.reg(9), 50u);
+    EXPECT_EQ(cpu.reg(31), 16u); // $ra: the instruction after JAL's slot
 }
 
-TEST(BlockCache, StoreToTextFaultsInsideReplayedBlock)
+TEST(Pete, StoreToTextFaultsMidLoop)
 {
-    // Iteration 1 stores to RAM (and records the block); iteration 2
-    // replays the same block and the store lands on program text,
-    // which must fault out of the replay with the slow path's
-    // exact message, stats, and architectural state.
-    expectCacheEquivalent(R"(
+    // Pass 1 stores to RAM; pass 2's store lands on program text and
+    // faults before changing any state.  The faulting store is counted
+    // (it retired into the pipeline) and the pc stays on it.
+    Program prog = assemble(R"(
         lui   $t4, 0x1000
         addiu $t4, $t4, 0x10
         lui   $t7, 0x1000
@@ -825,213 +835,26 @@ TEST(BlockCache, StoreToTextFaultsInsideReplayedBlock)
         nop
         break
     )");
-}
-
-TEST(BlockCache, TextStrikeInvalidatesMemoizedBlock)
-{
-    // Pause the run mid-loop on the cycle budget, strike the
-    // post-loop text through the fault-injection backdoor, and
-    // resume: the loop block's memo entry is stale (text generation
-    // moved) and must be dropped and re-recorded, and the corrupted
-    // instruction must take effect -- identically with the cache off.
-    const char *src = R"(
-        addiu $t0, $zero, 4000
-        addiu $t1, $zero, 0
-    loop:
-        addiu $t1, $t1, 1
-        addiu $t0, $t0, -1
-        bne   $t0, $zero, loop
-        nop
-        addiu $t6, $zero, 1
-        break
-    )";
-    auto run = [&](bool blockCache) {
-        PeteConfig cfg;
-        cfg.blockCache = blockCache;
-        cfg.maxCycles = 2'000; // pauses well inside the loop
-        Pete cpu(assemble(src), cfg);
-        Result<uint64_t> paused = cpu.runChecked();
-        EXPECT_FALSE(paused.ok());
-        EXPECT_EQ(paused.code(), Errc::SimTimeout);
-        // Flip `addiu $t6, $zero, 1` (7th word) into `..., 9`.  The
-        // pause point may differ by a few instructions between the
-        // two configurations, but both are still inside the loop, so
-        // the executed instruction stream is identical either way.
-        cpu.mem().corrupt32(6 * 4, 0x8);
-        cfg.maxCycles = 500'000'000;
-        cpu.setMaxCycles(cfg.maxCycles);
-        EXPECT_TRUE(cpu.run());
-        return cpu;
-    };
-    Pete fast = run(true);
-    Pete slow = run(false);
-    expectStatsEqual(fast.stats(), slow.stats());
-    EXPECT_EQ(fast.reg(14), 9u); // the strike's immediate took effect
-    EXPECT_EQ(slow.reg(14), 9u);
-    for (int r = 0; r < 32; ++r)
-        EXPECT_EQ(fast.reg(r), slow.reg(r)) << "reg " << r;
-    ASSERT_NE(fast.blockCacheStats(), nullptr);
-    EXPECT_GE(fast.blockCacheStats()->invalidations, 1u);
-}
-
-TEST(BlockCache, HookForcesSlowPathTransparently)
-{
-    // Any attached StepHook keeps runChecked on the exact per-step
-    // loop: the memo must see no traffic at all, and a mid-run text
-    // strike behaves identically with the cache compiled in or out.
-    auto run = [&](bool blockCache) {
-        PeteConfig cfg;
-        cfg.blockCache = blockCache;
-        Pete cpu(assemble(R"(
-            addiu $t0, $zero, 10
-            addiu $t1, $zero, 0
-        loop:
-            addiu $t1, $t1, 1
-            addiu $t0, $t0, -1
-            bne   $t0, $zero, loop
-            nop
-            break
-        )"),
-                 cfg);
-        CorruptingHook hook(14, 8, 0x2);
-        cpu.attachStepHook(&hook);
-        EXPECT_TRUE(cpu.run());
-        return cpu;
-    };
-    Pete fast = run(true);
-    Pete slow = run(false);
-    expectStatsEqual(fast.stats(), slow.stats());
-    EXPECT_EQ(fast.reg(9), slow.reg(9));
-    ASSERT_NE(fast.blockCacheStats(), nullptr);
-    EXPECT_EQ(fast.blockCacheStats()->lookups, 0u);
-    EXPECT_EQ(fast.blockCacheStats()->replays, 0u);
-}
-
-TEST(BlockCache, EnvParseNeverErrors)
-{
-    // Direct parses: the documented values, then hostile ones, which
-    // must degrade to the default (On) -- the ULECC_JOBS contract.
-    EXPECT_EQ(parseBlockCacheMode(nullptr), BlockCacheMode::On);
-    EXPECT_EQ(parseBlockCacheMode(""), BlockCacheMode::On);
-    EXPECT_EQ(parseBlockCacheMode("1"), BlockCacheMode::On);
-    EXPECT_EQ(parseBlockCacheMode("on"), BlockCacheMode::On);
-    EXPECT_EQ(parseBlockCacheMode("0"), BlockCacheMode::Off);
-    EXPECT_EQ(parseBlockCacheMode("off"), BlockCacheMode::Off);
-    EXPECT_EQ(parseBlockCacheMode("verify"), BlockCacheMode::Verify);
-    EXPECT_EQ(parseBlockCacheMode("shadow"), BlockCacheMode::Verify);
-    EXPECT_EQ(parseBlockCacheMode("ON"), BlockCacheMode::On);
-    EXPECT_EQ(parseBlockCacheMode("bogus"), BlockCacheMode::On);
-    EXPECT_EQ(parseBlockCacheMode("99999999999999999999"),
-              BlockCacheMode::On);
-    EXPECT_EQ(parseBlockCacheMode("-1"), BlockCacheMode::On);
-    EXPECT_EQ(parseBlockCacheMode("off "), BlockCacheMode::On);
-}
-
-TEST(BlockCache, HostileEnvValuesRunIdentically)
-{
-    // Whatever $ULECC_BLOCK_CACHE says, simulated behaviour is
-    // bit-identical; only the simulator's own path choice may change.
-    PeteConfig off;
-    off.blockCache = false;
-    Pete reference = runProgram(kLoopWorkload, off);
-    for (const char *value :
-         {"", "1", "on", "ON", "0", "off", "verify", "shadow", "bogus",
-          "99999999999999999999"}) {
-        EnvVar env("ULECC_BLOCK_CACHE", value);
-        Pete cpu = runProgram(kLoopWorkload);
-        expectStatsEqual(cpu.stats(), reference.stats());
-        for (int r = 0; r < 32; ++r)
-            EXPECT_EQ(cpu.reg(r), reference.reg(r))
-                << "reg " << r << " under value '" << value << "'";
-    }
-}
-
-TEST(BlockCache, ShadowVerifyModeCleanOnLoopProgram)
-{
-    EnvVar env("ULECC_BLOCK_CACHE", "verify");
-    PeteConfig cfg;
-    // A long enough loop that the sampled shadow check (every 64th
-    // memo hit) actually fires several times.
-    Pete cpu = runProgram(R"(
-        addiu $t0, $zero, 1000
-        addiu $t1, $zero, 0
-    loop:
-        addiu $t1, $t1, 1
-        addiu $t0, $t0, -1
-        bne   $t0, $zero, loop
-        nop
-        break
-    )",
-                          cfg);
-    ASSERT_NE(cpu.blockCacheStats(), nullptr);
-    EXPECT_EQ(cpu.blockCacheMode(), BlockCacheMode::Verify);
-    EXPECT_GT(cpu.blockCacheStats()->shadowVerifies, 0u);
-    EXPECT_EQ(cpu.reg(9), 1000u);
-}
-
-TEST(BlockCache, TimeoutOvershootBounded)
-{
-    const char *src = R"(
-    spin:
-        beq $zero, $zero, spin
-        nop
-    )";
-    PeteConfig cfg;
-    cfg.maxCycles = 10'000;
-    Pete cpu(assemble(src), cfg);
+    Pete cpu(prog);
     Result<uint64_t> r = cpu.runChecked();
     ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.code(), Errc::SimTimeout);
-    // The budget is polled once per block dispatch, so the overshoot
-    // is bounded by one block plus its delay slot.
-    EXPECT_GE(cpu.stats().cycles, cfg.maxCycles);
-    EXPECT_LT(cpu.stats().cycles, cfg.maxCycles + 512);
+    EXPECT_EQ(r.code(), Errc::MemFault);
+    EXPECT_EQ(cpu.pc(), 20u);
+    EXPECT_EQ(cpu.stats().instructions, 5u + 6 + 1);
+    EXPECT_EQ(cpu.stats().cycles, 5u + 6 + 1 + 1); // one mispredict
+    EXPECT_EQ(cpu.reg(9), 1u);      // $t1
+    EXPECT_EQ(cpu.reg(12), 0x10u);  // $t4: the text address
+    EXPECT_EQ(cpu.reg(8), 3u);      // $t0
+    EXPECT_EQ(cpu.mem().ramCounters().writes, 1u);
+    EXPECT_EQ(cpu.mem().peek32(0x10), prog.words[4]); // text unchanged
 }
 
-TEST(BlockCache, ShadowVerifyModeCleanOnAlternatingProgram)
+TEST(Pete, MidLoopFaultLeavesExactState)
 {
-    // The alternating branch sends every other pass down a different
-    // block sequence, so the memo keeps switching entries; over 400
-    // iterations the sampled shadow check (every 64th memo hit) fires
-    // several times.  A clean program must sail through with exact
-    // stats; any replay/slow-path divergence would throw
-    // Errc::Internal here.
-    const char *src = R"(
-        addiu $t0, $zero, 400
-        addiu $t1, $zero, 0
-    loop:
-        andi  $t3, $t0, 1
-        beq   $t3, $zero, even
-        nop
-        addiu $t1, $t1, 100
-    even:
-        addiu $t1, $t1, 1
-        addiu $t0, $t0, -1
-        bne   $t0, $zero, loop
-        nop
-        break
-    )";
-    PeteConfig off;
-    off.blockCache = false;
-    Pete reference = runProgram(src, off);
-    EnvVar env("ULECC_BLOCK_CACHE", "verify");
-    Pete cpu = runProgram(src);
-    ASSERT_NE(cpu.blockCacheStats(), nullptr);
-    EXPECT_EQ(cpu.blockCacheMode(), BlockCacheMode::Verify);
-    EXPECT_GT(cpu.blockCacheStats()->shadowVerifies, 0u);
-    expectStatsEqual(cpu.stats(), reference.stats());
-    for (int r = 0; r < 32; ++r)
-        EXPECT_EQ(cpu.reg(r), reference.reg(r)) << "reg " << r;
-}
-
-TEST(BlockCache, MidLoopFaultReconstructsExactState)
-{
-    // The store address descends 4 bytes per iteration: a dozen clean
-    // RAM stores make the loop block hot and replayed, then the
-    // address drops below the RAM base and the same store faults
-    // inside a replay.  The bailout must reconstruct the slow path's
-    // exact fault message, stats, and architectural state.
-    Pete fast = expectCacheEquivalent(R"(
+    // The store address descends 4 bytes a pass: 13 clean stores from
+    // 0x10000030 down to the RAM base, then the 14th lands below it
+    // (unmapped) and faults with the pass's earlier state intact.
+    Pete cpu(assemble(R"(
         lui   $t4, 0x1000
         addiu $t4, $t4, 48
         addiu $t0, $zero, 64
@@ -1044,9 +867,84 @@ TEST(BlockCache, MidLoopFaultReconstructsExactState)
         bne   $t0, $zero, loop
         nop
         break
-    )");
-    ASSERT_NE(fast.blockCacheStats(), nullptr);
-    EXPECT_GT(fast.blockCacheStats()->replays, 0u);
+    )"));
+    Result<uint64_t> r = cpu.runChecked();
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.code(), Errc::MemFault);
+    EXPECT_EQ(cpu.pc(), 16u);
+    EXPECT_EQ(cpu.stats().instructions, 4u + 13 * 6 + 1);
+    EXPECT_EQ(cpu.stats().branches, 13u);
+    EXPECT_EQ(cpu.stats().branchMispredicts, 1u);
+    EXPECT_EQ(cpu.stats().cycles, cpu.stats().instructions + 1);
+    EXPECT_EQ(cpu.reg(9), 13u);           // $t1
+    EXPECT_EQ(cpu.reg(12), 0x0ffffffcu);  // $t4
+    EXPECT_EQ(cpu.reg(8), 64u - 13);      // $t0
+    EXPECT_EQ(cpu.mem().ramCounters().writes, 13u);
+    EXPECT_EQ(cpu.mem().peek32(0x10000030), 0u);
+    EXPECT_EQ(cpu.mem().peek32(0x10000000), 12u);
+}
+
+TEST(Pete, TextStrikeTakesEffectOnNextFetch)
+{
+    // Pause the run mid-loop on the cycle budget, strike the loop body
+    // and the post-loop text through the fault-injection backdoor, and
+    // resume: both struck words take effect the next time they are
+    // fetched.  The pause is exact: 499 passes end at cycle 1999 and
+    // the 500th pass's first ADDIU reaches 2000.
+    const char *src = R"(
+        addiu $t0, $zero, 4000
+        addiu $t1, $zero, 0
+    loop:
+        addiu $t1, $t1, 1
+        addiu $t0, $t0, -1
+        bne   $t0, $zero, loop
+        nop
+        addiu $t6, $zero, 1
+        break
+    )";
+    PeteConfig cfg;
+    cfg.maxCycles = 2'000;
+    Pete cpu(assemble(src), cfg);
+    Result<uint64_t> paused = cpu.runChecked();
+    ASSERT_FALSE(paused.ok());
+    EXPECT_EQ(paused.code(), Errc::SimTimeout);
+    EXPECT_EQ(cpu.stats().cycles, 2'000u);
+    EXPECT_EQ(cpu.pc(), 12u);
+    EXPECT_EQ(cpu.reg(9), 500u);
+    // `addiu $t1, $t1, 1` (pc 8) becomes `..., 3`; `addiu $t6, $zero,
+    // 1` (pc 24) becomes `..., 9`.
+    cpu.mem().corrupt32(8, 0x2);
+    cpu.mem().corrupt32(24, 0x8);
+    cpu.setMaxCycles(500'000'000);
+    EXPECT_TRUE(cpu.run());
+    EXPECT_EQ(cpu.reg(9), 500u + 3 * 3500);
+    EXPECT_EQ(cpu.reg(14), 9u);
+    EXPECT_EQ(cpu.stats().instructions, 2u + 4000 * 4 + 2);
+    EXPECT_EQ(cpu.stats().cycles, cpu.stats().instructions + 2);
+}
+
+TEST(Pete, StepHookTextStrikeTakesEffectAtOnce)
+{
+    // A hook strikes `addiu $t1, $t1, 1` into `..., 3` just before
+    // step 14 fetches it (the fourth pass): passes 1-3 add 1, passes
+    // 4-10 add 3.  Timing is unchanged by the strike.
+    Pete cpu(assemble(R"(
+        addiu $t0, $zero, 10
+        addiu $t1, $zero, 0
+    loop:
+        addiu $t1, $t1, 1
+        addiu $t0, $t0, -1
+        bne   $t0, $zero, loop
+        nop
+        break
+    )"));
+    CorruptingHook hook(14, 8, 0x2);
+    cpu.attachStepHook(&hook);
+    EXPECT_TRUE(cpu.run());
+    EXPECT_EQ(cpu.reg(9), 3u * 1 + 7 * 3);
+    EXPECT_EQ(hook.steps(), cpu.stats().instructions);
+    EXPECT_EQ(cpu.stats().instructions, 2u + 10 * 4 + 1);
+    EXPECT_EQ(cpu.stats().cycles, cpu.stats().instructions + 2);
 }
 
 namespace
@@ -1172,11 +1070,13 @@ opCaseProgram(const OpCase &c)
 
 } // namespace
 
-TEST(BlockCache, EveryOpClassMatchesTheInterpreter)
+TEST(Pete, EveryOpClassMatchesGolden)
 {
     // One hot loop per op class, so every instruction's semantics and
-    // timing are replayed through the memo (not only the few the
-    // kernel suites happen to use), with and without an I-cache.
+    // timing are pinned (not only the few the kernel suites happen to
+    // use), with and without an I-cache.  Each line holds the twelve
+    // PeteStats counters and a digest of the architectural state.
+    std::string actual;
     for (const OpCase &c : kOpCases) {
         for (bool icache : {false, true}) {
             SCOPED_TRACE(std::string(c.name)
@@ -1184,10 +1084,14 @@ TEST(BlockCache, EveryOpClassMatchesTheInterpreter)
             PeteConfig cfg;
             cfg.icacheEnabled = icache;
             cfg.icache.sizeBytes = 1024;
-            Pete fast = expectCacheEquivalent(opCaseProgram(c), cfg);
-            ASSERT_NE(fast.blockCacheStats(), nullptr);
-            EXPECT_GT(fast.blockCacheStats()->replays, 0u);
-            EXPECT_EQ(fast.reg(16), 0u); // the loop ran to completion
+            Pete cpu = runProgram(opCaseProgram(c), cfg);
+            EXPECT_EQ(cpu.reg(16), 0u); // the loop ran to completion
+            char digest[32];
+            std::snprintf(digest, sizeof digest, "%016llx",
+                          (unsigned long long)stateDigest(cpu));
+            actual += std::string(c.name) + (icache ? " icache " : " ")
+                + statsLine(cpu.stats()) + " state=" + digest + "\n";
         }
     }
+    expectMatchesGolden("pete_op_classes.txt", actual);
 }

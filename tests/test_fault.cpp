@@ -14,6 +14,7 @@
 #include "ecdsa/ecdsa.hh"
 #include "fault/fault_injector.hh"
 #include "sim/cpu.hh"
+#include "golden.hh"
 
 using namespace ulecc;
 
@@ -212,6 +213,45 @@ TEST(FaultInjector, CycleBudgetExhaustIsSimTimeout)
     EXPECT_TRUE(inj.fired());
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.code(), Errc::SimTimeout);
+}
+
+TEST(FaultInjector, ArmedRunsMatchGolden)
+{
+    // 24 seeded plans against a store/load loop, some striking the
+    // program text: each run's outcome and every PeteStats counter
+    // are pinned in tests/golden/fault_injector_runs.txt.
+    const char *src = R"(
+        lui   $at, 0x1000
+        addiu $t0, $zero, 200
+        addiu $t1, $zero, 0
+    loop:
+        addiu $t1, $t1, 7
+        sw    $t1, 0x400($at)
+        lw    $t2, 0x400($at)
+        addiu $t0, $t0, -1
+        bne   $t0, $zero, loop
+        nop
+        break
+    )";
+    Program prog = assemble(src);
+    FaultTargetSpace space;
+    space.cycleHorizon = 1500;
+    space.romWords = static_cast<uint32_t>(prog.words.size());
+    space.ramWords = 512;
+    std::string actual;
+    for (uint64_t seed = 1; seed <= 24; ++seed) {
+        PeteConfig cfg;
+        cfg.maxCycles = 100'000;
+        Pete cpu(prog, cfg);
+        FaultInjector inj(seed);
+        inj.arm(inj.plan(space));
+        cpu.attachStepHook(&inj);
+        Result<uint64_t> r = cpu.runChecked();
+        actual += "seed " + std::to_string(seed) + " "
+            + errcName(r.ok() ? Errc::Ok : r.code()) + " "
+            + test::statsLine(cpu.stats()) + "\n";
+    }
+    test::expectMatchesGolden("fault_injector_runs.txt", actual);
 }
 
 TEST(FaultInjector, KindNamesAreStable)

@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 
 #include <algorithm>
 #include <vector>
@@ -29,6 +28,7 @@
 #include "obs/profile.hh"
 #include "obs/trace.hh"
 #include "sim/cpu.hh"
+#include "golden.hh"
 
 using namespace ulecc;
 
@@ -278,21 +278,7 @@ TEST(CycleProfiler, GoldenReportIsStable)
     ASSERT_TRUE(cpu.run());
     profiler.finish(cpu);
     std::string actual = profiler.report().renderText();
-
-    std::string golden_path =
-        std::string(ULECC_GOLDEN_DIR) + "/profile_stall_mix.txt";
-    if (std::getenv("ULECC_REGEN_GOLDEN")) {
-        std::ofstream out(golden_path, std::ios::binary);
-        out << actual;
-        ASSERT_TRUE(out.good());
-        return;
-    }
-    std::ifstream in(golden_path, std::ios::binary);
-    ASSERT_TRUE(in.good()) << "missing golden file " << golden_path
-                           << " (run with ULECC_REGEN_GOLDEN=1)";
-    std::ostringstream expected;
-    expected << in.rdbuf();
-    EXPECT_EQ(actual, expected.str());
+    ulecc::test::expectMatchesGolden("profile_stall_mix.txt", actual);
 }
 
 TEST(EnergyLedger, TotalsEqualPowerModelTotals)
@@ -530,41 +516,6 @@ TEST(Pete, AddStallAttributesTheCause)
     EXPECT_EQ(cpu.stats().cop2Stalls, 2u);
     EXPECT_EQ(totalStallCycles(cpu.stats()), 9u);
     EXPECT_EQ(stallCycles(cpu.stats(), StallCause::External), 7u);
-}
-
-TEST(BlockCache, TraceAndProfileUnchangedByBlockCacheFlag)
-{
-    // Tracing and profiling attach StepHooks, which force the exact
-    // per-step loop; the blockCache config flag must therefore leave
-    // every observability artefact byte-identical.
-    auto capture = [&](bool blockCache, std::string &trace_json,
-                       std::string &profile_text, PeteStats &stats) {
-        PeteConfig cfg;
-        cfg.blockCache = blockCache;
-        Pete cpu(assemble(kStallMix), cfg);
-        PipelineTracer tracer;
-        CycleProfiler profiler(assemble(kStallMix));
-        StepHookList hooks;
-        hooks.add(&tracer);
-        hooks.add(&profiler);
-        cpu.attachStepHook(&hooks);
-        ASSERT_TRUE(cpu.run());
-        tracer.finish(cpu);
-        profiler.finish(cpu);
-        trace_json = tracer.toJson().dump();
-        profile_text = profiler.report().renderText();
-        stats = cpu.stats();
-    };
-    std::string trace_on, trace_off, prof_on, prof_off;
-    PeteStats stats_on, stats_off;
-    capture(true, trace_on, prof_on, stats_on);
-    capture(false, trace_off, prof_off, stats_off);
-    EXPECT_EQ(trace_on, trace_off);
-    EXPECT_EQ(prof_on, prof_off);
-    EXPECT_EQ(stats_on.cycles, stats_off.cycles);
-    EXPECT_EQ(stats_on.instructions, stats_off.instructions);
-    ASSERT_FALSE(trace_on.empty());
-    ASSERT_FALSE(prof_on.empty());
 }
 
 // ---------------------------------------------------------------------

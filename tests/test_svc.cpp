@@ -289,6 +289,25 @@ TEST(SvcServer, QueueCapSheds)
     EXPECT_EQ(it->second, c.failed);
 }
 
+TEST(SvcServer, EmptyCurveListIsInvalidInput)
+{
+    // Every request draws its curve from cfg.curves; an empty list is
+    // refused with a structured error before anything is generated.
+    SvcConfig cfg;
+    cfg.seed = 5;
+    cfg.requests = 10;
+    cfg.serial = true;
+    cfg.curves.clear();
+    Server server(cfg);
+    try {
+        server.run();
+        FAIL() << "run() accepted an empty curve list";
+    } catch (const UleccError &e) {
+        EXPECT_EQ(e.code(), Errc::InvalidInput);
+    }
+    EXPECT_EQ(server.counters().arrivals, 0u);
+}
+
 TEST(SvcServer, RetriesRecoverTransientChaosFailures)
 {
     // Light load (no shedding) with heavy chaos: detected strikes are

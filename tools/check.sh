@@ -22,9 +22,9 @@
 # from whatever host last regenerated them, so absolute throughput
 # (sim_mips, svc_requests_per_sec, ...) is printed for information
 # only.  The gates are host-independent: same-run ratios
-# (block_cache_speedup, svc_batch_speedup, svc_telemetry_overhead) fail
-# beyond a 25% shortfall against baseline, and deterministic counter
-# ratios (block_cache_hit_rate, svc_batch_occupancy) are checked tight.
+# (svc_batch_speedup, svc_telemetry_overhead) fail beyond a 25%
+# shortfall against baseline, and deterministic counter ratios
+# (svc_batch_occupancy) are checked tight.
 # Finally it re-runs the bench_multspace sweep and byte-compares the
 # ulecc.multspace.v1 journal against the committed BENCH_multspace.json
 # -- the multiplier design-space numbers are pure evaluation, so any
@@ -78,17 +78,16 @@ fi
 
 if [[ $run_tsan -eq 1 ]]; then
     # ThreadSanitizer covers the concurrency layer: the thread pool,
-    # the parallel sweep runner, the evaluation memo, the per-Pete
-    # block memo the sweep workers all drive (test_par), and the
-    # multi-threaded service engine (test_svc).  The serial suites add nothing under TSan, so only
-    # the concurrent tests run here.
+    # the parallel sweep runner, the evaluation memo (test_par), and
+    # the multi-threaded service engine (test_svc).  The serial suites
+    # add nothing under TSan, so only the concurrent tests run here.
     step "configure + build (tsan preset)"
     cmake --preset tsan
     cmake --build --preset tsan -j "$(nproc)" --target test_par test_svc
 
     step "test (tsan preset: parallel suites)"
     ctest --preset tsan -j "$(nproc)" \
-        -R '^(ThreadPool|Sweep|EvalCache|BenchSweep|BlockCache|Svc)'
+        -R '^(ThreadPool|Sweep|EvalCache|BenchSweep|Svc)'
 fi
 
 json_check="$repo/build/tools/json_check"
@@ -148,9 +147,7 @@ if [[ $run_bench -eq 1 ]]; then
         "$work/bench_ss.jsonl"
     python3 "$repo/tools/bench_gate.py" "$repo/BENCH_simspeed.json" \
         "$work/bench_ss.jsonl" \
-        --info sim_mips sim_wall_seconds \
-        --ratio block_cache_speedup \
-        --exact block_cache_hit_rate
+        --info sim_mips sim_wall_seconds
 
     step "bench: service-engine throughput vs committed baseline"
     : > "$work/bench_svc.jsonl"

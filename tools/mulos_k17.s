@@ -2,9 +2,10 @@
 # bench_simspeed reference kernel, emitted by
 # kernelSource(AsmKernel::MulOs, 17) -- regenerate from there if the
 # generator changes).  Operands: A at 0x10000400 (2k limbs read),
-# B at 0x10000500, result R at 0x10000600.  tools/check.sh runs it
-# through ulecc-run with the block memo on and off (--no-block-cache)
-# and requires the architectural metrics to match exactly.
+# B at 0x10000500, result R at 0x10000600.  ctest
+# tool_ulecc_run_golden runs it through ulecc-run --metrics, with and
+# without an I-cache, and byte-compares the metrics against
+# tests/golden/ulecc_run_mulos_k17*.json.
     li $a0, 268436480
     li $a1, 268436736
     li $a2, 268436992

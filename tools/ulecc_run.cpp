@@ -12,11 +12,8 @@
  *     --multiplier V pick the Hi/Lo multiplier design point
  *                    (karatsuba | schoolbook | karatsuba2 | clmulwide;
  *                    timing/energy only -- results are identical)
- *     --max-cycles N cycle budget (default 500M)
- *     --no-block-cache
- *                    disable the hot-block timing memo, leaving the
- *                    per-step interpreter (for simulator-speed A/B
- *                    runs; also reachable via ULECC_BLOCK_CACHE=off)
+ *     --max-cycles N cycle budget (default 500M), checked before
+ *                    every instruction
  *     --dump A N     after halt, hex-dump N words from address A
  *     --energy       print the energy estimate for the run
  *     --trace FILE   write a Chrome trace-event JSON of the pipeline
@@ -69,8 +66,7 @@ usage()
                  "[--billie]\n"
                  "                 [--multiplier VARIANT] "
                  "[--max-cycles N]\n"
-                 "                 [--no-block-cache] "
-                 "[--dump ADDR WORDS]\n"
+                 "                 [--dump ADDR WORDS]\n"
                  "                 [--energy] [--trace FILE] [--profile] "
                  "[--metrics FILE]\n"
                  "                 program.s\n");
@@ -172,8 +168,6 @@ main(int argc, char **argv)
             if (!parseCount(kTool, "--max-cycles", argv[++i], 0, 1,
                             UINT64_MAX, config.maxCycles))
                 return 2;
-        } else if (!std::strcmp(argv[i], "--no-block-cache")) {
-            config.blockCache = false;
         } else if (!std::strcmp(argv[i], "--dump") && i + 2 < argc) {
             // The dumped range may not wrap the 32-bit address space.
             if (!parseCount(kTool, "--dump address", argv[++i], 0, 0,
@@ -298,15 +292,6 @@ main(int argc, char **argv)
                         100.0 * ic.missRate(),
                         (unsigned long)ic.prefetchHits);
         }
-        if (const BlockCacheStats *bc = cpu.blockCacheStats()) {
-            std::printf("block cache: %lu replays / %lu dispatches "
-                        "(%.1f%% hit), %lu recorded, %lu slow walks\n",
-                        (unsigned long)bc->replays,
-                        (unsigned long)bc->lookups,
-                        100.0 * bc->hitRate(),
-                        (unsigned long)bc->records,
-                        (unsigned long)bc->slowWalks);
-        }
         if (use_monte) {
             std::printf("monte: %lu mul, %lu add/sub, FFAU %lu cy, "
                         "DMA %lu cy, %lu forwarded loads\n",
@@ -378,21 +363,6 @@ main(int argc, char **argv)
                 ic["accesses"] = cpu.icache()->stats().accesses;
                 ic["miss_rate"] = cpu.icache()->stats().missRate();
                 reg.set("icache", std::move(ic));
-            }
-            if (const BlockCacheStats *bc = cpu.blockCacheStats()) {
-                Json cache = Json::object();
-                cache["mode"] =
-                    blockCacheModeName(cpu.blockCacheMode());
-                cache["lookups"] = bc->lookups;
-                cache["replays"] = bc->replays;
-                cache["replayed_instructions"] =
-                    bc->replayedInstructions;
-                cache["records"] = bc->records;
-                cache["slow_walks"] = bc->slowWalks;
-                cache["invalidations"] = bc->invalidations;
-                cache["shadow_verifies"] = bc->shadowVerifies;
-                cache["hit_rate"] = bc->hitRate();
-                reg.set("block_cache", std::move(cache));
             }
             EnergyLedger ledger;
             ledger.addPhase("run", ev);
