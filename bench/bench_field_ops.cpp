@@ -26,7 +26,7 @@ patterned(int bits, uint32_t seed)
 }
 
 void
-BM_PrimeMulSolinas(benchmark::State &state)
+BM_PrimeMul(benchmark::State &state)
 {
     PrimeField f(static_cast<NistPrime>(state.range(0)));
     MpUint a = patterned(f.bits(), 1).mod(f.modulus());
@@ -91,15 +91,20 @@ BM_EcdsaSignP256(benchmark::State &state)
 
 } // namespace
 
-BENCHMARK(BM_PrimeMulSolinas)
+BENCHMARK(BM_PrimeMul)
     ->Arg(static_cast<int>(NistPrime::P192))
+    ->Arg(static_cast<int>(NistPrime::P224))
     ->Arg(static_cast<int>(NistPrime::P256))
+    ->Arg(static_cast<int>(NistPrime::P384))
     ->Arg(static_cast<int>(NistPrime::P521));
 BENCHMARK(BM_PrimeMontMulCios)
     ->Arg(static_cast<int>(NistPrime::P192))
     ->Arg(static_cast<int>(NistPrime::P256));
 BENCHMARK(BM_BinaryMulComb)
     ->Arg(static_cast<int>(NistBinary::B163))
+    ->Arg(static_cast<int>(NistBinary::B233))
+    ->Arg(static_cast<int>(NistBinary::B283))
+    ->Arg(static_cast<int>(NistBinary::B409))
     ->Arg(static_cast<int>(NistBinary::B571));
 BENCHMARK(BM_BinarySqr)->Arg(static_cast<int>(NistBinary::B163));
 BENCHMARK(BM_ScalarMulP256);

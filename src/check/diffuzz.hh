@@ -4,7 +4,7 @@
  *
  * The library carries several independent implementations of every
  * arithmetic primitive it models: operand- vs product-scanning
- * multiplication, Solinas vs generic reduction, CIOS vs FIPS
+ * multiplication, NIST word-level vs generic reduction, CIOS vs FIPS
  * Montgomery, comb vs CLMUL binary fields, native C++ vs Pete-executed
  * assembly kernels.  The paper's energy conclusions only mean anything
  * if all of those agree bit-for-bit, so this harness generates

@@ -431,7 +431,7 @@ primeFieldFor(const std::string &tok)
         m.emplace("p256", PrimeField(NistPrime::P256));
         m.emplace("p384", PrimeField(NistPrime::P384));
         m.emplace("p521", PrimeField(NistPrime::P521));
-        // A non-Solinas prime keeps the generic reduction and the
+        // A non-NIST prime keeps the generic reduction and the
         // Montgomery n0' machinery honest: 2^255 - 19.
         m.emplace("p25519",
                   PrimeField(
@@ -456,6 +456,27 @@ binaryFieldFor(const std::string &tok)
     }();
     auto it = fields.find(tok);
     return it == fields.end() ? nullptr : &it->second;
+}
+
+/**
+ * A reduce() input < 2^(2*bits): an edge-shaped value of up to 2*bits
+ * bits, or (one time in four) a word pattern mixing all-zero,
+ * all-ones and random 32-bit words -- the shapes that drive the
+ * word-level reductions' carries and borrows to their bounds.
+ */
+MpUint
+redInput(DiffRng &rng, int bits)
+{
+    if (rng.below(4))
+        return rng.edgeMp(1 + rng.edgeBits(2 * bits - 1));
+    MpUint w;
+    for (int i = 0; i < (2 * bits + 31) / 32; ++i) {
+        uint64_t pick = rng.below(3);
+        w.setLimb(i, pick == 0 ? 0u
+                     : pick == 1 ? 0xffffffffu
+                                 : static_cast<uint32_t>(rng.next()));
+    }
+    return w.bitAnd(MpUint::powerOfTwo(2 * bits).sub(MpUint(1)));
 }
 
 class FieldTarget final : public Target
@@ -487,9 +508,7 @@ class FieldTarget final : public Target
                 c.op = "fsqr";
             } else if (op < 70) {
                 c.op = "fred";
-                c.args = {tok,
-                          rng.edgeMp(1 + rng.edgeBits(2 * f.bits() - 2))
-                              .toHex()};
+                c.args = {tok, redInput(rng, f.bits()).toHex()};
                 return c;
             } else if (op < 90) {
                 c.op = op < 80 ? "fcios" : "ffips";
@@ -579,8 +598,20 @@ class FieldTarget final : public Target
         RefInt rp = ref(f->modulus());
         if (c.op == "fred" && a.size() == 2) {
             auto w = tryMp(a[1]);
-            if (!w || w->bitLength() > 2 * f->bits() - 1)
+            if (!w)
                 return std::nullopt;
+            // reduce() takes w < 2^(2*bits) and rejects anything wider.
+            if (w->bitLength() > 2 * f->bits()) {
+                try {
+                    f->reduce(*w);
+                } catch (const UleccError &e) {
+                    if (e.code() == Errc::InvalidInput)
+                        return std::nullopt;
+                    return "fred " + a[0] + ": over-wide input threw "
+                        + errcName(e.code());
+                }
+                return "fred " + a[0] + ": over-wide input not rejected";
+            }
             RefInt want = ref(*w).mod(rp);
             MpUint got = f->reduce(*w);
             if (ref(got) != want)
@@ -590,18 +621,6 @@ class FieldTarget final : public Target
             if (ref(gen) != want)
                 return mismatch("reduceGeneric " + a[0], gen.toHex(),
                                 want.toHex());
-            if (f->hasSolinas()) {
-                MpUint sol = f->reduceSolinas(*w);
-                if (ref(sol) != want)
-                    return mismatch("reduceSolinas " + a[0],
-                                    sol.toHex(), want.toHex());
-            }
-            if (f->kind() == NistPrime::P192) {
-                MpUint lit = f->reduceP192Literal(*w);
-                if (ref(lit) != want)
-                    return mismatch("reduceP192Literal", lit.toHex(),
-                                    want.toHex());
-            }
             return std::nullopt;
         }
         if (c.op == "finv" && a.size() == 2) {

@@ -7,10 +7,10 @@
  *
  *   mpint  MpUint arithmetic vs check::RefInt (independent base-2^16
  *          schoolbook/Knuth-D reference);
- *   field  PrimeField (Solinas, generic, CIOS/FIPS Montgomery) and
- *          BinaryField (comb, CLMUL) vs RefInt modular/polynomial
- *          oracles, over every NIST field of the study plus a
- *          non-Solinas generic prime;
+ *   field  PrimeField (word-level NIST reduction, generic, CIOS/FIPS
+ *          Montgomery) and BinaryField (comb, CLMUL) vs RefInt
+ *          modular/polynomial oracles, over every NIST field of the
+ *          study plus a non-NIST generic prime;
  *   ecdsa  sign/verify/nonce/bits2int vs RFC 6979 + CAVP-style golden
  *          vectors (tests/golden/) and random roundtrips;
  *   pete   the simulated assembly kernels vs their native C++

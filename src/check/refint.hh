@@ -11,7 +11,7 @@
  *   - schoolbook multiplication only (MpUint: operand/product scanning
  *     with the paper's accumulator tricks);
  *   - Knuth Algorithm D division (MpUint: binary shift-subtract);
- *   - no modular fast paths at all (MpUint/PrimeField: Solinas folds,
+ *   - no modular fast paths at all (MpUint/PrimeField: NIST reductions,
  *     CIOS/FIPS Montgomery).
  *
  * It also carries the GF(2) polynomial reference operations (shift-xor

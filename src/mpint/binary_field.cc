@@ -7,6 +7,7 @@
 
 #include "base/error.hh"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <stdexcept>
@@ -57,13 +58,8 @@ clmul32(uint32_t a, uint32_t b)
     uint64_t r = 0;
     for (int i = 28; i >= 0; i -= 4)
         r = (r << 4) ^ tbl[(b >> i) & 0xF];
-    // Correct the bits shifted out of the 64-bit window: for window
-    // shifts the top window bits of each table entry can exceed bit 63
-    // only when a has bits >= 61 set and early windows of b are used;
-    // handle by folding the high part explicitly.
-    // (With a < 2^32 each tbl entry < 2^36; after j remaining 4-bit
-    // shifts the entry for b-window i lands at bit offset 4*(i/4);
-    // maximum bit = 35 + 28 = 63, so no overflow occurs.)
+    // No bit leaves the 64-bit window: each table entry is < 2^35 and
+    // is shifted left by at most 28 more bits.
     return r;
 }
 
@@ -112,6 +108,10 @@ BinaryField::BinaryField(const MpUint &f)
     if (m_ < 2)
         throw UleccError(Errc::InvalidInput,
                          "BinaryField: degree too small");
+    // A raw product takes 2 * words_ limbs.
+    if (2 * words_ > MpUint::maxLimbs)
+        throw UleccError(Errc::InvalidInput,
+                         "BinaryField: degree too large");
     if (f.bit(0) != 1)
         throw UleccError(Errc::InvalidInput,
                          "BinaryField: reduction polynomial needs +1 term");
@@ -352,27 +352,46 @@ BinaryField::polyMulComb(const MpUint &a, const MpUint &b) const
 {
     // Paper Algorithm 6: left-to-right comb with windows of width
     // w = 4.  Precompute Bu = u(x) * b(x) for all 16 window values,
-    // then scan the multiplier a window-column at a time.
+    // then scan the multiplier a window-column at a time, XORing rows
+    // into the accumulator C{i} and shifting C left by w in place.
     constexpr int w = 4;
+    constexpr int kMax = MpUint::maxLimbs / 2; // words_ <= kMax
     const int k = words_;
-    assert(2 * k + 1 <= MpUint::maxLimbs);
-    MpUint bu[1 << w];
-    bu[1] = b;
-    for (int u = 2; u < (1 << w); u += 2) {
-        bu[u] = bu[u / 2].shiftLeft(1);
-        bu[u + 1] = bu[u].bitXor(b);
+    uint32_t bu[1 << w][kMax + 1];
+    for (int i = 0; i < k; ++i) {
+        bu[0][i] = 0;
+        bu[1][i] = b.limbU(i);
     }
-    MpUint c;
+    bu[0][k] = bu[1][k] = 0;
+    for (int u = 2; u < (1 << w); u += 2) {
+        // bu[u] = bu[u/2] << 1, bu[u+1] = bu[u] ^ b.
+        uint32_t in = 0;
+        for (int i = 0; i <= k; ++i) {
+            uint32_t v = bu[u / 2][i];
+            bu[u][i] = (v << 1) | in;
+            bu[u + 1][i] = bu[u][i] ^ bu[1][i];
+            in = v >> 31;
+        }
+    }
+    uint32_t c[2 * kMax];
+    std::fill(c, c + 2 * k, 0u);
     for (int j = (32 / w) - 1; j >= 0; --j) {
         for (int i = 0; i < k; ++i) {
-            uint32_t u = (a.limb(i) >> (w * j)) & ((1 << w) - 1);
-            if (u)
-                c = c.bitXor(bu[u].shiftLeft(32 * i));
+            uint32_t u = (a.limbU(i) >> (w * j)) & ((1 << w) - 1);
+            const uint32_t *row = bu[u];
+            for (int t = 0; t <= k; ++t)
+                c[i + t] ^= row[t];
         }
-        if (j != 0)
-            c = c.shiftLeft(w);
+        if (j != 0) {
+            for (int t = 2 * k - 1; t > 0; --t)
+                c[t] = (c[t] << w) | (c[t - 1] >> (32 - w));
+            c[0] <<= w;
+        }
     }
-    return c;
+    MpUint out;
+    for (int i = 0; i < 2 * k; ++i)
+        out.setLimb(i, c[i]);
+    return out;
 }
 
 MpUint

@@ -77,7 +77,7 @@ class MpUint
     /** Sets limb @p i (extending the significant length as needed). */
     void setLimb(int i, uint32_t v);
 
-    /** Index of the highest set bit, or -1 for zero. */
+    /** Number of significant bits (highest set bit + 1), or 0 for zero. */
     int bitLength() const;
 
     /** Returns bit @p i (0 or 1). */

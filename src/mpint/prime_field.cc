@@ -7,7 +7,6 @@
 
 #include "base/error.hh"
 
-#include <cassert>
 #include <stdexcept>
 
 #include "mpint/op_observer.hh"
@@ -45,24 +44,169 @@ nistPrimeValue(NistPrime which)
 namespace
 {
 
-std::vector<PrimeField::SolinasTerm>
-solinasTermsFor(NistPrime kind)
+/** One fold term of a NIST column sum: coef * (input word src). */
+struct FoldTerm
 {
-    using T = PrimeField::SolinasTerm;
-    switch (kind) {
-      case NistPrime::P192: // 2^192 == 2^64 + 1
-        return {T{+1, 64}, T{+1, 0}};
-      case NistPrime::P224: // 2^224 == 2^96 - 1
-        return {T{+1, 96}, T{-1, 0}};
-      case NistPrime::P256: // 2^256 == 2^224 - 2^192 - 2^96 + 1
-        return {T{+1, 224}, T{-1, 192}, T{-1, 96}, T{+1, 0}};
-      case NistPrime::P384: // 2^384 == 2^128 + 2^96 - 2^32 + 1
-        return {T{+1, 128}, T{+1, 96}, T{-1, 32}, T{+1, 0}};
-      case NistPrime::P521: // 2^521 == 1
-        return {T{+1, 0}};
-      default:
-        return {};
+    int8_t coef;
+    uint8_t src;
+};
+
+/*
+ * Word-level NIST fast reduction tables.  For a 2k-word input c, output
+ * column i is c[i] plus the fold terms of row i; each row ends at {0, 0}.
+ * The rows are the FIPS 186-4 (Appendix D.2) signed sums regrouped by
+ * 32-bit column.  A column's terms have at most 8 positive and 4
+ * negative unit weights, so the carry out of the top column is small.
+ */
+
+// Paper Algorithm 4 on 32-bit words: T = s1 + s2 + s3 + s4 with
+// s1 = (c2,c1,c0), s2 = (0,c3,c3), s3 = (c4,c4,0), s4 = (c5,c5,c5) in
+// 64-bit chunks.
+constexpr FoldTerm kP192Fold[] = {
+    {1, 6}, {1, 10}, {0, 0},
+    {1, 7}, {1, 11}, {0, 0},
+    {1, 6}, {1, 8}, {1, 10}, {0, 0},
+    {1, 7}, {1, 9}, {1, 11}, {0, 0},
+    {1, 8}, {1, 10}, {0, 0},
+    {1, 9}, {1, 11}, {0, 0},
+};
+
+// T = t + s1 + s2 - d1 - d2.
+constexpr FoldTerm kP224Fold[] = {
+    {-1, 7}, {-1, 11}, {0, 0},
+    {-1, 8}, {-1, 12}, {0, 0},
+    {-1, 9}, {-1, 13}, {0, 0},
+    {1, 7}, {-1, 10}, {1, 11}, {0, 0},
+    {1, 8}, {-1, 11}, {1, 12}, {0, 0},
+    {1, 9}, {-1, 12}, {1, 13}, {0, 0},
+    {1, 10}, {-1, 13}, {0, 0},
+};
+
+// T = t + 2s1 + 2s2 + s3 + s4 - d1 - d2 - d3 - d4.
+constexpr FoldTerm kP256Fold[] = {
+    {1, 8}, {1, 9}, {-1, 11}, {-1, 12}, {-1, 13}, {-1, 14}, {0, 0},
+    {1, 9}, {1, 10}, {-1, 12}, {-1, 13}, {-1, 14}, {-1, 15}, {0, 0},
+    {1, 10}, {1, 11}, {-1, 13}, {-1, 14}, {-1, 15}, {0, 0},
+    {-1, 8}, {-1, 9}, {2, 11}, {2, 12}, {1, 13}, {-1, 15}, {0, 0},
+    {-1, 9}, {-1, 10}, {2, 12}, {2, 13}, {1, 14}, {0, 0},
+    {-1, 10}, {-1, 11}, {2, 13}, {2, 14}, {1, 15}, {0, 0},
+    {-1, 8}, {-1, 9}, {1, 13}, {3, 14}, {2, 15}, {0, 0},
+    {1, 8}, {-1, 10}, {-1, 11}, {-1, 12}, {-1, 13}, {3, 15}, {0, 0},
+};
+
+// T = t + 2s1 + s2 + s3 + s4 + s5 + s6 - d1 - d2 - d3.
+constexpr FoldTerm kP384Fold[] = {
+    {1, 12}, {1, 20}, {1, 21}, {-1, 23}, {0, 0},
+    {-1, 12}, {1, 13}, {-1, 20}, {1, 22}, {1, 23}, {0, 0},
+    {-1, 13}, {1, 14}, {-1, 21}, {1, 23}, {0, 0},
+    {1, 12}, {-1, 14}, {1, 15}, {1, 20}, {1, 21}, {-1, 22}, {-1, 23},
+    {0, 0},
+    {1, 12}, {1, 13}, {-1, 15}, {1, 16}, {1, 20}, {2, 21}, {1, 22},
+    {-2, 23}, {0, 0},
+    {1, 13}, {1, 14}, {-1, 16}, {1, 17}, {1, 21}, {2, 22}, {1, 23},
+    {0, 0},
+    {1, 14}, {1, 15}, {-1, 17}, {1, 18}, {1, 22}, {2, 23}, {0, 0},
+    {1, 15}, {1, 16}, {-1, 18}, {1, 19}, {1, 23}, {0, 0},
+    {1, 16}, {1, 17}, {-1, 19}, {1, 20}, {0, 0},
+    {1, 17}, {1, 18}, {-1, 20}, {1, 21}, {0, 0},
+    {1, 18}, {1, 19}, {-1, 21}, {1, 22}, {0, 0},
+    {1, 19}, {1, 20}, {-1, 22}, {1, 23}, {0, 0},
+};
+
+/** Largest element width in words (P-521: 17). */
+constexpr int kMaxWords = 17;
+
+/**
+ * Sums the column table @p fold over the 2k input words into r[0..k);
+ * returns the signed carry out of the top column, so that the value is
+ * r + carry * 2^(32k).
+ */
+int64_t
+foldColumns(const FoldTerm *fold, const MpUint &wide, int k, uint32_t *r)
+{
+    int64_t acc = 0;
+    for (int i = 0; i < k; ++i) {
+        acc += wide.limbU(i);
+        for (; fold->coef; ++fold)
+            acc += fold->coef * static_cast<int64_t>(wide.limbU(fold->src));
+        ++fold;
+        r[i] = static_cast<uint32_t>(acc);
+        acc >>= 32; // arithmetic: the carry is signed
     }
+    return acc;
+}
+
+/**
+ * P-521 mask-and-add: 2^521 == 1, so the bits above 521 add onto the
+ * low 521 bits.  For wide < 2^1042 the sum is < 2^522 and fits the 17
+ * words with no carry out.
+ */
+void
+foldP521(const MpUint &wide, uint32_t *r)
+{
+    uint64_t acc = 0;
+    for (int i = 0; i < 17; ++i) {
+        uint32_t lo = i < 16 ? wide.limbU(i) : wide.limbU(16) & 0x1FFu;
+        uint32_t hi = (wide.limbU(16 + i) >> 9) | (wide.limbU(17 + i) << 23);
+        acc += static_cast<uint64_t>(lo) + hi;
+        r[i] = static_cast<uint32_t>(acc);
+        acc >>= 32;
+    }
+}
+
+/** r += p over k words; returns the carry out. */
+int
+addWords(uint32_t *r, const MpUint &p, int k)
+{
+    uint64_t c = 0;
+    for (int i = 0; i < k; ++i) {
+        c += static_cast<uint64_t>(r[i]) + p.limbU(i);
+        r[i] = static_cast<uint32_t>(c);
+        c >>= 32;
+    }
+    return static_cast<int>(c);
+}
+
+/** r -= p over k words; returns the borrow out. */
+int
+subWords(uint32_t *r, const MpUint &p, int k)
+{
+    uint32_t borrow = 0;
+    for (int i = 0; i < k; ++i) {
+        uint64_t d = static_cast<uint64_t>(r[i]) - p.limbU(i) - borrow;
+        r[i] = static_cast<uint32_t>(d);
+        borrow = static_cast<uint32_t>(d >> 63);
+    }
+    return static_cast<int>(borrow);
+}
+
+/** True iff r (k words) >= p. */
+bool
+geqWords(const uint32_t *r, const MpUint &p, int k)
+{
+    for (int i = k - 1; i >= 0; --i) {
+        if (r[i] != p.limbU(i))
+            return r[i] > p.limbU(i);
+    }
+    return true;
+}
+
+/**
+ * Brings r + carry * 2^(32k) into [0, p).  Each add or subtract of p
+ * moves the carry towards zero at least every second step, because
+ * p > 2^(32k-1) for the four column primes; with the carry at zero,
+ * r < 2^(32k) and r < 2^522 (P-521) are both below 3p.  The carry is
+ * bounded by the weights of one column, so every loop is bounded.
+ */
+void
+normalise(uint32_t *r, int64_t carry, const MpUint &p, int k)
+{
+    while (carry < 0)
+        carry += addWords(r, p, k);
+    while (carry > 0)
+        carry -= subWords(r, p, k);
+    while (geqWords(r, p, k))
+        subWords(r, p, k);
 }
 
 NistPrime
@@ -82,8 +226,7 @@ PrimeField::PrimeField(const MpUint &p)
     : p_(p),
       bits_(p.bitLength()),
       words_((p.bitLength() + 31) / 32),
-      kind_(detectKind(p)),
-      terms_(solinasTermsFor(kind_))
+      kind_(detectKind(p))
 {
     if (!p_.isOdd())
         throw UleccError(Errc::InvalidInput,
@@ -98,7 +241,6 @@ PrimeField::PrimeField(const MpUint &p)
     MpUint r = MpUint::powerOfTwo(32 * words_);
     rModP_ = r.mod(p_);
     r2ModP_ = rModP_.mul(rModP_).mod(p_);
-    mask_ = MpUint::powerOfTwo(bits_).sub(MpUint(1));
 }
 
 PrimeField::PrimeField(NistPrime which)
@@ -183,93 +325,36 @@ PrimeField::pow(const MpUint &a, const MpUint &e) const
 MpUint
 PrimeField::reduce(const MpUint &wide) const
 {
-    if (hasSolinas())
-        return reduceSolinas(wide);
-    return reduceGeneric(wide);
+    if (32 * wide.size() > 2 * bits_ && wide.bitLength() > 2 * bits_)
+        throw UleccError(Errc::InvalidInput,
+                         "PrimeField::reduce: input wider than 2*"
+                             + std::to_string(bits_) + " bits");
+    const FoldTerm *fold = nullptr;
+    switch (kind_) {
+      case NistPrime::P192: fold = kP192Fold; break;
+      case NistPrime::P224: fold = kP224Fold; break;
+      case NistPrime::P256: fold = kP256Fold; break;
+      case NistPrime::P384: fold = kP384Fold; break;
+      case NistPrime::P521: break;
+      default: return reduceGeneric(wide);
+    }
+    uint32_t r[kMaxWords];
+    int64_t carry = 0;
+    if (fold)
+        carry = foldColumns(fold, wide, words_, r);
+    else
+        foldP521(wide, r);
+    normalise(r, carry, p_, words_);
+    MpUint out;
+    for (int i = 0; i < words_; ++i)
+        out.setLimb(i, r[i]);
+    return out;
 }
 
 MpUint
 PrimeField::reduceGeneric(const MpUint &wide) const
 {
     return wide.mod(p_);
-}
-
-MpUint
-PrimeField::reduceSolinas(const MpUint &wide) const
-{
-    // Fold the bits above position `bits_` back down using the identity
-    // 2^bits == sum_j sign_j * 2^shift_j (mod p).  Positive and negative
-    // contributions accumulate separately; the difference is normalised
-    // into [0, p) at the end.
-    MpUint pos = wide;
-    MpUint neg;
-    for (int iter = 0; ; ++iter) {
-        if (iter >= 16)
-            throw UleccError(Errc::Internal,
-                             "PrimeField::reduceSolinas: no convergence");
-        bool high = false;
-        if (pos.bitLength() > bits_) {
-            high = true;
-            MpUint h = pos.shiftRight(bits_);
-            pos = pos.bitAnd(mask_);
-            for (const auto &t : terms_) {
-                MpUint c = h.shiftLeft(t.shift);
-                if (t.sign > 0)
-                    pos = pos.add(c);
-                else
-                    neg = neg.add(c);
-            }
-        }
-        if (neg.bitLength() > bits_) {
-            high = true;
-            MpUint h = neg.shiftRight(bits_);
-            neg = neg.bitAnd(mask_);
-            for (const auto &t : terms_) {
-                MpUint c = h.shiftLeft(t.shift);
-                if (t.sign > 0)
-                    neg = neg.add(c);
-                else
-                    pos = pos.add(c);
-            }
-        }
-        if (!high)
-            break;
-    }
-    // pos, neg < 2^bits < 2p.
-    while (pos < neg)
-        pos = pos.add(p_);
-    MpUint r = pos.sub(neg);
-    while (r >= p_)
-        r = r.sub(p_);
-    return r;
-}
-
-MpUint
-PrimeField::reduceP192Literal(const MpUint &wide) const
-{
-    assert(kind_ == NistPrime::P192);
-    // Paper Algorithm 4, on 64-bit chunks c5..c0 of the 384-bit input:
-    //   s1 = (c2,c1,c0)  s2 = (0,c3,c3)  s3 = (c4,c4,0)  s4 = (c5,c5,c5)
-    //   T = s1 + s2 + s3 + s4; subtract p until T < p.
-    auto chunk = [&](int j) {
-        MpUint c;
-        c.setLimb(0, wide.limb(2 * j));
-        c.setLimb(1, wide.limb(2 * j + 1));
-        return c;
-    };
-    auto compose = [](const MpUint &hi, const MpUint &mid, const MpUint &lo) {
-        return hi.shiftLeft(128).add(mid.shiftLeft(64)).add(lo);
-    };
-    MpUint c0 = chunk(0), c1 = chunk(1), c2 = chunk(2);
-    MpUint c3 = chunk(3), c4 = chunk(4), c5 = chunk(5);
-    MpUint s1 = compose(c2, c1, c0);
-    MpUint s2 = compose(MpUint(), c3, c3);
-    MpUint s3 = compose(c4, c4, MpUint());
-    MpUint s4 = compose(c5, c5, c5);
-    MpUint t = s1.add(s2).add(s3).add(s4);
-    while (t >= p_)
-        t = t.sub(p_);
-    return t;
 }
 
 MpUint

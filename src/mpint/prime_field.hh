@@ -5,8 +5,8 @@
  * Implements the software algorithms the paper evaluates (Section 4.2.1):
  *
  *  - operand-scanning and product-scanning multi-precision multiplication
- *    (MpUint) followed by NIST fast (Solinas) reduction, used by the
- *    baseline and ISA-extended microarchitectures;
+ *    (MpUint) followed by NIST fast reduction, used by the baseline and
+ *    ISA-extended microarchitectures;
  *  - CIOS Montgomery multiplication (paper Algorithm 5), the algorithm
  *    microcoded into the Monte accelerator's FFAU;
  *  - FIPS (finely integrated product scanning) Montgomery multiplication,
@@ -14,15 +14,17 @@
  *  - binary-EEA inversion (used on Pete) and Fermat-little-theorem
  *    inversion (used on the accelerators).
  *
- * The five NIST primes of the study (P-192/224/256/384/521) are
- * recognised and given their Solinas fold identities (paper Eq. 4.3-4.7).
+ * The five NIST primes of the study (P-192/224/256/384/521, paper
+ * Eq. 4.3-4.7) are recognised and reduced word by word on fixed-width
+ * stack arrays: P-192 by the paper's Algorithm 4, P-224/256/384 by the
+ * FIPS 186 signed column sums, P-521 by mask-and-add.  Any other odd
+ * prime reduces by division.
  */
 
 #ifndef ULECC_MPINT_PRIME_FIELD_HH
 #define ULECC_MPINT_PRIME_FIELD_HH
 
 #include <string>
-#include <vector>
 
 #include "mpint/mpuint.hh"
 
@@ -47,13 +49,6 @@ MpUint nistPrimeValue(NistPrime which);
 class PrimeField
 {
   public:
-    /** One fold term of the Solinas identity 2^n == sum sign*2^shift. */
-    struct SolinasTerm
-    {
-        int sign;  ///< +1 or -1
-        int shift; ///< bit position
-    };
-
     /** Constructs a field for an odd prime @p p. */
     explicit PrimeField(const MpUint &p);
 
@@ -70,9 +65,6 @@ class PrimeField
 
     /** Which NIST prime this is (Generic if unrecognised). */
     NistPrime kind() const { return kind_; }
-
-    /** True if a Solinas fast-reduction identity is available. */
-    bool hasSolinas() const { return !terms_.empty(); }
 
     /** (a + b) mod p; inputs must be < p. */
     MpUint add(const MpUint &a, const MpUint &b) const;
@@ -101,20 +93,17 @@ class PrimeField
     /** a^e mod p (left-to-right binary, Montgomery domain inside). */
     MpUint pow(const MpUint &a, const MpUint &e) const;
 
-    /** Reduces a double-width value: fast path if available. */
+    /**
+     * Reduces a double-width value mod p: the word-level NIST fast
+     * reduction for the five NIST primes, division otherwise.
+     *
+     * Contract: @p wide < 2^(2*bits()), which covers every product of
+     * two elements < p.  Anything wider throws Errc::InvalidInput.
+     */
     MpUint reduce(const MpUint &wide) const;
 
     /** Generic reduction via division (test oracle / fallback). */
     MpUint reduceGeneric(const MpUint &wide) const;
-
-    /** NIST fast reduction via the Solinas fold identity. */
-    MpUint reduceSolinas(const MpUint &wide) const;
-
-    /**
-     * The paper's Algorithm 4, word-for-word: fast reduction modulo
-     * P-192 using 64-bit chunks s1..s4.  Only valid for P-192.
-     */
-    MpUint reduceP192Literal(const MpUint &wide) const;
 
     /** @name Montgomery arithmetic (R = 2^(32*words)) */
     /** @{ */
@@ -151,9 +140,6 @@ class PrimeField
 
     /** @} */
 
-    /** Solinas fold terms (empty when !hasSolinas()). */
-    const std::vector<SolinasTerm> &solinasTerms() const { return terms_; }
-
     /** Square root mod p (Tonelli-Shanks; shortcut for p % 4 == 3). */
     bool sqrt(const MpUint &a, MpUint &root) const;
 
@@ -162,11 +148,9 @@ class PrimeField
     int bits_;
     int words_;
     NistPrime kind_;
-    std::vector<SolinasTerm> terms_;
     uint32_t n0prime_;
     MpUint rModP_;
     MpUint r2ModP_;
-    MpUint mask_; ///< 2^bits - 1 for Solinas folding
 };
 
 } // namespace ulecc

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "base/error.hh"
 #include "mpint/binary_field.hh"
 #include "test_util.hh"
 
@@ -87,6 +90,57 @@ TEST_P(BinaryFieldAll, CombMatchesClmulScanning)
         EXPECT_EQ(f.polyMulComb(a, b), f.polyMulClmul(a, b))
             << "a=" << a.toHex() << " b=" << b.toHex();
         EXPECT_EQ(f.mul(a, b), f.mulClmul(a, b));
+    }
+}
+
+TEST_P(BinaryFieldAll, CombMatchesClmulOnEdgeOperands)
+{
+    // All-ones, single-bit and top-degree operands: every comb window
+    // and every row of the precomputed table, and the accumulator's
+    // top word.
+    BinaryField f(GetParam());
+    const int m = f.degree();
+    MpUint ones = MpUint::powerOfTwo(m).sub(MpUint(1));
+    std::vector<MpUint> edges = {ones, MpUint(1), MpUint::powerOfTwo(m - 1),
+                                 MpUint::powerOfTwo(m - 1).add(MpUint(1))};
+    for (int bit : {1, 3, 4, 31, 32, 33, m - 4, m - 2})
+        edges.push_back(MpUint::powerOfTwo(bit));
+    for (const MpUint &a : edges) {
+        for (const MpUint &b : edges) {
+            EXPECT_EQ(f.polyMulComb(a, b), f.polyMulClmul(a, b))
+                << "a=" << a.toHex() << " b=" << b.toHex();
+            EXPECT_EQ(f.mul(a, b), f.mulClmul(a, b));
+        }
+    }
+}
+
+TEST(BinaryField, CombRowsCarryIntoExtraWord)
+{
+    // In every NIST field b*u stays inside the element's words; with
+    // x^127 + x + 1 (4 words, one spare bit) the precomputed rows
+    // spill into a fifth word.
+    MpUint f;
+    f.setBit(127);
+    f.setBit(1);
+    f.setBit(0);
+    BinaryField gf(f);
+    MpUint ones = MpUint::powerOfTwo(127).sub(MpUint(1));
+    for (const MpUint &b : {ones, MpUint::powerOfTwo(126)}) {
+        EXPECT_EQ(gf.polyMulComb(ones, b), gf.polyMulClmul(ones, b));
+        EXPECT_EQ(gf.mul(b, ones), gf.mulClmul(b, ones));
+    }
+}
+
+TEST(BinaryField, DegreeBeyondProductCapacityRejected)
+{
+    // Degree 640 (20 words) still fits a raw product; 641 does not.
+    MpUint f = MpUint::powerOfTwo(640).add(MpUint(3));
+    EXPECT_EQ(BinaryField(f).words(), 20);
+    try {
+        BinaryField too(MpUint::powerOfTwo(641).add(MpUint(3)));
+        ADD_FAILURE() << "degree 641 accepted";
+    } catch (const UleccError &e) {
+        EXPECT_EQ(e.code(), Errc::InvalidInput);
     }
 }
 

@@ -1,11 +1,14 @@
 /**
  * @file
- * Unit and property tests for PrimeField: NIST fast reduction,
+ * Unit and property tests for PrimeField: word-level NIST reduction,
  * Montgomery (CIOS and FIPS) multiplication, inversion, square roots.
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "base/error.hh"
 #include "mpint/prime_field.hh"
 #include "test_util.hh"
 
@@ -35,11 +38,30 @@ TEST(PrimeField, NistPrimeValues)
     EXPECT_EQ(nistPrimeValue(NistPrime::P384).bitLength(), 384);
 }
 
+namespace
+{
+
+/**
+ * The carry-bound inputs of the word-level reductions: (p-1)^2 (the
+ * largest product mul() can form), 2^(2*bits) - 1, all-ones high half
+ * over a zero low half, and the reverse.
+ */
+std::vector<MpUint>
+carryBoundCases(const PrimeField &f)
+{
+    MpUint pm1 = f.modulus().sub(MpUint(1));
+    MpUint half = MpUint::powerOfTwo(f.bits()).sub(MpUint(1));
+    return {pm1.mul(pm1),
+            MpUint::powerOfTwo(2 * f.bits()).sub(MpUint(1)),
+            half.shiftLeft(f.bits()), half};
+}
+
+} // namespace
+
 TEST_P(PrimeFieldAll, KindDetected)
 {
     PrimeField f(GetParam());
     EXPECT_EQ(f.kind(), GetParam());
-    EXPECT_TRUE(f.hasSolinas());
 }
 
 TEST_P(PrimeFieldAll, SolinasMatchesGeneric)
@@ -50,14 +72,33 @@ TEST_P(PrimeFieldAll, SolinasMatchesGeneric)
         // Random double-width values, including near-maximal ones.
         MpUint wide = rng.mp(1 + static_cast<int>(
             rng.below(2 * f.bits())));
-        EXPECT_EQ(f.reduceSolinas(wide), f.reduceGeneric(wide))
+        EXPECT_EQ(f.reduce(wide), f.reduceGeneric(wide))
             << "wide=" << wide.toHex();
     }
-    // Extremes.
-    MpUint maxw = MpUint::powerOfTwo(2 * f.bits()).sub(MpUint(1));
-    EXPECT_EQ(f.reduceSolinas(maxw), f.reduceGeneric(maxw));
-    EXPECT_EQ(f.reduceSolinas(f.modulus()).toHex(), "0");
-    EXPECT_EQ(f.reduceSolinas(MpUint(0)).toHex(), "0");
+    // Extremes and carry bounds.
+    for (const MpUint &wide : carryBoundCases(f))
+        EXPECT_EQ(f.reduce(wide), f.reduceGeneric(wide))
+            << "wide=" << wide.toHex();
+    EXPECT_EQ(f.reduce(f.modulus()).toHex(), "0");
+    EXPECT_EQ(f.reduce(MpUint(0)).toHex(), "0");
+    MpUint pm1 = f.modulus().sub(MpUint(1));
+    EXPECT_EQ(f.reduce(pm1), pm1);
+    EXPECT_EQ(f.mul(pm1, pm1).toHex(), "1");
+}
+
+TEST_P(PrimeFieldAll, ReduceRejectsOverWideInput)
+{
+    PrimeField f(GetParam());
+    for (const MpUint &wide :
+         {MpUint::powerOfTwo(2 * f.bits()),
+          MpUint::powerOfTwo(2 * f.bits() + 40).sub(MpUint(1))}) {
+        try {
+            f.reduce(wide);
+            ADD_FAILURE() << "accepted wide=" << wide.toHex();
+        } catch (const UleccError &e) {
+            EXPECT_EQ(e.code(), Errc::InvalidInput);
+        }
+    }
 }
 
 TEST_P(PrimeFieldAll, AddSubNegLaws)
@@ -180,11 +221,13 @@ INSTANTIATE_TEST_SUITE_P(AllNistPrimes, PrimeFieldAll,
 
 TEST(PrimeField, P192LiteralReductionMatches)
 {
+    // reduce() on P-192 is paper Algorithm 4 (T = s1 + s2 + s3 + s4)
+    // summed as 32-bit word columns.
     PrimeField f(NistPrime::P192);
     Rng rng(0x192);
     for (int i = 0; i < 200; ++i) {
         MpUint wide = rng.mp(1 + static_cast<int>(rng.below(384)));
-        EXPECT_EQ(f.reduceP192Literal(wide), f.reduceGeneric(wide))
+        EXPECT_EQ(f.reduce(wide), f.reduceGeneric(wide))
             << "wide=" << wide.toHex();
     }
 }
@@ -194,7 +237,6 @@ TEST(PrimeField, GenericPrimeFallback)
     // A non-NIST prime exercises the generic reduction path.
     PrimeField f(MpUint::fromHex("ffffffffffffffc5")); // 2^64 - 59
     EXPECT_EQ(f.kind(), NistPrime::Generic);
-    EXPECT_FALSE(f.hasSolinas());
     Rng rng(0x9e9e);
     for (int i = 0; i < 50; ++i) {
         MpUint a = rng.mpBelow(f.modulus());
@@ -203,6 +245,10 @@ TEST(PrimeField, GenericPrimeFallback)
         MpUint am = f.toMont(a), bm = f.toMont(b);
         EXPECT_EQ(f.fromMont(f.montMulCios(am, bm)), f.mul(a, b));
     }
+    // The reduce() contract holds for the division path too.
+    EXPECT_THROW(f.reduce(MpUint::powerOfTwo(128)), UleccError);
+    EXPECT_EQ(f.reduce(MpUint::powerOfTwo(128).sub(MpUint(1))),
+              MpUint::powerOfTwo(128).sub(MpUint(1)).mod(f.modulus()));
 }
 
 TEST(PrimeField, SmallPrimeExhaustive)
