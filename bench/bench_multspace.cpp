@@ -17,7 +17,6 @@
  * file is byte-identical serial vs parallel (check.sh pins this).
  */
 
-#include <cstdlib>
 #include <fstream>
 
 #include "bench_util.hh"
@@ -144,13 +143,9 @@ printBestTable(const std::vector<Point> &pts,
 }
 
 void
-writeJournal(const std::vector<Point> &pts)
+writeJournal(std::ofstream &out, const std::vector<Point> &pts)
 {
-    const char *path = std::getenv("ULECC_MULTSPACE_METRICS");
-    if (!path || !*path)
-        return;
-    std::ofstream out(path, std::ios::app | std::ios::binary);
-    if (!out)
+    if (!out.is_open())
         return;
     for (const Point &p : pts) {
         const MultiplierDesc &d = multiplierDesc(p.variant);
@@ -190,6 +185,8 @@ main(int argc, char **argv)
         MicroArch::Billie};
 
     SweepDriver sweep(argc, argv);
+    std::ofstream journal =
+        openJournal(toolName(argv[0]), "ULECC_MULTSPACE_METRICS");
     for (MultiplierVariant v : kVariants) {
         sweep.addGrid(prime_archs, primes, optionsFor(v));
         sweep.addGrid(binary_archs, binaries, optionsFor(v));
@@ -243,6 +240,6 @@ main(int argc, char **argv)
              + std::to_string(flipped) + " of " + std::to_string(cells)
              + " (curve, arch) cells on EDP -- the axis the paper "
                "froze shifts the per-cell optimum");
-    writeJournal(pts);
+    writeJournal(journal, pts);
     return 0;
 }

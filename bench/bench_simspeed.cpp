@@ -8,8 +8,8 @@
  *     multiply kernel (Pete has one execution path, the per-step
  *     interpreter);
  *  2. the wall-clock of a full prime-field design-space sweep, serial
- *     vs. the parallel SweepRunner, and again with a warm evaluation
- *     memo (ULECC_EVAL_CACHE semantics, see docs/PERFORMANCE.md).
+ *     vs. the parallel SweepRunner, and again with a warm in-process
+ *     evaluation memo (core/eval_cache.hh, docs/PERFORMANCE.md).
  *
  * The measured numbers are journaled as the sim_wall_seconds /
  * sim_mips fields of the ulecc.bench.v1 record so perf regressions
@@ -23,6 +23,7 @@
 #include <string>
 #include <thread>
 
+#include "core/eval_cache.hh"
 #include "workload/asm_kernels.hh"
 
 #include "bench_util.hh"
@@ -127,8 +128,8 @@ main(int argc, char **argv)
     // whichever sweep runs first warms the mutex-guarded kernel/trace
     // memos and the rerun is nearly free either way.  What a single
     // process can measure honestly is the cost structure those caches
-    // create -- the cross-process story is the fig7 suite wall-clock
-    // under ULECC_EVAL_CACHE (docs/PERFORMANCE.md).
+    // create -- the cold cost is the paper suite's wall-clock, one
+    // fresh process per bench (docs/PERFORMANCE.md).
     double cold_s = timeSweep(sweep.serial(), true);
     double rerun_s = timeSweep(sweep.serial(), true);
     double memo_s = timeSweep(sweep.serial(), false);

@@ -4,24 +4,30 @@
  *
  * Every harness routes its design-point evaluations through one
  * SweepDriver: the points are registered up front, fanned out over
- * the parallel SweepRunner (src/par/) on first use, and then served
- * to the table-rendering code in its original order.  Because
- * evaluate() is pure and the runner reassembles results in
- * submission order, the text a bench prints is byte-identical to the
- * serial run -- `--serial` (or ULECC_JOBS=1) forces the old
- * one-cell-at-a-time behaviour for pinning that down.
+ * the parallel SweepRunner (src/par/) on first use -- which fills the
+ * process-wide evaluation memo (core/eval_cache.hh) -- and then read
+ * back through evaluate() by the table-rendering code in its original
+ * order.  Because evaluate() is pure, the text a bench prints is
+ * byte-identical to the serial run -- `--serial` (or ULECC_JOBS=1)
+ * forces the old one-cell-at-a-time behaviour for pinning that down.
+ *
+ * Every bench takes exactly one flag, `--serial`.  An unknown flag,
+ * or a journal variable naming a file that cannot be opened, is an
+ * input error: the bench prints "<bench>: [invalid-input] ..." on
+ * stderr and exits 2 before doing any work.
  */
 
 #ifndef ULECC_BENCH_BENCH_UTIL_HH
 #define ULECC_BENCH_BENCH_UTIL_HH
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <initializer_list>
-#include <map>
 #include <string>
 
-#include "core/eval_cache.hh"
+#include "base/error.hh"
 #include "core/evaluator.hh"
 #include "core/report.hh"
 #include "par/sweep.hh"
@@ -29,24 +35,66 @@
 namespace ulecc::bench
 {
 
+/** The bench's name for messages: @p argv0 without its directory. */
+inline const char *
+toolName(const char *argv0)
+{
+    const char *slash = std::strrchr(argv0, '/');
+    return slash ? slash + 1 : argv0;
+}
+
+/**
+ * Opens the journal file named by $@p var for appending.  Returns an
+ * unopened stream when the variable is unset or empty; a path that
+ * cannot be opened exits 2 with an [invalid-input] message naming the
+ * variable, so no bench silently drops its records.
+ */
+inline std::ofstream
+openJournal(const char *tool, const char *var)
+{
+    std::ofstream out;
+    const char *path = std::getenv(var);
+    if (!path || !*path)
+        return out;
+    out.open(path, std::ios::app | std::ios::binary);
+    if (!out) {
+        std::fprintf(stderr, "%s: [%s] %s names '%s', which cannot be "
+                     "opened for appending\n",
+                     tool, errcName(Errc::InvalidInput), var, path);
+        std::exit(2);
+    }
+    return out;
+}
+
 /**
  * The benches' front end to the parallel sweep engine.
  *
- * Usage: construct from main's argv (recognises `--serial`), register
- * every (arch, curve, options) cell the harness will print, then call
- * eval() from the rendering code.  The first eval() triggers the
- * parallel fan-out; unregistered points fall back to a plain inline
- * evaluation, so rendering code never has to care.
+ * Usage: construct from main's argv (accepts only `--serial`),
+ * register every (arch, curve, options) cell the harness will print,
+ * then call eval() from the rendering code.  The first eval() fans
+ * the registered points out over the pool, which fills the evaluation
+ * memo; eval() itself is plain evaluate(), so unregistered points are
+ * simply evaluated inline and rendering code never has to care.
  */
 class SweepDriver
 {
   public:
     SweepDriver(int argc, char **argv)
     {
+        const char *tool = toolName(argc > 0 ? argv[0] : "bench");
         for (int i = 1; i < argc; ++i) {
-            if (!std::strcmp(argv[i], "--serial"))
-                config_.serial = true;
+            if (std::strcmp(argv[i], "--serial")) {
+                std::fprintf(stderr, "%s: [%s] unknown flag '%s' "
+                             "(usage: %s [--serial])\n",
+                             tool, errcName(Errc::InvalidInput), argv[i],
+                             tool);
+                std::exit(2);
+            }
+            config_.serial = true;
         }
+        // The journal itself is written at exit (BenchJournal); only
+        // its path is checked here, before any work is done.
+        openJournal(tool, "ULECC_BENCH_METRICS");
     }
 
     /** Registers one design point for the fan-out. */
@@ -77,37 +125,25 @@ class SweepDriver
     {
         if (!warmed_)
             warm();
-        auto it = results_.find(evalPointKey(arch, curve, options));
-        if (it != results_.end())
-            return it->second;
         return evaluate(arch, curve, options);
     }
 
     bool serial() const { return config_.serial; }
 
   private:
-    /** Fans every registered point out over the pool (once). */
+    /** Fans every registered point out over the pool (once); the
+     * results land in the evaluation memo. */
     void
     warm()
     {
         warmed_ = true;
-        if (config_.serial)
-            return; // eval() falls back to inline evaluation
-        SweepRunner runner(config_);
-        std::vector<Result<EvalResult>> results = runner.run(points_);
-        for (size_t i = 0; i < points_.size(); ++i) {
-            if (!results[i].ok())
-                continue; // surface the error on the inline path
-            const SweepPoint &p = points_[i];
-            results_.emplace(evalPointKey(p.arch, p.curve, p.options),
-                             results[i].value());
-        }
+        if (!config_.serial)
+            SweepRunner(config_).run(points_);
     }
 
     SweepConfig config_;
     bool warmed_ = false;
     std::vector<SweepPoint> points_;
-    std::map<std::string, EvalResult> results_;
 };
 
 /** Adds a component-breakdown row (the Fig 7.2/7.9-style stacks). */

@@ -1,18 +1,12 @@
 /**
  * @file
- * Evaluation memo cache implementation.
+ * Evaluation memo implementation.
  */
 
 #include "core/eval_cache.hh"
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <map>
 #include <mutex>
-#include <sstream>
-#include <vector>
 
 #include "core/hexfloat.hh"
 
@@ -22,234 +16,28 @@ namespace ulecc
 namespace
 {
 
-// v2: every line carries a trailing FNV-1a checksum over "key|payload".
-// v1 lines had none, and a torn final line (a writer killed mid-append)
-// could truncate a trailing hexfloat into a *shorter but still valid*
-// token -- parsing cleanly into a silently wrong cached result.  v1
-// lines are now ignored (a cold re-evaluation, never a wrong number).
-constexpr const char *kLineTag = "ulecc.evalcache.v2";
-
-/** FNV-1a 64-bit, rendered as fixed-width hex (the line checksum). */
-std::string
-lineChecksum(const std::string &body)
-{
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (unsigned char c : body) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(h));
-    return buf;
-}
-
-/** Serializes one EvalResult as an ordered field list. */
-class FieldWriter
+/** Renders an ordered field list as "f0;f1;...". */
+class KeyWriter
 {
   public:
-    void add(uint64_t v) { out_ += std::to_string(v) + ' '; }
-    void add(int v) { out_ += std::to_string(v) + ' '; }
-    void add(bool v) { out_ += v ? "1 " : "0 "; }
-    void add(double v) { out_ += hexDouble(v) + ' '; }
+    void add(uint64_t v) { field(std::to_string(v)); }
+    void add(int v) { field(std::to_string(v)); }
+    void add(bool v) { field(v ? "1" : "0"); }
+    void add(double v) { field(hexDouble(v)); }
 
-    std::string
-    take()
-    {
-        if (!out_.empty() && out_.back() == ' ')
-            out_.pop_back();
-        return std::move(out_);
-    }
+    std::string take() { return std::move(out_); }
 
   private:
+    void
+    field(const std::string &text)
+    {
+        if (!out_.empty())
+            out_ += ';';
+        out_ += text;
+    }
+
     std::string out_;
 };
-
-/** Tokenized counterpart; ok() goes false on any malformed field. */
-class FieldReader
-{
-  public:
-    explicit FieldReader(const std::string &text) : in_(text) {}
-
-    bool ok() const { return ok_; }
-
-    template <typename T>
-    T
-    next()
-    {
-        std::string tok;
-        if (!(in_ >> tok)) {
-            ok_ = false;
-            return T{};
-        }
-        if constexpr (std::is_same_v<T, double>) {
-            // parseHexDouble, not strtod: strtod honours LC_NUMERIC,
-            // so a comma-decimal host would mis-tokenise the stream.
-            bool ok = false;
-            double v = parseHexDouble(tok, &ok);
-            ok_ = ok_ && ok;
-            return v;
-        } else {
-            char *end = nullptr;
-            unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-            ok_ = ok_ && end && *end == '\0';
-            return static_cast<T>(v);
-        }
-    }
-
-    /** True once every token has been consumed cleanly. */
-    bool
-    exhausted()
-    {
-        std::string tok;
-        return ok_ && !(in_ >> tok);
-    }
-
-  private:
-    std::istringstream in_;
-    bool ok_ = true;
-};
-
-void
-writeEvents(FieldWriter &w, const EventCounts &e)
-{
-    w.add(e.cycles);
-    w.add(e.instructions);
-    w.add(e.multActiveCycles);
-    w.add(e.romNarrowReads);
-    w.add(e.romWideReads);
-    w.add(e.ramReads);
-    w.add(e.ramWrites);
-    w.add(e.hasIcache);
-    w.add(e.idealIcache);
-    w.add(static_cast<uint64_t>(e.icacheBytes));
-    w.add(e.icAccesses);
-    w.add(e.icFills);
-    w.add(e.hasMonte);
-    w.add(e.monteFfauCycles);
-    w.add(e.monteDmaCycles);
-    w.add(e.monteBufAccesses);
-    w.add(e.hasBillie);
-    w.add(e.billieBits);
-    w.add(e.billieActiveCycles);
-}
-
-void
-readEvents(FieldReader &r, EventCounts &e)
-{
-    e.cycles = r.next<uint64_t>();
-    e.instructions = r.next<uint64_t>();
-    e.multActiveCycles = r.next<uint64_t>();
-    e.romNarrowReads = r.next<uint64_t>();
-    e.romWideReads = r.next<uint64_t>();
-    e.ramReads = r.next<uint64_t>();
-    e.ramWrites = r.next<uint64_t>();
-    e.hasIcache = r.next<uint64_t>() != 0;
-    e.idealIcache = r.next<uint64_t>() != 0;
-    e.icacheBytes = r.next<uint32_t>();
-    e.icAccesses = r.next<uint64_t>();
-    e.icFills = r.next<uint64_t>();
-    e.hasMonte = r.next<uint64_t>() != 0;
-    e.monteFfauCycles = r.next<uint64_t>();
-    e.monteDmaCycles = r.next<uint64_t>();
-    e.monteBufAccesses = r.next<uint64_t>();
-    e.hasBillie = r.next<uint64_t>() != 0;
-    e.billieBits = r.next<int>();
-    e.billieActiveCycles = r.next<uint64_t>();
-}
-
-void
-writeEnergy(FieldWriter &w, const EnergyBreakdown &e)
-{
-    w.add(e.peteUj);
-    w.add(e.ramUj);
-    w.add(e.romUj);
-    w.add(e.uncoreUj);
-    w.add(e.monteUj);
-    w.add(e.billieUj);
-    w.add(e.staticUj);
-}
-
-void
-readEnergy(FieldReader &r, EnergyBreakdown &e)
-{
-    e.peteUj = r.next<double>();
-    e.ramUj = r.next<double>();
-    e.romUj = r.next<double>();
-    e.uncoreUj = r.next<double>();
-    e.monteUj = r.next<double>();
-    e.billieUj = r.next<double>();
-    e.staticUj = r.next<double>();
-}
-
-void
-writeOperation(FieldWriter &w, const OperationEval &op)
-{
-    w.add(op.cycles);
-    writeEvents(w, op.events);
-    writeEnergy(w, op.energy);
-}
-
-void
-readOperation(FieldReader &r, OperationEval &op)
-{
-    op.cycles = r.next<uint64_t>();
-    readEvents(r, op.events);
-    readEnergy(r, op.energy);
-}
-
-std::string
-serializeResult(const EvalResult &result)
-{
-    FieldWriter w;
-    w.add(static_cast<int>(result.arch));
-    w.add(static_cast<int>(result.curve));
-    w.add(result.avgPowerMw);
-    w.add(result.staticPowerMw);
-    writeOperation(w, result.sign);
-    writeOperation(w, result.verify);
-    return w.take();
-}
-
-std::optional<EvalResult>
-deserializeResult(const std::string &payload)
-{
-    FieldReader r(payload);
-    EvalResult result;
-    result.arch = static_cast<MicroArch>(r.next<int>());
-    result.curve = static_cast<CurveId>(r.next<int>());
-    result.avgPowerMw = r.next<double>();
-    result.staticPowerMw = r.next<double>();
-    readOperation(r, result.sign);
-    readOperation(r, result.verify);
-    if (!r.exhausted())
-        return std::nullopt;
-    return result;
-}
-
-/** Mode decoded from $ULECC_EVAL_CACHE (re-read on every use so test
- * rigs can flip it between evaluations). */
-struct CacheMode
-{
-    bool enabled = true;
-    std::string path; ///< empty = in-process only
-};
-
-CacheMode
-cacheMode()
-{
-    CacheMode mode;
-    const char *env = std::getenv("ULECC_EVAL_CACHE");
-    if (!env || !*env || !std::strcmp(env, "1")
-        || !std::strcmp(env, "on"))
-        return mode;
-    if (!std::strcmp(env, "0") || !std::strcmp(env, "off")) {
-        mode.enabled = false;
-        return mode;
-    }
-    mode.path = env;
-    return mode;
-}
 
 } // namespace
 
@@ -258,7 +46,7 @@ evalPointKey(MicroArch arch, CurveId curve, const EvalOptions &options)
 {
     const KernelModelOptions &k = options.kernel;
     const PowerParams &p = options.power;
-    FieldWriter w;
+    KeyWriter w;
     w.add(static_cast<int>(arch));
     w.add(static_cast<int>(curve));
     w.add(static_cast<uint64_t>(k.icacheBytes));
@@ -289,12 +77,7 @@ evalPointKey(MicroArch arch, CurveId curve, const EvalOptions &options)
                          p.billieIdleFloor, p.accelGatingFactor,
                          p.romReadScale, p.romLeakMw})
         w.add(coeff);
-    std::string key = w.take();
-    for (char &c : key) {
-        if (c == ' ')
-            c = ';';
-    }
-    return key;
+    return w.take();
 }
 
 class EvalCache::Impl
@@ -302,45 +85,7 @@ class EvalCache::Impl
   public:
     std::mutex mtx;
     std::map<std::string, EvalResult> memo;
-    std::string mergedPath; ///< sink file already merged into memo
     EvalCacheStats stats;
-
-    /** Merges the sink file into the memo (once per path). */
-    void
-    mergeFile(const std::string &path)
-    {
-        if (path.empty() || path == mergedPath)
-            return;
-        mergedPath = path;
-        std::ifstream in(path, std::ios::binary);
-        if (!in)
-            return;
-        std::string line;
-        while (std::getline(in, line)) {
-            size_t p1 = line.find('|');
-            if (p1 == std::string::npos
-                || line.compare(0, p1, kLineTag) != 0)
-                continue;
-            size_t p2 = line.find('|', p1 + 1);
-            if (p2 == std::string::npos)
-                continue;
-            // Checksum last: a torn final line (no trailing newline,
-            // truncated anywhere -- even on a token boundary that
-            // still parses) must degrade to a miss, never a hit.
-            size_t p3 = line.rfind('|');
-            if (p3 <= p2)
-                continue;
-            std::string key = line.substr(p1 + 1, p2 - p1 - 1);
-            std::string payload = line.substr(p2 + 1, p3 - p2 - 1);
-            if (line.substr(p3 + 1) != lineChecksum(key + '|' + payload))
-                continue;
-            std::optional<EvalResult> result = deserializeResult(payload);
-            if (!result)
-                continue;
-            if (memo.emplace(key, *result).second)
-                ++stats.persistedLoads;
-        }
-    }
 };
 
 EvalCache::Impl &
@@ -357,21 +102,11 @@ EvalCache::instance()
     return cache;
 }
 
-bool
-EvalCache::enabled() const
-{
-    return cacheMode().enabled;
-}
-
 std::optional<EvalResult>
 EvalCache::lookup(const std::string &key)
 {
-    CacheMode mode = cacheMode();
-    if (!mode.enabled)
-        return std::nullopt;
     Impl &im = impl();
     std::lock_guard<std::mutex> lock(im.mtx);
-    im.mergeFile(mode.path);
     auto it = im.memo.find(key);
     if (it == im.memo.end()) {
         ++im.stats.misses;
@@ -384,21 +119,9 @@ EvalCache::lookup(const std::string &key)
 void
 EvalCache::store(const std::string &key, const EvalResult &result)
 {
-    CacheMode mode = cacheMode();
-    if (!mode.enabled)
-        return;
     Impl &im = impl();
     std::lock_guard<std::mutex> lock(im.mtx);
-    im.mergeFile(mode.path);
-    if (!im.memo.emplace(key, result).second)
-        return; // raced with another thread or already persisted
-    if (mode.path.empty())
-        return;
-    std::ofstream out(mode.path, std::ios::binary | std::ios::app);
-    if (!out)
-        return;
-    std::string body = key + '|' + serializeResult(result);
-    out << kLineTag << '|' << body << '|' << lineChecksum(body) << '\n';
+    im.memo.emplace(key, result);
 }
 
 EvalCacheStats
@@ -415,7 +138,6 @@ EvalCache::clear()
     Impl &im = impl();
     std::lock_guard<std::mutex> lock(im.mtx);
     im.memo.clear();
-    im.mergedPath.clear();
     im.stats = EvalCacheStats{};
 }
 

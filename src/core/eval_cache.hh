@@ -1,33 +1,15 @@
 /**
  * @file
- * Process-wide (and optionally cross-process) memoization of design-
- * point evaluations.
+ * Process-wide memoization of design-point evaluations.
  *
  * evaluate() is a pure function of (arch, curve, options), and the
  * reproduction suite revisits the same design points constantly --
- * Baseline/P-192 alone appears in a dozen figure harnesses.  The cache
- * makes every revisit free while keeping results bit-identical to a
- * cold evaluation: numeric payloads round-trip through C99 hexfloats,
- * so a cached EvalResult compares equal byte-for-byte with a computed
- * one and bench text output cannot drift.
- *
- * Controlled by $ULECC_EVAL_CACHE:
- *
- *   unset / "1" / "on"   in-process memo only (the default);
- *   "0" / "off"          caching disabled entirely;
- *   any other value      treated as a file path: entries are loaded
- *                        from it on first use and appended as they
- *                        are computed, so consecutive bench processes
- *                        share one warm cache across the whole suite.
- *
- * The file format is line-oriented
- * ("ulecc.evalcache.v2|<key>|<fields>|<fnv1a64>") and append-only.
- * Unparseable, version-mismatched, or checksum-failing lines are
- * ignored, so concurrent writers, torn final lines from a writer
- * killed mid-append, and format evolution all degrade to cache
- * misses, never to wrong numbers.  Hexfloats are rendered and parsed
- * by core/hexfloat (bit-exact, locale-independent), so one cache file
- * is shared safely across processes regardless of LC_NUMERIC.
+ * Baseline/P-192 alone appears in a dozen figure harnesses.  The memo
+ * makes every revisit within one process free: a hit returns the very
+ * EvalResult the first evaluation computed, so bench text output
+ * cannot drift.  It is the only whole-point memo; the bench
+ * SweepDriver and the svc warm-up fill it through SweepRunner and then
+ * read it through evaluate().
  */
 
 #ifndef ULECC_CORE_EVAL_CACHE_HH
@@ -56,7 +38,7 @@ struct EvalCacheStats
 {
     uint64_t hits = 0;
     uint64_t misses = 0;
-    uint64_t persistedLoads = 0; ///< entries merged from the file
+    uint64_t persistedLoads = 0; ///< always 0: the memo is in-process
 };
 
 /** The process-wide evaluation memo (thread-safe). */
@@ -65,19 +47,15 @@ class EvalCache
   public:
     static EvalCache &instance();
 
-    /** False when $ULECC_EVAL_CACHE is "0"/"off". */
-    bool enabled() const;
-
     /** Cached result for @p key, if present (counts a hit/miss). */
     std::optional<EvalResult> lookup(const std::string &key);
 
-    /** Memoizes @p result (and appends it to the sink file, if any). */
+    /** Memoizes @p result (the first store of a key wins). */
     void store(const std::string &key, const EvalResult &result);
 
     EvalCacheStats stats() const;
 
-    /** Test seam: drops the in-memory map and resets statistics (the
-     * sink file, if any, is left untouched and will be re-merged). */
+    /** Test seam: drops every entry and resets statistics. */
     void clear();
 
   private:

@@ -173,10 +173,8 @@ EvalResult
 evaluate(MicroArch arch, CurveId curve, const EvalOptions &options)
 {
     EvalCache &cache = EvalCache::instance();
-    if (!cache.enabled())
-        return evaluateUncached(arch, curve, options);
     // Pure function of the key, so memoization is observationally
-    // invisible (the round-trip is exact -- see eval_cache.hh).
+    // invisible (see eval_cache.hh).
     std::string key = evalPointKey(arch, curve, options);
     if (std::optional<EvalResult> hit = cache.lookup(key))
         return *hit;

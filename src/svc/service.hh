@@ -86,10 +86,6 @@ struct SvcConfig
     /** Curves traffic is drawn from (uniform mix). */
     std::vector<CurveId> curves{CurveId::P192, CurveId::B163,
                                 CurveId::P256};
-
-    /** Pre-warm the evaluation memo for every (arch, curve) cell the
-     * traffic can touch, in parallel, before the clock starts. */
-    bool warmEvalCache = true;
 };
 
 /** Timing-free outcome counters (everything the report aggregates). */

@@ -1,12 +1,15 @@
 /**
  * @file
  * Tests for the differential conformance harness: the RefInt oracle,
- * the hexfloat codec it shares plumbing with, and the diffuzz engine
+ * the hexfloat renderer, and the diffuzz engine
  * (rng determinism, case format, shrinker, golden-vector loading).
  */
 
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -101,31 +104,22 @@ TEST(RefInt, PolynomialOps)
 
 TEST(Hexfloat, BitExactRoundTrip)
 {
+    // strtod reads hexfloats bit-exactly; this process runs in the
+    // "C" locale, where hexDouble's grammar is a subset of its input.
+    const double inf = std::numeric_limits<double>::infinity();
     const double values[] = {0.0,     -0.0,   1.0,    -1.0,  0.1,
                              1.0 / 3, 1e308,  5e-324, 1e-308,
-                             6.25e-2, 123456789.0};
+                             6.25e-2, 123456789.0, inf, -inf};
     for (double v : values) {
-        bool ok = false;
-        double back = parseHexDouble(hexDouble(v), &ok);
-        EXPECT_TRUE(ok) << hexDouble(v);
-        EXPECT_EQ(std::memcmp(&v, &back, sizeof v), 0) << hexDouble(v);
+        std::string text = hexDouble(v);
+        char *end = nullptr;
+        double back = std::strtod(text.c_str(), &end);
+        EXPECT_EQ(*end, '\0') << text;
+        EXPECT_EQ(std::memcmp(&v, &back, sizeof v), 0) << text;
     }
-    bool ok = false;
-    EXPECT_TRUE(std::isinf(parseHexDouble(hexDouble(1e308 * 10), &ok)));
-    EXPECT_TRUE(ok);
-    EXPECT_TRUE(std::isnan(parseHexDouble("nan", &ok)));
-    EXPECT_TRUE(ok);
-}
-
-TEST(Hexfloat, RejectsMalformed)
-{
-    const char *bad[] = {"",      "0x",     "0x1.gp+1", "0x1p",
-                         "0x1p+", "1.5",    "0x1p+1z",  "0x1.8p+1 "};
-    for (const char *s : bad) {
-        bool ok = true;
-        EXPECT_EQ(parseHexDouble(s, &ok), 0.0) << s;
-        EXPECT_FALSE(ok) << s;
-    }
+    std::string nan = hexDouble(std::nan(""));
+    EXPECT_EQ(nan, "nan");
+    EXPECT_TRUE(std::isnan(std::strtod(nan.c_str(), nullptr)));
 }
 
 TEST(Diffuzz, RngIsDeterministicAndPerTargetIndependent)

@@ -1,12 +1,12 @@
 /**
  * @file
  * Parallel sweep engine tests: ThreadPool contract, SweepRunner
- * serial/parallel bit-equality and ordering, the evaluation memo
- * (in-process and file-persisted), and a subprocess byte-compare of a
- * representative bench harness against its own --serial run.
+ * serial/parallel bit-equality and ordering, the evaluation memo and
+ * the bench SweepDriver that reads through it, and a subprocess
+ * byte-compare of a representative bench harness against its own
+ * --serial run.
  */
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -23,6 +23,8 @@
 #include "core/evaluator.hh"
 #include "par/sweep.hh"
 #include "par/thread_pool.hh"
+
+#include "bench_util.hh"
 
 using namespace ulecc;
 
@@ -422,33 +424,42 @@ TEST(ThreadPool, StealRaceStressLosesNoTasks)
 
 TEST(Sweep, ParallelMatchesSerialBitExact)
 {
-    // Disable the evaluation memo so the two sweeps genuinely compute
-    // everything twice -- a shared memo would make this test vacuous.
-    EnvVar cache("ULECC_EVAL_CACHE", "0");
+    // Empty the evaluation memo before each sweep so both genuinely
+    // compute everything -- a shared memo would make this test vacuous.
     std::vector<SweepPoint> points = fullDesignSpace();
 
     SweepConfig serial_cfg;
     serial_cfg.serial = true;
     SweepRunner serial(serial_cfg);
     EXPECT_EQ(serial.jobs(), 1u);
+    EvalCache::instance().clear();
     std::vector<Result<EvalResult>> golden = serial.run(points);
 
     SweepConfig par_cfg;
     par_cfg.jobs = 4;
     SweepRunner parallel(par_cfg);
     EXPECT_EQ(parallel.jobs(), 4u);
+    EvalCache::instance().clear();
     std::vector<Result<EvalResult>> ours = parallel.run(points);
+    const EvalCacheStats stats = EvalCache::instance().stats();
+    EvalCache::instance().clear();
 
     ASSERT_EQ(golden.size(), points.size());
     ASSERT_EQ(ours.size(), points.size());
+    uint64_t supported = 0;
     for (size_t i = 0; i < points.size(); ++i) {
         ASSERT_EQ(golden[i].ok(), ours[i].ok()) << "point " << i;
         if (!golden[i].ok()) {
             EXPECT_EQ(golden[i].code(), ours[i].code());
             continue;
         }
+        ++supported;
         expectResultsIdentical(golden[i].value(), ours[i].value());
     }
+    // The parallel sweep computed every supported point itself.
+    EXPECT_GT(supported, 0u);
+    EXPECT_EQ(stats.hits, 0u);
+    EXPECT_EQ(stats.misses, supported);
 }
 
 TEST(Sweep, ResultsComeBackInSubmissionOrder)
@@ -527,7 +538,6 @@ TEST(EvalCache, MultiplierVariantMissesTheMemo)
 {
     // A variant change must MISS: a schoolbook evaluation may never
     // be served from the karatsuba entry.
-    EnvVar cache("ULECC_EVAL_CACHE", "1");
     EvalCache::instance().clear();
     evaluate(MicroArch::Baseline, CurveId::P192, {});
     uint64_t misses = EvalCache::instance().stats().misses;
@@ -543,7 +553,6 @@ TEST(EvalCache, MultiplierVariantMissesTheMemo)
 
 TEST(EvalCache, MemoHitIsBitIdentical)
 {
-    EnvVar cache("ULECC_EVAL_CACHE", "1");
     EvalCache::instance().clear();
     EvalResult first = evaluate(MicroArch::Baseline, CurveId::P192, {});
     uint64_t misses = EvalCache::instance().stats().misses;
@@ -554,92 +563,35 @@ TEST(EvalCache, MemoHitIsBitIdentical)
     EvalCache::instance().clear();
 }
 
-TEST(EvalCache, FilePersistsBitIdenticalAcrossClear)
+TEST(BenchSweep, DriverServesWarmedPointsFromTheEvalMemo)
 {
-    std::string path = testing::TempDir() + "ulecc_evalcache_test.txt";
-    std::remove(path.c_str());
-
-    EvalResult uncached;
-    {
-        EnvVar cache("ULECC_EVAL_CACHE", "0");
-        uncached = evaluate(MicroArch::IsaExt, CurveId::P224, {});
-    }
-    {
-        EnvVar cache("ULECC_EVAL_CACHE", path.c_str());
-        EvalCache::instance().clear();
-        EvalResult computed =
-            evaluate(MicroArch::IsaExt, CurveId::P224, {});
-        expectResultsIdentical(uncached, computed);
-
-        // Drop the in-memory memo; the file must re-warm it with the
-        // exact same bits.
-        EvalCache::instance().clear();
-        EvalResult persisted =
-            evaluate(MicroArch::IsaExt, CurveId::P224, {});
-        EXPECT_GE(EvalCache::instance().stats().persistedLoads, 1u);
-        expectResultsIdentical(uncached, persisted);
-    }
-    EXPECT_FALSE(readFile(path).empty());
-    std::remove(path.c_str());
+    // SweepDriver keeps no results of its own: warming its grid fills
+    // the process-wide memo, and eval() of a registered point is a
+    // memo hit.
     EvalCache::instance().clear();
-}
+    char name[] = "bench_test";
+    char *argv[] = {name, nullptr};
+    bench::SweepDriver sweep(1, argv);
+    ASSERT_FALSE(sweep.serial());
+    EvalOptions ideal;
+    ideal.idealIcache = true;
+    std::vector<SweepPoint> points;
+    for (CurveId curve : {CurveId::P192, CurveId::B163}) {
+        for (MicroArch arch : {MicroArch::Baseline, MicroArch::IsaExt})
+            points.push_back({arch, curve, {}});
+    }
+    points.push_back({MicroArch::Baseline, CurveId::P192, ideal});
+    for (const SweepPoint &p : points)
+        sweep.add(p.arch, p.curve, p.options);
 
-TEST(EvalCache, CorruptPersistenceLinesDegradeToMisses)
-{
-    std::string path = testing::TempDir() + "ulecc_evalcache_bad.txt";
-    {
-        std::ofstream out(path, std::ios::binary);
-        out << "not a cache line at all\n";
-        out << "ulecc.evalcache.v1|truncated\n";
-        out << "ulecc.evalcache.v9|future|format\n";
-    }
-    EnvVar cache("ULECC_EVAL_CACHE", path.c_str());
-    EvalCache::instance().clear();
-    EvalResult r = evaluate(MicroArch::Baseline, CurveId::P192, {});
-    EXPECT_GT(r.totalCycles(), 0u);
-    EXPECT_GE(EvalCache::instance().stats().misses, 1u);
-    std::remove(path.c_str());
-    EvalCache::instance().clear();
-}
-
-TEST(EvalCache, TornFinalLineIsAMissNotAWrongHit)
-{
-    // A writer killed mid-append leaves a prefix of a valid line.  The
-    // checksum must reject it: the historical failure mode was a torn
-    // numeric field parsing "cleanly" into a WRONG cached result.
-    std::string path = testing::TempDir() + "ulecc_evalcache_torn.txt";
-    std::remove(path.c_str());
-
-    EvalResult uncached;
-    {
-        EnvVar cache("ULECC_EVAL_CACHE", "0");
-        uncached = evaluate(MicroArch::Baseline, CurveId::P192, {});
-    }
-    {
-        EnvVar cache("ULECC_EVAL_CACHE", path.c_str());
-        EvalCache::instance().clear();
-        evaluate(MicroArch::Baseline, CurveId::P192, {});
-    }
-    std::string text = readFile(path);
-    ASSERT_GT(text.size(), 40u);
-    size_t lines = static_cast<size_t>(
-        std::count(text.begin(), text.end(), '\n'));
-    {
-        // Tear the final line: drop its newline and checksum tail.
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out << text.substr(0, text.size() - 17);
-    }
-    {
-        EnvVar cache("ULECC_EVAL_CACHE", path.c_str());
-        EvalCache::instance().clear();
-        EvalResult recomputed =
-            evaluate(MicroArch::Baseline, CurveId::P192, {});
-        // At most the intact lines may warm the memo; the torn line
-        // must not, and the recomputation must be bit-identical.
-        EXPECT_LT(EvalCache::instance().stats().persistedLoads, lines);
-        expectResultsIdentical(uncached, recomputed);
-    }
-    std::remove(path.c_str());
+    sweep.eval(points[0].arch, points[0].curve, points[0].options);
+    const EvalCacheStats warmed = EvalCache::instance().stats();
+    EXPECT_EQ(warmed.misses, points.size());
+    for (const SweepPoint &p : points)
+        sweep.eval(p.arch, p.curve, p.options);
+    const EvalCacheStats after = EvalCache::instance().stats();
+    EXPECT_EQ(after.misses, warmed.misses);
+    EXPECT_EQ(after.hits, warmed.hits + points.size());
     EvalCache::instance().clear();
 }
 
@@ -651,11 +603,8 @@ TEST(BenchSweep, Fig7OutputByteIdenticalToSerial)
     std::string par_out = dir + "fig7_par.txt";
     std::string serial_journal = dir + "fig7_serial.jsonl";
     std::string par_journal = dir + "fig7_par.jsonl";
-    std::string cache_file = dir + "fig7_cache.txt";
-    std::string cached_out = dir + "fig7_cached.txt";
     std::remove(serial_journal.c_str());
     std::remove(par_journal.c_str());
-    std::remove(cache_file.c_str());
 
     std::string bin = ULECC_BENCH_FIG7_BIN;
     auto sh = [](const std::string &cmd) {
@@ -672,21 +621,9 @@ TEST(BenchSweep, Fig7OutputByteIdenticalToSerial)
     EXPECT_EQ(golden, readFile(par_out));
     EXPECT_EQ(readFile(serial_journal), readFile(par_journal));
 
-    // A cold file-cache write pass and a warm read pass must both
-    // print the identical bytes again.
-    sh("ULECC_EVAL_CACHE=" + cache_file + " " + bin + " > "
-       + cached_out);
-    EXPECT_EQ(golden, readFile(cached_out));
-    EXPECT_FALSE(readFile(cache_file).empty());
-    sh("ULECC_EVAL_CACHE=" + cache_file + " " + bin + " > "
-       + cached_out);
-    EXPECT_EQ(golden, readFile(cached_out));
-
     std::remove(serial_out.c_str());
     std::remove(par_out.c_str());
     std::remove(serial_journal.c_str());
     std::remove(par_journal.c_str());
-    std::remove(cache_file.c_str());
-    std::remove(cached_out.c_str());
 }
 #endif

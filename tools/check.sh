@@ -118,25 +118,38 @@ fi
 "$json_check" --jsonl "$schemas/bench_record.schema.json" \
     "$work/bench.jsonl"
 
-step "telemetry: multiplier design-space sweep (serial vs parallel)"
-for mode in par ser; do
-    extra=()
-    [[ $mode == ser ]] && extra=(--serial)
-    : > "$work/multspace_$mode.jsonl"
-    ULECC_MULTSPACE_METRICS="$work/multspace_$mode.jsonl" \
-        "$repo/build/bench/bench_multspace" "${extra[@]}" \
-        > "$work/multspace_$mode.txt"
+step "paper benches: serial vs parallel (text and journals identical)"
+# Every harness reads its points through SweepDriver, which fills the
+# shared evaluation memo from the parallel sweep: each paper bench
+# must print and journal the same bytes as its --serial run.
+paper_benches=(bench_fig7_{01..15} bench_table7_{1..5} bench_sec7_7
+               bench_sec7_8 bench_ablation bench_future_work
+               bench_related_work bench_multspace)
+for bench in "${paper_benches[@]}"; do
+    for mode in par ser; do
+        extra=()
+        [[ $mode == ser ]] && extra=(--serial)
+        out="$work/$bench.$mode"
+        : > "$out.jsonl"
+        : > "$out.multspace.jsonl"
+        ULECC_BENCH_METRICS="$out.jsonl" \
+        ULECC_MULTSPACE_METRICS="$out.multspace.jsonl" \
+            "$repo/build/bench/$bench" "${extra[@]}" > "$out.txt"
+    done
+    for ext in txt jsonl multspace.jsonl; do
+        if ! cmp -s "$work/$bench.par.$ext" "$work/$bench.ser.$ext"; then
+            echo "FAIL: $bench $ext differs serial vs parallel" >&2
+            diff "$work/$bench.par.$ext" "$work/$bench.ser.$ext" >&2 \
+                || true
+            exit 1
+        fi
+    done
+    "$json_check" --jsonl "$schemas/bench_record.schema.json" \
+        "$work/$bench.par.jsonl"
 done
-for ext in txt jsonl; do
-    if ! cmp -s "$work/multspace_par.$ext" "$work/multspace_ser.$ext"; then
-        echo "FAIL: multspace $ext differs serial vs parallel" >&2
-        diff "$work/multspace_par.$ext" "$work/multspace_ser.$ext" >&2 \
-            || true
-        exit 1
-    fi
-done
+echo "ok:   ${#paper_benches[@]} paper benches byte-identical serial vs parallel"
 "$json_check" --jsonl "$schemas/multspace.schema.json" \
-    "$work/multspace_par.jsonl"
+    "$work/bench_multspace.par.multspace.jsonl"
 
 if [[ $run_bench -eq 1 ]]; then
     step "bench: simulator throughput vs committed baseline"
@@ -165,11 +178,10 @@ if [[ $run_bench -eq 1 ]]; then
         --at-least svc_batch_occupancy
 
     step "bench: multiplier design space vs committed baseline"
-    if ! cmp -s "$repo/BENCH_multspace.json" \
-            "$work/multspace_par.jsonl"; then
+    ms_journal="$work/bench_multspace.par.multspace.jsonl"
+    if ! cmp -s "$repo/BENCH_multspace.json" "$ms_journal"; then
         echo "FAIL: multspace journal drifted from BENCH_multspace.json" >&2
-        diff "$repo/BENCH_multspace.json" "$work/multspace_par.jsonl" >&2 \
-            || true
+        diff "$repo/BENCH_multspace.json" "$ms_journal" >&2 || true
         exit 1
     fi
     echo "ok:   80 multspace records byte-identical to baseline"

@@ -11,7 +11,7 @@
  *           [--deadline-factor F] [--deadline-floor-ms MS]
  *           [--retries N] [--no-batch] [--batch-max N]
  *           [--batch-linger-us US] [--batch-slack S]
- *           [--batch-setup F] [--no-warm] [--json PATH] [--quiet]
+ *           [--batch-setup F] [--json PATH] [--quiet]
  *           [--trace-requests PATH] [--timeline PATH]
  *           [--window-ms MS] [--slo PATH] [--flight-recorder PATH]
  *
@@ -86,8 +86,8 @@ usage()
         "               [--deadline-factor F] [--deadline-floor-ms MS]\n"
         "               [--retries N] [--no-batch] [--batch-max N]\n"
         "               [--batch-linger-us US] [--batch-slack S]\n"
-        "               [--batch-setup F] [--no-warm] [--json PATH]\n"
-        "               [--quiet] [--trace-requests PATH]\n"
+        "               [--batch-setup F] [--json PATH] [--quiet]\n"
+        "               [--trace-requests PATH]\n"
         "               [--timeline PATH] [--window-ms MS]\n"
         "               [--slo PATH] [--flight-recorder PATH]\n");
 }
@@ -187,8 +187,6 @@ main(int argc, char **argv)
         } else if (!std::strcmp(flag, "--retries") && valued) {
             // The exponential backoff saturates long before 64 tries.
             ok = count(1, 64, cfg.backoff.maxAttempts);
-        } else if (!std::strcmp(flag, "--no-warm")) {
-            cfg.warmEvalCache = false;
         } else if (!std::strcmp(flag, "--json") && valued) {
             jsonPath = argv[++i];
         } else if (!std::strcmp(flag, "--trace-requests") && valued) {
