@@ -6,10 +6,9 @@
 #include "core/evaluator.hh"
 
 #include <cmath>
-#include <map>
-#include <mutex>
 #include <tuple>
 
+#include "base/once_map.hh"
 #include "core/eval_cache.hh"
 #include "workload/fetch_trace.hh"
 #include "workload/op_trace.hh"
@@ -36,14 +35,9 @@ const FetchReplayResult &
 cachedReplay(CurveId curve, MicroArch arch, const ICacheConfig &cfg)
 {
     using Key = std::tuple<CurveId, MicroArch, uint32_t, bool>;
-    static std::map<Key, FetchReplayResult> cache;
-    static std::mutex mtx;
-    Key key{curve, arch, cfg.sizeBytes, cfg.prefetch};
-    std::lock_guard<std::mutex> lock(mtx);
-    auto it = cache.find(key);
-    if (it == cache.end())
-        it = cache.emplace(key, replayFetchTrace(curve, arch, cfg)).first;
-    return it->second;
+    static OnceMap<Key, FetchReplayResult> cache;
+    return cache.get(Key{curve, arch, cfg.sizeBytes, cfg.prefetch},
+                     [&] { return replayFetchTrace(curve, arch, cfg); });
 }
 
 OperationEval
@@ -94,7 +88,6 @@ composeOperation(const KernelModel &model, const OpCounts &counts,
         const FetchReplayResult &rep =
             cachedReplay(model.curve(), arch, cfg);
         double scale = instructions / std::max<double>(1.0, rep.fetches);
-        double misses = rep.stats.misses * scale;
         double stalling = rep.stallingMisses() * scale;
         double pf_fills = rep.stats.prefetchFills * scale;
         cycles += stalling * cfg.missPenalty;
@@ -104,7 +97,6 @@ composeOperation(const KernelModel &model, const OpCounts &counts,
         ev.events.icFills = static_cast<uint64_t>(
             rep.stats.lineFills * scale + pf_fills);
         ev.events.romWideReads = ev.events.icFills;
-        (void)misses;
     } else if (ideal_icache) {
         ev.events.hasIcache = true;
         ev.events.idealIcache = true;

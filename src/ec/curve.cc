@@ -7,10 +7,9 @@
 #include "ec/curve.hh"
 
 #include "base/error.hh"
+#include "base/once_map.hh"
 
 #include <cassert>
-#include <map>
-#include <mutex>
 #include <stdexcept>
 
 namespace ulecc
@@ -585,13 +584,8 @@ buildCurve(CurveId id)
 const Curve &
 standardCurve(CurveId id)
 {
-    static std::map<CurveId, std::unique_ptr<Curve>> cache;
-    static std::mutex mtx;
-    std::lock_guard<std::mutex> lock(mtx);
-    auto it = cache.find(id);
-    if (it == cache.end())
-        it = cache.emplace(id, buildCurve(id)).first;
-    return *it->second;
+    static OnceMap<CurveId, std::unique_ptr<Curve>> cache;
+    return *cache.get(id, [id] { return buildCurve(id); });
 }
 
 const std::vector<CurveId> &

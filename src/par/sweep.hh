@@ -11,10 +11,15 @@
  * identical Result values, identical ordering, identical downstream
  * text (the bench harnesses pin this byte-for-byte).
  *
+ * Points are submitted round-robin across curves, largest field
+ * first, so the workers fill different curves' memos at once; each
+ * result still lands in its input-order slot.
+ *
  * Thread-safety relies on two properties of the layers below: every
- * global memo (curve registry, op traces, measured kernels, fetch
- * replays, the evaluation cache) is mutex-guarded, and the field-op
- * observer hooks are thread-local.
+ * global memo is safe to call concurrently (the curve registry, op
+ * traces, measured kernels and fetch replays fill each key once
+ * through a per-key OnceMap slot; the evaluation cache is
+ * mutex-guarded), and the field-op observer hooks are thread-local.
  */
 
 #ifndef ULECC_PAR_SWEEP_HH
@@ -54,8 +59,8 @@ class SweepRunner
     explicit SweepRunner(const SweepConfig &config = {});
 
     /**
-     * Evaluates every point and returns the results in submission
-     * order: result[i] corresponds to points[i] whatever the
+     * Evaluates every point and returns the results in input order:
+     * result[i] corresponds to points[i] whatever the submission or
      * completion order was.  Unsupported cells come back as their
      * usual structured errors (Errc::Unsupported etc.), never as
      * exceptions.

@@ -5,6 +5,8 @@
 
 #include "workload/fetch_trace.hh"
 
+#include <algorithm>
+
 namespace ulecc
 {
 
@@ -43,31 +45,17 @@ struct CodeMap
     }
 };
 
-class Replayer
+/**
+ * The code-map walk: turns the recorded field-operation sequence into
+ * straight-line runs and loops over the code map.  It is the one copy
+ * of the control flow; the sink decides how each fetch is counted.
+ */
+class Walker
 {
   public:
-    Replayer(const ICacheConfig &config, int k)
-        : cache_(config), map_(CodeMap::build()), k_(k)
-    {
-        cache_.invalidateAll();
-    }
-
-    /** Fetches @p words sequential instructions from @p base. */
-    void
-    block(uint32_t base, int words)
-    {
-        for (int i = 0; i < words; ++i)
-            cache_.access(base + 4 * i);
-        fetches_ += words;
-    }
-
-    /** A loop: @p body words executed @p iters times. */
-    void
-    loop(uint32_t base, int body, int iters)
-    {
-        for (int it = 0; it < iters; ++it)
-            block(base, body);
-    }
+    Walker(FetchSink &sink, int k)
+        : sink_(sink), map_(CodeMap::build()), k_(k)
+    {}
 
     void
     fieldOp(OpEvent ev)
@@ -76,11 +64,11 @@ class Replayer
         // mimicking the point-arithmetic control flow.
         uint32_t caller = (opIndex_ % 3 == 2) ? map_.paddBase
                                               : map_.pdblBase;
-        block(caller + (opIndex_ * 52) % 800, 13);
+        sink_.block(caller + (opIndex_ * 52) % 800, 13);
         ++opIndex_;
         // Every handful of field ops the scalar loop advances.
         if (opIndex_ % 11 == 0)
-            block(map_.scalarBase, 28);
+            sink_.block(map_.scalarBase, 28);
 
         bool order = ev.domain() == OpDomain::OrderField;
         switch (ev.op()) {
@@ -89,28 +77,28 @@ class Replayer
             uint32_t base = order ? map_.omulBase
                 : (ev.op() == FieldOp::Mul ? map_.mulBase
                                            : map_.sqrBase);
-            // Nested multiply loops: outer k, inner k of ~9 words.
-            for (int i = 0; i < k_; ++i)
-                loop(base + 16, 9, k_);
-            block(base, 4);
+            // Nested multiply loops: outer k, inner k of ~9 words,
+            // i.e. k*k back-to-back passes over the same body.
+            sink_.loop(base + 16, 9, k_ * k_);
+            sink_.block(base, 4);
             // Reduction sweep.
-            loop(map_.redBase, 10, k_);
-            block(map_.redBase + 40, 18);
+            sink_.loop(map_.redBase, 10, k_);
+            sink_.block(map_.redBase + 40, 18);
             break;
           }
           case FieldOp::Add:
           case FieldOp::Sub:
-            loop(map_.addBase, 12, k_);
+            sink_.loop(map_.addBase, 12, k_);
             break;
           case FieldOp::Reduce:
-            loop(map_.redBase, 10, k_);
+            sink_.loop(map_.redBase, 10, k_);
             break;
           case FieldOp::Inv:
             // EEA: long loop over the inversion kernel + helpers.
             for (int it = 0; it < 2 * 32 * k_; ++it) {
-                block(map_.invBase, 22);
+                sink_.block(map_.invBase, 22);
                 if (it % 7 == 0)
-                    block(map_.addBase, 12);
+                    sink_.block(map_.addBase, 12);
             }
             break;
         }
@@ -122,44 +110,113 @@ class Replayer
         // Hash + (for signing) HMAC-DRBG: long streaming passes.
         int passes = sign ? 14 : 4;
         for (int i = 0; i < passes; ++i)
-            block(map_.shaBase, 1100);
-        block(map_.protoBase, 600);
-        loop(map_.scalarBase, 120, 3); // recoding
+            sink_.block(map_.shaBase, 1100);
+        sink_.block(map_.protoBase, 600);
+        sink_.loop(map_.scalarBase, 120, 3); // recoding
     }
 
-    const ICache &cache() const { return cache_; }
-    uint64_t fetches() const { return fetches_; }
-
   private:
-    ICache cache_;
+    FetchSink &sink_;
     CodeMap map_;
     int k_;
-    uint64_t fetches_ = 0;
     uint64_t opIndex_ = 0;
 };
 
+/**
+ * Replays the walk through the ICache one access per line run.
+ *
+ * Within a block, the words that follow the first fetch of a line
+ * are fetched back to back from the line access() just left
+ * resident, so they are all hits: they are credited in one counter
+ * update instead of being looked up.  A loop pass that records no
+ * miss changes neither the tag array nor the stream buffer (a
+ * stream-buffer hit counts as a miss), so every later pass repeats
+ * it exactly and the rest of the loop is credited in closed form.
+ */
+class LineReplayer final : public FetchSink
+{
+  public:
+    explicit LineReplayer(const ICacheConfig &config) : cache_(config)
+    {
+        cache_.invalidateAll();
+    }
+
+    void
+    block(uint32_t base, int words) override
+    {
+        const uint64_t line = cache_.config().lineBytes;
+        uint64_t addr = base;
+        const uint64_t end = addr + 4 * uint64_t(words);
+        while (addr < end) {
+            cache_.access(static_cast<uint32_t>(addr));
+            // Words of this run: those before the next line boundary
+            // (at least the one just fetched, for lines of <= 4 bytes).
+            uint64_t next = (addr | (line - 1)) + 1;
+            uint64_t run = (std::min(next, end) - addr + 3) / 4;
+            residentHits_ += run - 1;
+            addr += 4 * run;
+        }
+        fetches_ += words;
+    }
+
+    void
+    loop(uint32_t base, int body, int iters) override
+    {
+        for (int it = 0; it < iters; ++it) {
+            uint64_t misses = cache_.stats().misses;
+            block(base, body);
+            if (cache_.stats().misses == misses) {
+                uint64_t rest = uint64_t(iters - it - 1) * body;
+                residentHits_ += rest;
+                fetches_ += rest;
+                return;
+            }
+        }
+    }
+
+    FetchReplayResult
+    result() const
+    {
+        FetchReplayResult out;
+        out.stats = cache_.stats();
+        out.stats.accesses += residentHits_;
+        out.stats.hits += residentHits_;
+        out.stats.tagReads += residentHits_;
+        out.stats.dataReads += residentHits_;
+        out.fetches = fetches_;
+        return out;
+    }
+
+  private:
+    ICache cache_;
+    uint64_t fetches_ = 0;
+    /** Fetches credited as hits without an ICache::access call. */
+    uint64_t residentHits_ = 0;
+};
+
 } // namespace
+
+void
+walkFetchTrace(CurveId curve, FetchSink &sink)
+{
+    const EcdsaTrace &trace = ecdsaTrace(curve);
+    const Curve &c = standardCurve(curve);
+    Walker walk(sink, (c.fieldBits() + 31) / 32);
+    walk.fixedOverhead(true);
+    for (OpEvent ev : trace.signSeq)
+        walk.fieldOp(ev);
+    walk.fixedOverhead(false);
+    for (OpEvent ev : trace.verifySeq)
+        walk.fieldOp(ev);
+}
 
 FetchReplayResult
 replayFetchTrace(CurveId curve, MicroArch arch, const ICacheConfig &config)
 {
     (void)arch; // kernel footprints are arch-independent to first order
-    const EcdsaTrace &trace = ecdsaTrace(curve);
-    const Curve &c = standardCurve(curve);
-    int k = (c.fieldBits() + 31) / 32;
-
-    Replayer rep(config, k);
-    rep.fixedOverhead(true);
-    for (OpEvent ev : trace.signSeq)
-        rep.fieldOp(ev);
-    rep.fixedOverhead(false);
-    for (OpEvent ev : trace.verifySeq)
-        rep.fieldOp(ev);
-
-    FetchReplayResult out;
-    out.stats = rep.cache().stats();
-    out.fetches = rep.fetches();
-    return out;
+    LineReplayer rep(config);
+    walkFetchTrace(curve, rep);
+    return rep.result();
 }
 
 } // namespace ulecc

@@ -11,8 +11,14 @@
  *
  * This module lays the software suite out as a static code map (region
  * sizes taken from the assembled kernels and typical -O2 code), then
- * replays the recorded ECDSA field-operation sequence as a program
- * counter stream through the real ICache model.
+ * walks the recorded ECDSA field-operation sequence over it as
+ * straight-line blocks and loops (walkFetchTrace).  replayFetchTrace
+ * feeds that walk through the real ICache model at line granularity:
+ * one access per run of words in the same line, the rest of the run
+ * credited as hits, and a loop's remaining passes credited in closed
+ * form once a pass records no miss.  Both shortcuts are exact -- the
+ * ICacheStats and fetch count equal a word-by-word replay of the same
+ * walk, which the tests keep as the oracle.
  */
 
 #ifndef ULECC_WORKLOAD_FETCH_TRACE_HH
@@ -47,6 +53,28 @@ struct FetchReplayResult
         return stats.misses - stats.prefetchHits;
     }
 };
+
+/**
+ * Receives the fetch stream of the code-map walk.  A loop is exactly
+ * @p iters back-to-back block(base, body) calls; a sink may count it
+ * faster but not differently.
+ */
+class FetchSink
+{
+  public:
+    virtual ~FetchSink() = default;
+    /** Fetches @p words sequential instructions from @p base. */
+    virtual void block(uint32_t base, int words) = 0;
+    /** A loop: @p body words from @p base executed @p iters times. */
+    virtual void loop(uint32_t base, int body, int iters) = 0;
+};
+
+/**
+ * Drives @p sink with the ECDSA sign+verify fetch stream of @p curve
+ * over the code map.  The one copy of the walk: replayFetchTrace and
+ * the word-level test oracle both consume it.
+ */
+void walkFetchTrace(CurveId curve, FetchSink &sink);
 
 /**
  * Replays the ECDSA sign+verify fetch stream of (curve, arch) through

@@ -6,10 +6,10 @@
 #include "workload/kernel_model.hh"
 
 #include "base/error.hh"
+#include "base/once_map.hh"
 
 #include <cassert>
-#include <map>
-#include <mutex>
+#include <utility>
 
 #include "accel/billie.hh"
 #include "accel/monte.hh"
@@ -51,25 +51,22 @@ measuredKernels(int k, MultiplierVariant mult)
     // unit latencies (a shared entry would silently time every
     // variant like the default).
     using Key = std::pair<int, MultiplierVariant>;
-    static std::map<Key, MeasuredKernels> cache;
-    static std::mutex mtx;
-    std::lock_guard<std::mutex> lock(mtx);
-    Key key{k, mult};
-    auto it = cache.find(key);
-    if (it != cache.end())
-        return it->second;
-    // Deterministic full-width operands.
-    MpUint a, b;
-    for (int i = 0; i < k; ++i) {
-        a.setLimb(i, 0x9E3779B9u * (i + 1) ^ 0x5bd1e995u);
-        b.setLimb(i, 0x85EBCA6Bu * (i + 3) ^ 0xc2b2ae35u);
-    }
-    MeasuredKernels m;
-    m.add = runKernel(AsmKernel::MpAdd, a, b, k, nullptr, mult);
-    m.mulOs = runKernel(AsmKernel::MulOs, a, b, k, nullptr, mult);
-    m.mulPs = runKernel(AsmKernel::MulPsMaddu, a, b, k, nullptr, mult);
-    m.mulGf2 = runKernel(AsmKernel::MulGf2, a, b, k, nullptr, mult);
-    return cache.emplace(key, m).first->second;
+    static OnceMap<Key, MeasuredKernels> cache;
+    return cache.get(Key{k, mult}, [k, mult] {
+        // Deterministic full-width operands.
+        MpUint a, b;
+        for (int i = 0; i < k; ++i) {
+            a.setLimb(i, 0x9E3779B9u * (i + 1) ^ 0x5bd1e995u);
+            b.setLimb(i, 0x85EBCA6Bu * (i + 3) ^ 0xc2b2ae35u);
+        }
+        MeasuredKernels m;
+        m.add = runKernel(AsmKernel::MpAdd, a, b, k, nullptr, mult);
+        m.mulOs = runKernel(AsmKernel::MulOs, a, b, k, nullptr, mult);
+        m.mulPs = runKernel(AsmKernel::MulPsMaddu, a, b, k, nullptr,
+                            mult);
+        m.mulGf2 = runKernel(AsmKernel::MulGf2, a, b, k, nullptr, mult);
+        return m;
+    });
 }
 
 int

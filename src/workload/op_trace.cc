@@ -5,9 +5,7 @@
 
 #include "workload/op_trace.hh"
 
-#include <map>
-#include <mutex>
-
+#include "base/once_map.hh"
 #include "ecdsa/ecdsa.hh"
 
 namespace ulecc
@@ -34,16 +32,12 @@ OpCounts::operator+=(const OpCounts &o)
     return *this;
 }
 
-const EcdsaTrace &
-ecdsaTrace(CurveId id)
+namespace
 {
-    static std::map<CurveId, EcdsaTrace> cache;
-    static std::mutex mtx;
-    std::lock_guard<std::mutex> lock(mtx);
-    auto it = cache.find(id);
-    if (it != cache.end())
-        return it->second;
 
+EcdsaTrace
+recordTrace(CurveId id)
+{
     const Curve &curve = standardCurve(id);
     Ecdsa ecdsa(curve);
 
@@ -76,7 +70,16 @@ ecdsaTrace(CurveId id)
         trace.verifySeq = std::move(vrec.seq);
     }
 
-    return cache.emplace(id, std::move(trace)).first->second;
+    return trace;
+}
+
+} // namespace
+
+const EcdsaTrace &
+ecdsaTrace(CurveId id)
+{
+    static OnceMap<CurveId, EcdsaTrace> cache;
+    return cache.get(id, [id] { return recordTrace(id); });
 }
 
 } // namespace ulecc

@@ -5,6 +5,10 @@
  * acceptance criteria; exact paper bands in DESIGN.md).
  */
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/evaluator.hh"
@@ -117,6 +121,141 @@ TEST(FetchTrace, PrefetchServesSequentialMisses)
         replayFetchTrace(CurveId::P192, MicroArch::IsaExtIcache, pf);
     EXPECT_GT(b.stats.prefetchHits, 0u);
     EXPECT_LT(b.stallingMisses(), a.stallingMisses());
+}
+
+namespace
+{
+
+/**
+ * Word-level replay of the same code-map walk: one ICache::access per
+ * fetched word, every loop pass replayed.  The oracle for the line-
+ * and loop-granular replay behind replayFetchTrace.
+ */
+class WordReplayer final : public FetchSink
+{
+  public:
+    explicit WordReplayer(const ICacheConfig &config) : cache_(config)
+    {
+        cache_.invalidateAll();
+    }
+
+    void
+    block(uint32_t base, int words) override
+    {
+        for (int i = 0; i < words; ++i)
+            cache_.access(base + 4 * i);
+        fetches_ += words;
+    }
+
+    void
+    loop(uint32_t base, int body, int iters) override
+    {
+        for (int it = 0; it < iters; ++it)
+            block(base, body);
+    }
+
+    const ICacheStats &stats() const { return cache_.stats(); }
+    uint64_t fetches() const { return fetches_; }
+
+  private:
+    ICache cache_;
+    uint64_t fetches_ = 0;
+};
+
+ICacheConfig
+icacheConfig(uint32_t bytes, bool prefetch, uint32_t lineBytes = 16)
+{
+    ICacheConfig cfg;
+    cfg.sizeBytes = bytes;
+    cfg.prefetch = prefetch;
+    cfg.lineBytes = lineBytes;
+    return cfg;
+}
+
+std::string
+curveParamName(const ::testing::TestParamInfo<CurveId> &info)
+{
+    std::string n = curveIdName(info.param);
+    n.erase(std::remove(n.begin(), n.end(), '-'), n.end());
+    return n;
+}
+
+} // namespace
+
+class FetchReplayOracle : public ::testing::TestWithParam<CurveId>
+{};
+
+TEST_P(FetchReplayOracle, LineReplayMatchesWordReplay)
+{
+    CurveId curve = GetParam();
+    // Every curve: the sweep's 4 KB default and the smallest cache
+    // with the stream buffer (the most misses and prefetch hits).
+    std::vector<ICacheConfig> configs = {icacheConfig(4096, false),
+                                         icacheConfig(1024, true)};
+    if (curve == CurveId::P192) {
+        // bench_fig7_12's grid, then the line geometries at the run
+        // arithmetic's edges: 2- and 4-byte lines make every word its
+        // own run (nothing to credit), 64-byte lines span block ends,
+        // and a 4-line cache evicts loop bodies from themselves, so
+        // most loops never reach a miss-free pass.
+        for (uint32_t kb : {1u, 2u, 4u, 8u}) {
+            for (bool prefetch : {false, true})
+                configs.push_back(icacheConfig(kb * 1024, prefetch));
+        }
+        for (bool prefetch : {false, true}) {
+            for (uint32_t line : {2u, 4u, 64u})
+                configs.push_back(icacheConfig(2048, prefetch, line));
+            configs.push_back(icacheConfig(64, prefetch));
+        }
+    }
+    for (const ICacheConfig &cfg : configs) {
+        SCOPED_TRACE(std::to_string(cfg.sizeBytes) + " B, "
+                     + std::to_string(cfg.lineBytes) + "-byte lines"
+                     + (cfg.prefetch ? ", prefetch" : ""));
+        WordReplayer oracle(cfg);
+        walkFetchTrace(curve, oracle);
+        FetchReplayResult got =
+            replayFetchTrace(curve, MicroArch::IsaExtIcache, cfg);
+        const ICacheStats &want = oracle.stats();
+        EXPECT_EQ(got.fetches, oracle.fetches());
+        EXPECT_EQ(got.stats.accesses, want.accesses);
+        EXPECT_EQ(got.stats.hits, want.hits);
+        EXPECT_EQ(got.stats.misses, want.misses);
+        EXPECT_EQ(got.stats.prefetchHits, want.prefetchHits);
+        EXPECT_EQ(got.stats.lineFills, want.lineFills);
+        EXPECT_EQ(got.stats.prefetchFills, want.prefetchFills);
+        EXPECT_EQ(got.stats.tagReads, want.tagReads);
+        EXPECT_EQ(got.stats.dataReads, want.dataReads);
+        EXPECT_EQ(got.stats.dataWrites, want.dataWrites);
+        EXPECT_EQ(got.stats.accesses, got.fetches);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(All, FetchReplayOracle,
+    ::testing::Values(CurveId::P192, CurveId::P224, CurveId::P256,
+                      CurveId::P384, CurveId::P521, CurveId::B163,
+                      CurveId::B233, CurveId::B283, CurveId::B409,
+                      CurveId::B571),
+    curveParamName);
+
+TEST(Evaluator, InvalidIcacheSizeFailsEveryTimeAndLeavesTheMemosUsable)
+{
+    // The fetch-replay memo's fill throws for a 3000-byte cache; a
+    // throwing fill leaves its slot empty, so the second call retries
+    // (and fails the same way) instead of finding a stale or
+    // half-built entry.
+    EvalOptions bad;
+    bad.kernel.icacheBytes = 3000;
+    for (int attempt = 0; attempt < 2; ++attempt) {
+        Result<EvalResult> r =
+            evaluateChecked(MicroArch::IsaExtIcache, CurveId::P224, bad);
+        ASSERT_FALSE(r.ok()) << attempt;
+        EXPECT_EQ(r.error().code, Errc::InvalidInput) << attempt;
+    }
+    Result<EvalResult> good =
+        evaluateChecked(MicroArch::IsaExtIcache, CurveId::P224, {});
+    ASSERT_TRUE(good.ok());
+    EXPECT_GT(good.value().totalUj(), 0.0);
 }
 
 // ---------------------------------------------------------------------

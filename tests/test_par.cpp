@@ -1,12 +1,13 @@
 /**
  * @file
- * Parallel sweep engine tests: ThreadPool contract, SweepRunner
- * serial/parallel bit-equality and ordering, the evaluation memo and
- * the bench SweepDriver that reads through it, and a subprocess
- * byte-compare of a representative bench harness against its own
- * --serial run.
+ * Parallel sweep engine tests: ThreadPool contract, the per-key
+ * OnceMap memo helper, SweepRunner serial/parallel bit-equality and
+ * ordering, the evaluation memo and the bench SweepDriver that reads
+ * through it, and a subprocess byte-compare of a representative bench
+ * harness against its own --serial run.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -15,10 +16,13 @@
 #include <future>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "base/once_map.hh"
 #include "core/eval_cache.hh"
 #include "core/evaluator.hh"
 #include "par/sweep.hh"
@@ -420,6 +424,120 @@ TEST(ThreadPool, StealRaceStressLosesNoTasks)
                       + pool.steals(),
                   static_cast<uint64_t>(done.load()));
     }
+}
+
+namespace
+{
+
+/** A deterministic, slow-enough-to-race value for OnceMap key @p key. */
+std::vector<uint64_t>
+onceMapValue(int key)
+{
+    std::vector<uint64_t> v(64);
+    uint64_t x = 0x9E3779B97F4A7C15ull * uint64_t(key + 1);
+    for (uint64_t &w : v) {
+        for (int i = 0; i < 200; ++i)
+            x = x * 6364136223846793005ull + 1442695040888963407ull;
+        w = x;
+    }
+    return v;
+}
+
+} // namespace
+
+TEST(OnceMap, ConcurrentGetsFillEachKeyOnceAndMatchASerialFill)
+{
+    constexpr int kKeys = 24;
+    constexpr int kThreads = 8;
+    constexpr int kRequests = 96;
+    OnceMap<int, std::vector<uint64_t>> memo;
+    std::atomic<int> fills[kKeys] = {};
+    std::atomic<int> ready{0};
+    // Per thread, the address each request got back.
+    std::vector<std::vector<const std::vector<uint64_t> *>> got(
+        kThreads, std::vector<const std::vector<uint64_t> *>(kRequests));
+
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            ready.fetch_add(1);
+            while (ready.load() < kThreads)
+                std::this_thread::yield();
+            for (int r = 0; r < kRequests; ++r) {
+                // Every thread walks every key from its own offset:
+                // identical keys race across threads, distinct keys
+                // fill side by side.
+                int key = (r + 5 * t) % kKeys;
+                got[t][r] = &memo.get(key, [&fills, key] {
+                    fills[key].fetch_add(1);
+                    return onceMapValue(key);
+                });
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+
+    for (int key = 0; key < kKeys; ++key)
+        EXPECT_EQ(fills[key].load(), 1) << "key " << key;
+    for (int t = 0; t < kThreads; ++t) {
+        for (int r = 0; r < kRequests; ++r) {
+            int key = (r + 5 * t) % kKeys;
+            EXPECT_EQ(got[t][r], got[0][key])
+                << "thread " << t << " request " << r;
+            EXPECT_EQ(*got[t][r], onceMapValue(key));
+        }
+    }
+}
+
+TEST(OnceMap, ThrowingFillLeavesTheSlotEmptyForTheNextGet)
+{
+    OnceMap<int, int> memo;
+    int calls = 0;
+    EXPECT_THROW(memo.get(7, [&]() -> int {
+                     ++calls;
+                     throw std::runtime_error("fill failed");
+                 }),
+                 std::runtime_error);
+    EXPECT_EQ(memo.get(7, [&] { return ++calls * 10; }), 20);
+    // Filled now: later fills are never called.
+    EXPECT_EQ(memo.get(7, [&] { return ++calls; }), 20);
+    EXPECT_EQ(calls, 2);
+}
+
+TEST(OnceMap, ConcurrentRetryAfterAThrowingFillFillsOnce)
+{
+    // Every thread races on one key whose first fill throws: exactly
+    // one caller sees the exception, exactly one retry fills, and
+    // everyone else gets that value.
+    constexpr int kThreads = 8;
+    OnceMap<int, int> memo;
+    std::atomic<int> fills{0};
+    std::atomic<int> thrown{0};
+    std::atomic<int> ready{0};
+    std::vector<int> values(kThreads, -1);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            ready.fetch_add(1);
+            while (ready.load() < kThreads)
+                std::this_thread::yield();
+            try {
+                values[t] = memo.get(3, [&] {
+                    if (fills.fetch_add(1) == 0)
+                        throw std::runtime_error("first fill fails");
+                    return 42;
+                });
+            } catch (const std::runtime_error &) {
+                thrown.fetch_add(1);
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    EXPECT_EQ(fills.load(), 2);
+    EXPECT_EQ(thrown.load(), 1);
+    EXPECT_EQ(std::count(values.begin(), values.end(), 42), kThreads - 1);
 }
 
 TEST(Sweep, ParallelMatchesSerialBitExact)

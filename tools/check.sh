@@ -78,8 +78,9 @@ fi
 
 if [[ $run_tsan -eq 1 ]]; then
     # ThreadSanitizer covers the concurrency layer: the thread pool,
-    # the parallel sweep runner, the evaluation memo (test_par), and
-    # the multi-threaded service engine (test_svc).  The serial suites
+    # the parallel sweep runner, the per-key memo helper (OnceMap) and
+    # the evaluation memo (test_par), and the multi-threaded service
+    # engine (test_svc).  The serial suites
     # add nothing under TSan, so only the concurrent tests run here.
     step "configure + build (tsan preset)"
     cmake --preset tsan
@@ -87,7 +88,7 @@ if [[ $run_tsan -eq 1 ]]; then
 
     step "test (tsan preset: parallel suites)"
     ctest --preset tsan -j "$(nproc)" \
-        -R '^(ThreadPool|Sweep|EvalCache|BenchSweep|Svc)'
+        -R '^(ThreadPool|OnceMap|Sweep|EvalCache|BenchSweep|Svc)'
 fi
 
 json_check="$repo/build/tools/json_check"
