@@ -125,7 +125,7 @@ main(int argc, char **argv)
     BenchJournal::instance().recordSimSpeed(speed.wallSeconds, speed.mips);
 
     // In-process serial-vs-parallel numbers would be misleading here:
-    // whichever sweep runs first warms the mutex-guarded kernel/trace
+    // whichever sweep runs first warms the per-key OnceMap kernel/trace
     // memos and the rerun is nearly free either way.  What a single
     // process can measure honestly is the cost structure those caches
     // create -- the cold cost is the paper suite's wall-clock, one

@@ -54,8 +54,7 @@ ThreadPool::defaultThreads()
     return hw ? hw : 1;
 }
 
-ThreadPool::ThreadPool(unsigned threads, size_t maxQueued)
-    : maxQueued_(maxQueued)
+ThreadPool::ThreadPool(unsigned threads)
 {
     if (threads == 0)
         threads = defaultThreads();
@@ -68,52 +67,32 @@ ThreadPool::ThreadPool(unsigned threads, size_t maxQueued)
 
 ThreadPool::~ThreadPool()
 {
-    shutdown(Shutdown::Drain);
+    {
+        std::lock_guard<std::mutex> lock(mtx_);
+        stop_ = true;
+    }
+    wake_.notify_all();
+    for (std::thread &w : workers_)
+        w.join();
 }
 
 void
-ThreadPool::enqueueLocked(std::function<void()> &&task)
-{
-    if (tlsWorker.pool == this) {
-        // Nested submission: keep the task hot on the submitting
-        // worker's own deque (popped LIFO by that worker, stolen FIFO
-        // by idle ones).
-        local_[tlsWorker.index].push_back(std::move(task));
-    } else {
-        injection_.push_back(std::move(task));
-    }
-    ++queued_;
-    ++inFlight_;
-}
-
-bool
 ThreadPool::submit(std::function<void()> task)
 {
     {
-        std::unique_lock<std::mutex> lock(mtx_);
-        if (maxQueued_)
-            space_.wait(lock, [this] {
-                return stop_ || queued_ < maxQueued_;
-            });
-        if (stop_)
-            return false;
-        enqueueLocked(std::move(task));
-    }
-    wake_.notify_one();
-    return true;
-}
-
-bool
-ThreadPool::trySubmit(std::function<void()> task)
-{
-    {
         std::lock_guard<std::mutex> lock(mtx_);
-        if (stop_ || (maxQueued_ && queued_ >= maxQueued_))
-            return false;
-        enqueueLocked(std::move(task));
+        if (tlsWorker.pool == this) {
+            // Nested submission: keep the task hot on the submitting
+            // worker's own deque (popped LIFO by that worker, stolen
+            // FIFO by idle ones).
+            local_[tlsWorker.index].push_back(std::move(task));
+        } else {
+            injection_.push_back(std::move(task));
+        }
+        ++queued_;
+        ++inFlight_;
     }
     wake_.notify_one();
-    return true;
 }
 
 void
@@ -121,62 +100,6 @@ ThreadPool::wait()
 {
     std::unique_lock<std::mutex> lock(mtx_);
     drained_.wait(lock, [this] { return inFlight_ == 0; });
-}
-
-size_t
-ThreadPool::dropQueuedLocked()
-{
-    size_t dropped = injection_.size();
-    injection_.clear();
-    for (auto &dq : local_) {
-        dropped += dq.size();
-        dq.clear();
-    }
-    queued_ -= dropped;
-    inFlight_ -= dropped;
-    return dropped;
-}
-
-size_t
-ThreadPool::shutdown(Shutdown mode)
-{
-    size_t dropped = 0;
-    {
-        std::lock_guard<std::mutex> lock(mtx_);
-        if (mode == Shutdown::Cancel)
-            dropped = dropQueuedLocked();
-        stop_ = true;
-        if (inFlight_ == 0)
-            drained_.notify_all();
-    }
-    wake_.notify_all();
-    space_.notify_all();
-    for (std::thread &w : workers_) {
-        if (w.joinable())
-            w.join();
-    }
-    return dropped;
-}
-
-size_t
-ThreadPool::cancelPending()
-{
-    size_t dropped = 0;
-    {
-        std::lock_guard<std::mutex> lock(mtx_);
-        dropped = dropQueuedLocked();
-        if (inFlight_ == 0)
-            drained_.notify_all();
-    }
-    space_.notify_all();
-    return dropped;
-}
-
-size_t
-ThreadPool::queueDepth() const
-{
-    std::lock_guard<std::mutex> lock(mtx_);
-    return queued_;
 }
 
 uint64_t
@@ -250,7 +173,6 @@ ThreadPool::workerLoop(unsigned me)
             if (!takeTask(me, task))
                 return; // stop_ set and nothing left anywhere
         }
-        space_.notify_one();
         task();
         {
             std::lock_guard<std::mutex> lock(mtx_);

@@ -19,20 +19,16 @@
  * lock-free throughput.  Sized explicitly, via $ULECC_JOBS, or from
  * the host's hardware concurrency.
  *
- * Robustness contract (pinned by tests/test_par.cpp):
+ * Contract (pinned by tests/test_par.cpp):
  *
- *  - The queue may be *bounded*.  A bounded pool exerts backpressure
- *    on the total of queued-not-started tasks across every deque:
- *    submit() blocks until space frees, trySubmit() refuses instead of
- *    blocking -- the primitive admission control builds load shedding
- *    on.  An unbounded pool (the default) never blocks a producer.
- *  - Shutdown is *explicit and deterministic*.  shutdown(Drain) -- and
- *    the destructor, which calls it -- runs every queued task before
- *    the workers exit.  shutdown(Cancel) discards tasks that have not
- *    started and returns how many were dropped; tasks already
- *    executing always run to completion.  After either,
- *    submit()/trySubmit() refuse new work instead of deadlocking.
- *  - wait() observes cancellation: discarded tasks count as finished.
+ *  - The queues are unbounded and submit() never blocks or refuses.
+ *  - The destructor is the only way to stop the pool: it runs every
+ *    queued task, then joins the workers.  A task submitted by a
+ *    running pool task always runs, also while the destructor drains,
+ *    because it lands on that worker's own deque and the worker pops
+ *    it before it exits.
+ *  - Submitting from outside the pool once destruction has begun is a
+ *    caller bug.
  */
 
 #ifndef ULECC_PAR_THREAD_POOL_HH
@@ -59,26 +55,15 @@ class ThreadPool
      * one still runs tasks on its worker, preserving the submit/wait
      * contract; callers that want true inline execution should simply
      * not use a pool.
-     *
-     * @param maxQueued  Bound on *queued* (not yet executing) tasks,
-     *                   summed across every deque; 0 = unbounded.
-     *                   When the bound is reached, submit() blocks and
-     *                   trySubmit() returns false.
      */
-    explicit ThreadPool(unsigned threads = 0, size_t maxQueued = 0);
+    explicit ThreadPool(unsigned threads = 0);
 
-    /** Equivalent to shutdown(Shutdown::Drain). */
+    /** Runs every queued task (and whatever those tasks submit), then
+     * joins the workers. */
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
-
-    /** How shutdown treats tasks still sitting in the queue. */
-    enum class Shutdown
-    {
-        Drain,  ///< run every queued task, then join the workers
-        Cancel, ///< discard queued tasks, finish running ones, join
-    };
 
     /**
      * Hard ceiling on pool width.  $ULECC_JOBS values above this clamp
@@ -99,52 +84,21 @@ class ThreadPool
     static unsigned defaultThreads();
 
     /**
-     * Enqueues one task, blocking while a bounded queue is full
-     * (backpressure).  Returns false -- without running or keeping the
-     * task -- if the pool has been shut down.  A task submitted from
-     * inside one of this pool's workers lands on that worker's own
-     * deque; external submissions land on the injection queue.  Tasks
-     * must not throw; wrap fallible work in a Result-shaped closure
-     * (SweepRunner and the service engine do exactly this).
+     * Enqueues one task.  A task submitted from inside one of this
+     * pool's workers lands on that worker's own deque; external
+     * submissions land on the injection queue.  Tasks must not throw;
+     * wrap fallible work in a Result-shaped closure (SweepRunner and
+     * the service engine do exactly this).
      */
-    bool submit(std::function<void()> task);
+    void submit(std::function<void()> task);
 
-    /**
-     * Non-blocking submit: false when the queue is full or the pool
-     * has been shut down.  The admission-control primitive: a refused
-     * task is the caller's cue to shed load instead of queueing it.
-     */
-    bool trySubmit(std::function<void()> task);
-
-    /** Blocks until every submitted task has finished running (tasks
-     * discarded by Cancel count as finished). */
+    /** Blocks until every submitted task has finished running. */
     void wait();
-
-    /**
-     * Stops the pool.  Drain runs the queue dry first; Cancel discards
-     * queued-not-started tasks.  Idempotent; concurrent submitters are
-     * woken and refused.  Returns the number of tasks discarded (always
-     * 0 for Drain).
-     */
-    size_t shutdown(Shutdown mode);
-
-    /**
-     * Discards every queued-not-started task without stopping the
-     * workers; returns how many were dropped.  Currently-executing
-     * tasks finish normally and the pool accepts new work afterwards.
-     */
-    size_t cancelPending();
-
-    /** Tasks queued but not yet picked up by a worker (all deques). */
-    size_t queueDepth() const;
 
     unsigned threads() const
     {
         return static_cast<unsigned>(workers_.size());
     }
-
-    /** The queue bound this pool was built with (0 = unbounded). */
-    size_t maxQueued() const { return maxQueued_; }
 
     /** Tasks a worker took from another worker's deque. */
     uint64_t steals() const;
@@ -158,18 +112,13 @@ class ThreadPool
   private:
     void workerLoop(unsigned me);
     bool takeTask(unsigned me, std::function<void()> &task);
-    void enqueueLocked(std::function<void()> &&task);
-    size_t queuedLocked() const { return queued_; }
-    size_t dropQueuedLocked();
 
     mutable std::mutex mtx_;
     std::condition_variable wake_;    ///< workers: work available/stop
     std::condition_variable drained_; ///< waiters: all tasks finished
-    std::condition_variable space_;   ///< producers: queue below bound
     std::deque<std::function<void()>> injection_;
     std::vector<std::deque<std::function<void()>>> local_;
     std::vector<std::thread> workers_;
-    size_t maxQueued_ = 0; ///< 0 = unbounded
     size_t queued_ = 0;    ///< queued-not-started, across all deques
     size_t inFlight_ = 0;  ///< queued + currently executing
     uint64_t steals_ = 0;

@@ -7,14 +7,14 @@
  * per-request cost attribution.  Under load the engine sheds fidelity
  * before it sheds correctness:
  *
- *   FullSim   (light load)    per-request Pete co-simulation of a
- *                             representative field kernel, cross-
- *                             checked against the native bignum, plus
- *                             the full evaluator cost model;
- *   Memoized  (elevated load) evaluator cost model only, served from
- *                             the process-wide evaluation memo and the
- *                             simulator's block cache -- no fresh
- *                             per-request simulation;
+ *   FullSim   (light load)    the evaluator cost model plus one Pete
+ *                             co-simulation anchor per batch pass: a
+ *                             representative field kernel cross-
+ *                             checked against the native bignum;
+ *   Memoized  (elevated load) the same evaluator cost model, read from
+ *                             the process-wide evaluation memo, with
+ *                             no co-simulation anchor -- the anchor is
+ *                             the only difference from FullSim;
  *   Analytic  (overload)      closed-form scaling model anchored once
  *                             per microarchitecture at startup; no
  *                             evaluator call at all on the request

@@ -24,6 +24,10 @@ enum class OpKind
     Ecdh,
 };
 
+/** Virtual nanoseconds per modelled cycle: the 333 MHz system clock
+ * that converts modelled cycles into service time. */
+constexpr double kSvcClockNs = 3.0;
+
 /** Number of OpKind values (array sizing). */
 constexpr int kNumOps = 3;
 

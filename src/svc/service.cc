@@ -52,8 +52,6 @@ opKindName(OpKind op)
 namespace
 {
 
-constexpr double kClockNs = 3.0; ///< 333 MHz system clock
-
 constexpr MicroArch kAllArchs[] = {
     MicroArch::Baseline, MicroArch::IsaExt, MicroArch::IsaExtIcache,
     MicroArch::Monte, MicroArch::Billie,
@@ -111,7 +109,10 @@ struct DispatchedBatch
     uint64_t passNs = 0;    ///< full modelled pass length
     uint64_t endNs = 0;     ///< worker-occupied end (early if all cancel)
     unsigned worker = 0;
-    int64_t slot = -1;      ///< execution slot, -1 = nothing executed
+    /** The pass's real execution; invalid = nothing executed (every
+     * member expired or was cancelled).  Consumed by the completion
+     * event, so a finished pass frees it with that event. */
+    std::future<BatchExecResult> result;
     const char *closeReason = "size";
 
     struct Member
@@ -186,7 +187,6 @@ struct Server::Impl
 
     // Real execution.
     std::optional<ThreadPool> pool;
-    std::deque<std::future<BatchExecResult>> slots;
 
     // Timing-free accumulators (mutated only by the coordinator, in
     // deterministic event order).
@@ -256,7 +256,7 @@ struct Server::Impl
     {
         AnalyticModel::Estimate est = analytic.estimate(
             req.arch, req.curve, req.op == OpKind::Verify);
-        double ns = est.cycles * kClockNs;
+        double ns = est.cycles * kSvcClockNs;
         return ns < 1 ? 1 : static_cast<uint64_t>(ns);
     }
 
@@ -566,11 +566,10 @@ struct Server::Impl
      * stays a pure function of (seed, id, attempt); the anchor is a
      * pure function of the batch's identity.
      */
-    int64_t
+    std::future<BatchExecResult>
     launchBatch(std::vector<Request> execReqs, ServiceTier tier,
                 uint64_t batchId)
     {
-        int64_t slot = static_cast<int64_t>(slots.size());
         counters.executed += execReqs.size();
         ++counters.batchPassesExecuted;
         bool fullSim = tier == ServiceTier::FullSim;
@@ -584,7 +583,8 @@ struct Server::Impl
         size_t n = state->reqs.size();
         state->outcomes.resize(n);
         state->remaining.store(n, std::memory_order_relaxed);
-        slots.push_back(state->promise.get_future());
+        std::future<BatchExecResult> result =
+            state->promise.get_future();
 
         auto runAnchor = [fullSim, anchorSeed, state] {
             if (!fullSim)
@@ -603,7 +603,7 @@ struct Server::Impl
                 state->outcomes[i] = execMember(state->reqs[i]);
                 state->finishOne();
             }
-            return slot;
+            return result;
         }
         pool->submit([this, state, runAnchor, n] {
             runAnchor();
@@ -611,21 +611,15 @@ struct Server::Impl
             // the subtasks land on this worker's own deque and get
             // stolen when other workers run dry.
             for (size_t i = 1; i < n; ++i) {
-                bool queued = pool->submit([this, state, i] {
+                pool->submit([this, state, i] {
                     state->outcomes[i] = execMember(state->reqs[i]);
                     state->finishOne();
                 });
-                if (!queued) {
-                    // Pool shutting down mid-flight: run inline so
-                    // the batch still completes.
-                    state->outcomes[i] = execMember(state->reqs[i]);
-                    state->finishOne();
-                }
             }
             state->outcomes[0] = execMember(state->reqs[0]);
             state->finishOne();
         });
-        return slot;
+        return result;
     }
 
     // --- coordinator --------------------------------------------------
@@ -641,7 +635,7 @@ struct Server::Impl
                     ? r.value().verify
                     : r.value().sign; // ECDH: one scalar mult ~ sign
                 c.serviceNs = static_cast<uint64_t>(
-                    static_cast<double>(oe.cycles) * kClockNs);
+                    static_cast<double>(oe.cycles) * kSvcClockNs);
                 c.uj = oe.energy.totalUj();
                 c.events = oe.events;
                 return c;
@@ -653,7 +647,7 @@ struct Server::Impl
         }
         AnalyticModel::Estimate est = analytic.estimate(
             req.arch, req.curve, req.op == OpKind::Verify);
-        c.serviceNs = static_cast<uint64_t>(est.cycles * kClockNs);
+        c.serviceNs = static_cast<uint64_t>(est.cycles * kSvcClockNs);
         if (c.serviceNs < 1)
             c.serviceNs = 1;
         c.uj = est.uj;
@@ -928,8 +922,8 @@ struct Server::Impl
             // the last safe point actually charged.
             db->endNs = now + (anySurvivor ? batchNs : maxChargedNs);
             if (!execReqs.empty())
-                db->slot = launchBatch(std::move(execReqs),
-                                       b.key.tier, b.id);
+                db->result = launchBatch(std::move(execReqs),
+                                         b.key.tier, b.id);
             if (tel.timeline)
                 tel.timeline->onBatchDispatch(
                     now, static_cast<uint64_t>(n));
@@ -949,8 +943,8 @@ struct Server::Impl
     {
         DispatchedBatch &db = *ev.batch;
         BatchExecResult res;
-        if (db.slot >= 0)
-            res = slots[static_cast<size_t>(db.slot)].get();
+        if (db.result.valid())
+            res = db.result.get();
         const char *tierName = serviceTierName(db.key.tier);
 
         if (tel.tracer) {
@@ -1147,7 +1141,7 @@ struct Server::Impl
         }
         if (pool) {
             pool->wait();
-            pool->shutdown(ThreadPool::Shutdown::Drain);
+            pool.reset();
         }
         if (tel.timeline)
             tel.timeline->finalize();
@@ -1227,7 +1221,7 @@ struct Server::Impl
         totals["finals"] = finals;
         totals["busy_ns"] = busyNsTotal;
         totals["busy_cycles"] =
-            static_cast<double>(busyNsTotal) / kClockNs;
+            static_cast<double>(busyNsTotal) / kSvcClockNs;
         root["totals"] = totals;
 
         Json shed = Json::object();

@@ -9,17 +9,60 @@
 
 #include "svc/telemetry.hh"
 
+#include <algorithm>
 #include <fstream>
 
 namespace ulecc
 {
 
+namespace
+{
+
+/** RequestTracer: hard cap on stored events, which bounds the trace's
+ * memory; past it events are counted (totals stay exact) but not
+ * stored. */
+constexpr size_t kTracerMaxEvents = 262'144;
+
+/** SloEngine: tolerated fraction of finals that fail (error budget).
+ * The objective is availability: 1 - kErrorBudget of requests end
+ * Errc::Ok. */
+constexpr double kErrorBudget = 0.01;
+
+/** SloEngine: accounting bucket width (virtual ns); alert windows are
+ * integral numbers of buckets. */
+constexpr uint64_t kBucketNs = 25'000'000;
+
+/** SloEngine fast "page" rule: burn >= kPageBurn over the last
+ * kPageLongBuckets, confirmed over the last kPageShortBuckets. */
+constexpr uint32_t kPageLongBuckets = 8;
+constexpr uint32_t kPageShortBuckets = 2;
+constexpr double kPageBurn = 8.0;
+
+/** SloEngine sustained "ticket" rule: burn >= kTicketBurn over the
+ * last kTicketLongBuckets.  At threshold 1.0 its trailing windows tile
+ * the campaign, making alerting complete: a campaign-level breach
+ * always fires at least one alert. */
+constexpr uint32_t kTicketLongBuckets = 32;
+constexpr double kTicketBurn = 1.0;
+
+/** SloEngine: buckets retained, enough for the longest rule window. */
+constexpr size_t kMaxBuckets =
+    std::max({kPageLongBuckets, kPageShortBuckets, kTicketLongBuckets});
+
+/** FlightRecorder: request records kept in the ring. */
+constexpr size_t kFlightCapacity = 64;
+
+/** FlightRecorder: trigger events listed in full (the rest counted). */
+constexpr size_t kFlightMaxTriggers = 32;
+
+} // namespace
+
 // ---------------------------------------------------------------------
 // RequestTracer
 
-RequestTracer::RequestTracer(const Config &config) : config_(config)
+RequestTracer::RequestTracer()
 {
-    events_.reserve(config_.maxEvents < 4096 ? config_.maxEvents : 4096);
+    events_.reserve(4096);
 }
 
 void
@@ -27,7 +70,7 @@ RequestTracer::record(Ev ev)
 {
     if (ev.tid > maxWorkerTid_)
         maxWorkerTid_ = ev.tid;
-    if (events_.size() >= config_.maxEvents) {
+    if (events_.size() >= kTracerMaxEvents) {
         ++dropped_;
         return;
     }
@@ -560,15 +603,6 @@ TimelineAggregator::writeFile(const std::string &path) const
 // ---------------------------------------------------------------------
 // SloEngine
 
-SloEngine::SloEngine(const SloSpec &spec) : spec_(spec)
-{
-    maxBuckets_ = spec_.pageLongBuckets;
-    if (spec_.pageShortBuckets > maxBuckets_)
-        maxBuckets_ = spec_.pageShortBuckets;
-    if (spec_.ticketLongBuckets > maxBuckets_)
-        maxBuckets_ = spec_.ticketLongBuckets;
-}
-
 double
 SloEngine::burnOver(uint32_t buckets) const
 {
@@ -583,7 +617,7 @@ SloEngine::burnOver(uint32_t buckets) const
     if (total == 0)
         return 0.0;
     double ratio = double(err) / double(total);
-    return ratio / spec_.errorBudget;
+    return ratio / kErrorBudget;
 }
 
 void
@@ -600,7 +634,7 @@ SloEngine::emitTransition(const char *rule, bool firing, uint64_t edgeNs,
     ev["window_buckets"] = static_cast<uint64_t>(longBuckets);
     ev["burn_long"] = burnLong;
     ev["burn_short"] = burnShort;
-    ev["error_budget"] = spec_.errorBudget;
+    ev["error_budget"] = kErrorBudget;
     events_.push_back(std::move(ev));
     if (firing)
         ++alertsFired_;
@@ -609,19 +643,19 @@ SloEngine::emitTransition(const char *rule, bool firing, uint64_t edgeNs,
 void
 SloEngine::evaluate(uint64_t edgeNs)
 {
-    double pageLong = burnOver(spec_.pageLongBuckets);
-    double pageShort = burnOver(spec_.pageShortBuckets);
-    bool page = pageLong >= spec_.pageBurn && pageShort >= spec_.pageBurn;
+    double pageLong = burnOver(kPageLongBuckets);
+    double pageShort = burnOver(kPageShortBuckets);
+    bool page = pageLong >= kPageBurn && pageShort >= kPageBurn;
     if (page != pageFiring_) {
         emitTransition("page", page, edgeNs, pageLong, pageShort,
-                       spec_.pageLongBuckets);
+                       kPageLongBuckets);
         pageFiring_ = page;
     }
-    double ticketLong = burnOver(spec_.ticketLongBuckets);
-    bool ticket = ticketLong >= spec_.ticketBurn;
+    double ticketLong = burnOver(kTicketLongBuckets);
+    bool ticket = ticketLong >= kTicketBurn;
     if (ticket != ticketFiring_) {
         emitTransition("ticket", ticket, edgeNs, ticketLong, ticketLong,
-                       spec_.ticketLongBuckets);
+                       kTicketLongBuckets);
         ticketFiring_ = ticket;
     }
 }
@@ -630,22 +664,22 @@ void
 SloEngine::closeBucket()
 {
     buckets_.emplace_back(curOk_, curErr_);
-    if (buckets_.size() > maxBuckets_)
+    if (buckets_.size() > kMaxBuckets)
         buckets_.pop_front();
     curOk_ = 0;
     curErr_ = 0;
-    evaluate((bucketIdx_ + 1) * spec_.bucketNs);
+    evaluate((bucketIdx_ + 1) * kBucketNs);
     ++bucketIdx_;
 }
 
 void
 SloEngine::onFinal(uint64_t t, bool ok)
 {
-    uint64_t idx = t / spec_.bucketNs;
+    uint64_t idx = t / kBucketNs;
     // An idle gap with empty recent history and no alert firing can
     // be skipped wholesale: closing more all-zero buckets emits
     // nothing and leaves every trailing-window burn at zero.
-    if (idx > bucketIdx_ + maxBuckets_ && !pageFiring_ && !ticketFiring_
+    if (idx > bucketIdx_ + kMaxBuckets && !pageFiring_ && !ticketFiring_
         && curOk_ == 0 && curErr_ == 0) {
         bool allZero = true;
         for (const auto &[bok, berr] : buckets_)
@@ -654,7 +688,7 @@ SloEngine::onFinal(uint64_t t, bool ok)
                 break;
             }
         if (allZero)
-            bucketIdx_ = idx - maxBuckets_;
+            bucketIdx_ = idx - kMaxBuckets;
     }
     while (bucketIdx_ < idx)
         closeBucket();
@@ -677,11 +711,11 @@ SloEngine::finalize()
     // possible window, so evaluate it explicitly -- after this, a
     // campaign-level budget breach always carries at least one alert.
     if (breached() && alertsFired_ == 0) {
-        uint64_t edge = bucketIdx_ * spec_.bucketNs;
+        uint64_t edge = bucketIdx_ * kBucketNs;
         double burn = (double(totalErr_) / double(finals()))
-            / spec_.errorBudget;
+            / kErrorBudget;
         emitTransition("ticket", true, edge, burn, burn,
-                       spec_.ticketLongBuckets);
+                       kTicketLongBuckets);
         ticketFiring_ = true;
     }
     finalized_ = true;
@@ -693,7 +727,7 @@ SloEngine::breached() const
     uint64_t n = finals();
     if (n == 0)
         return false;
-    return double(totalErr_) / double(n) > spec_.errorBudget;
+    return double(totalErr_) / double(n) > kErrorBudget;
 }
 
 Json
@@ -707,8 +741,8 @@ SloEngine::verdict() const
     doc["finals"] = n;
     doc["errors"] = totalErr_;
     doc["error_ratio"] = ratio;
-    doc["error_budget"] = spec_.errorBudget;
-    doc["total_burn"] = ratio / spec_.errorBudget;
+    doc["error_budget"] = kErrorBudget;
+    doc["total_burn"] = ratio / kErrorBudget;
     doc["breached"] = breached();
     doc["alerts_fired"] = alertsFired_;
     return doc;
@@ -740,13 +774,11 @@ SloEngine::writeFile(const std::string &path) const
 // ---------------------------------------------------------------------
 // FlightRecorder
 
-FlightRecorder::FlightRecorder(const Config &config) : config_(config) {}
-
 void
 FlightRecorder::record(const Record &r)
 {
     ring_.push_back(r);
-    if (ring_.size() > config_.capacity)
+    if (ring_.size() > kFlightCapacity)
         ring_.pop_front();
     ++recordedTotal_;
 }
@@ -756,7 +788,7 @@ FlightRecorder::trigger(uint64_t t, const char *reason, uint64_t id,
                         uint32_t attempt)
 {
     ++triggerTotal_;
-    if (triggers_.size() >= config_.maxTriggers)
+    if (triggers_.size() >= kFlightMaxTriggers)
         return;
     Json ev = Json::object();
     ev["t_ns"] = t;
@@ -771,7 +803,7 @@ FlightRecorder::toJson() const
 {
     Json doc = Json::object();
     doc["schema"] = "ulecc.svc.flight.v1";
-    doc["capacity"] = static_cast<uint64_t>(config_.capacity);
+    doc["capacity"] = static_cast<uint64_t>(kFlightCapacity);
     doc["recorded_total"] = recordedTotal_;
     Json replay = Json::object();
     replay["seed"] = seed_;

@@ -53,6 +53,7 @@
 
 #include "core/json.hh"
 #include "obs/hdr_histogram.hh"
+#include "svc/request.hh"
 
 namespace ulecc
 {
@@ -64,18 +65,9 @@ namespace ulecc
 class RequestTracer
 {
   public:
-    struct Config
-    {
-        /** Hard cap on recorded events; past it events are counted
-         * (and totals stay exact) but not stored. */
-        size_t maxEvents = 262'144;
-        /** Virtual nanoseconds per modelled cycle (for the busy-cycle
-         * reconciliation figure). */
-        double clockNs = 3.0;
-    };
-
-    RequestTracer() : RequestTracer(Config{}) {}
-    explicit RequestTracer(const Config &config);
+    /** Stores up to a fixed event cap (telemetry.cc); past it events
+     * are counted (and totals stay exact) but not stored. */
+    RequestTracer();
 
     /** @name Coordinator lifecycle hooks (times are virtual ns) */
     /** @{ */
@@ -152,8 +144,8 @@ class RequestTracer
     uint64_t droppedEvents() const { return dropped_; }
     /** Summed charged service time across spans. */
     uint64_t busyNs() const { return busyNs_; }
-    /** busyNs() on the modelled clock. */
-    double busyCycles() const { return double(busyNs_) / config_.clockNs; }
+    /** busyNs() on the modelled clock (kSvcClockNs). */
+    double busyCycles() const { return double(busyNs_) / kSvcClockNs; }
     /** Summed charged energy, grouped (analytic + cancelled + per-op)
      * in the report's exact accumulation order. */
     double totalUj() const;
@@ -195,7 +187,6 @@ class RequestTracer
 
     void record(Ev ev);
 
-    Config config_;
     std::vector<Ev> events_;
     uint64_t spans_ = 0;
     uint64_t batchSpans_ = 0;
@@ -294,38 +285,14 @@ class TimelineAggregator
 // ---------------------------------------------------------------------
 // SLO judgment
 
-/** Declarative SLO: an error budget plus two burn-rate alert rules. */
-struct SloSpec
-{
-    /** Tolerated fraction of finals that fail (error budget).  The
-     * objective is availability: 1 - errorBudget of requests end
-     * Errc::Ok. */
-    double errorBudget = 0.01;
-
-    /** Accounting bucket width (virtual ns); alert windows are
-     * integral numbers of buckets. */
-    uint64_t bucketNs = 25'000'000;
-
-    /** Fast "page" rule: burn >= pageBurn over the last
-     * pageLongBuckets, confirmed over the last pageShortBuckets. */
-    uint32_t pageLongBuckets = 8;
-    uint32_t pageShortBuckets = 2;
-    double pageBurn = 8.0;
-
-    /** Sustained "ticket" rule: burn >= ticketBurn over the last
-     * ticketLongBuckets.  At the default threshold 1.0 its trailing
-     * windows tile the campaign, making alerting complete: a
-     * campaign-level breach always fires at least one alert. */
-    uint32_t ticketLongBuckets = 32;
-    double ticketBurn = 1.0;
-};
-
-/** Multi-window burn-rate alert engine emitting ulecc.svc.slo.v1. */
+/**
+ * Multi-window burn-rate alert engine emitting ulecc.svc.slo.v1.  The
+ * SLO itself -- error budget, bucket width, the fast "page" and the
+ * sustained "ticket" rule -- is fixed in telemetry.cc.
+ */
 class SloEngine
 {
   public:
-    explicit SloEngine(const SloSpec &spec = {});
-
     /** One final per request (coordinator order, virtual ns). */
     void onFinal(uint64_t t, bool ok);
 
@@ -361,8 +328,6 @@ class SloEngine
                         double burnLong, double burnShort,
                         uint32_t longBuckets);
 
-    SloSpec spec_;
-    size_t maxBuckets_ = 0;
     std::deque<std::pair<uint64_t, uint64_t>> buckets_; ///< (ok, err)
     uint64_t bucketIdx_ = 0;
     uint64_t curOk_ = 0;
@@ -383,12 +348,6 @@ class SloEngine
 class FlightRecorder
 {
   public:
-    struct Config
-    {
-        size_t capacity = 64;    ///< request records kept
-        size_t maxTriggers = 32; ///< trigger events listed in full
-    };
-
     /** One executed request attempt, replayable via (seed, id,
      * attempt) -- the execution is a pure function of that key. */
     struct Record
@@ -414,13 +373,11 @@ class FlightRecorder
         bool ok = false;
     };
 
-    FlightRecorder() : FlightRecorder(Config{}) {}
-    explicit FlightRecorder(const Config &config);
-
     /** The campaign seed stamped into the replay key. */
     void setSeed(uint64_t seed) { seed_ = seed; }
 
-    /** Appends one record (oldest evicted past capacity). */
+    /** Appends one record (oldest evicted past the fixed capacity
+     * in telemetry.cc). */
     void record(const Record &r);
 
     /** Marks a dump-worthy moment (deadline breach, fault, chaos). */
@@ -438,7 +395,6 @@ class FlightRecorder
     bool writeFile(const std::string &path) const;
 
   private:
-    Config config_;
     uint64_t seed_ = 0;
     std::deque<Record> ring_;
     uint64_t recordedTotal_ = 0;

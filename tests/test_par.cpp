@@ -206,99 +206,68 @@ TEST(ThreadPool, HostileUleccJobsValuesNeverDeadlockOrExplode)
 TEST(ThreadPool, ShutdownDrainRunsEveryQueuedTask)
 {
     std::atomic<int> done{0};
-    ThreadPool pool(1);
-    // Head task blocks the single worker so the rest provably sit in
-    // the queue when shutdown begins.
+    std::promise<void> started;
     std::promise<void> gate;
     std::shared_future<void> open = gate.get_future().share();
-    pool.submit([open] { open.wait(); });
-    while (pool.queueDepth() != 0) // worker must hold the gate task
-        std::this_thread::yield();
-    for (int i = 0; i < 50; ++i)
-        pool.submit([&] { done.fetch_add(1); });
-    EXPECT_EQ(pool.queueDepth(), 50u);
-    gate.set_value();
-    size_t dropped = pool.shutdown(ThreadPool::Shutdown::Drain);
-    EXPECT_EQ(dropped, 0u);
+    std::thread opener;
+    {
+        ThreadPool pool(1);
+        // Head task blocks the single worker so the rest provably sit
+        // in the queue until the gate opens.
+        pool.submit([&started, open] {
+            started.set_value();
+            open.wait();
+        });
+        started.get_future().wait();
+        for (int i = 0; i < 50; ++i)
+            pool.submit([&] { done.fetch_add(1); });
+        // Open the gate shortly after destruction begins; the count
+        // must be exact whichever comes first.
+        opener = std::thread([&gate] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+            gate.set_value();
+        });
+    } // ~ThreadPool drains the queue, then joins
+    opener.join();
     EXPECT_EQ(done.load(), 50);
-    // Idempotent, and still Drain semantics afterwards.
-    EXPECT_EQ(pool.shutdown(ThreadPool::Shutdown::Drain), 0u);
 }
 
-TEST(ThreadPool, ShutdownCancelDropsQueuedButFinishesRunning)
+TEST(ThreadPool, DestructorDrainRunsTasksSubmittedDuringDrain)
 {
-    std::atomic<int> ran{0};
-    ThreadPool pool(1);
-    std::promise<void> gate;
-    std::shared_future<void> open = gate.get_future().share();
-    pool.submit([&ran, open] {
-        open.wait();
-        ran.fetch_add(1);
-    });
-    while (pool.queueDepth() != 0) // worker must hold the gate task
-        std::this_thread::yield();
-    for (int i = 0; i < 30; ++i)
-        pool.submit([&] { ran.fetch_add(1); });
-    EXPECT_EQ(pool.queueDepth(), 30u);
-    gate.set_value();
-    size_t dropped = pool.shutdown(ThreadPool::Shutdown::Cancel);
-    // The running task always completes; every task not yet started
-    // when the cancel raced in was discarded, never half-run.
-    EXPECT_EQ(static_cast<size_t>(ran.load()) + dropped, 31u);
-    EXPECT_GE(ran.load(), 1);
-    // After shutdown new work is refused, not deadlocked on.
-    EXPECT_FALSE(pool.submit([] {}));
-    EXPECT_FALSE(pool.trySubmit([] {}));
-}
-
-TEST(ThreadPool, WaitObservesCancelledTasksAsFinished)
-{
-    std::atomic<int> ran{0};
-    ThreadPool pool(1);
-    std::promise<void> gate;
-    std::shared_future<void> open = gate.get_future().share();
-    pool.submit([&ran, open] {
-        open.wait();
-        ran.fetch_add(1);
-    });
-    while (pool.queueDepth() != 0) // worker must hold the gate task
-        std::this_thread::yield();
-    for (int i = 0; i < 10; ++i)
-        pool.submit([&] { ran.fetch_add(1); });
-    EXPECT_EQ(pool.cancelPending(), 10u);
-    gate.set_value();
-    pool.wait(); // must return: discarded tasks count as finished
-    EXPECT_EQ(ran.load(), 1);
-    // cancelPending leaves the pool alive: new work still runs.
-    EXPECT_TRUE(pool.submit([&] { ran.fetch_add(1); }));
-    pool.wait();
-    EXPECT_EQ(ran.load(), 2);
-}
-
-TEST(ThreadPool, BoundedQueueExertsBackpressure)
-{
-    ThreadPool pool(1, 2);
-    EXPECT_EQ(pool.maxQueued(), 2u);
-    std::promise<void> gate;
-    std::shared_future<void> open = gate.get_future().share();
+    // Root tasks are held behind a gate that opens only after the
+    // destructor has started; each then fans out nested tasks (two
+    // levels deep).  Every nested task lands on its submitting
+    // worker's own deque, which that worker empties before it exits,
+    // so none may be lost to the shutdown.
+    constexpr int kRoots = 8;
+    constexpr int kChildren = 10;
+    constexpr int kGrandchildren = 3;
     std::atomic<int> done{0};
-    pool.submit([open] { open.wait(); }); // occupies the worker
-    // Wait for the worker to pick the head task up so the queue depth
-    // below is deterministic.
-    while (pool.queueDepth() != 0)
-        std::this_thread::yield();
-    pool.submit([&] { done.fetch_add(1); });
-    pool.submit([&] { done.fetch_add(1); });
-    // Queue is at its bound: trySubmit refuses instead of blocking.
-    EXPECT_EQ(pool.queueDepth(), 2u);
-    EXPECT_FALSE(pool.trySubmit([&] { done.fetch_add(1); }));
-    // A blocking submit parks until the worker frees a slot -- verify
-    // it completes once the gate opens (and does not lose the task).
-    std::thread producer([&] { pool.submit([&] { done.fetch_add(1); }); });
-    gate.set_value();
-    producer.join();
-    pool.wait();
-    EXPECT_EQ(done.load(), 3);
+    std::promise<void> gate;
+    std::shared_future<void> open = gate.get_future().share();
+    std::thread opener;
+    {
+        ThreadPool pool(2);
+        for (int r = 0; r < kRoots; ++r) {
+            pool.submit([&, open] {
+                open.wait();
+                for (int c = 0; c < kChildren; ++c) {
+                    pool.submit([&] {
+                        for (int g = 0; g < kGrandchildren; ++g)
+                            pool.submit([&] { done.fetch_add(1); });
+                        done.fetch_add(1);
+                    });
+                }
+                done.fetch_add(1);
+            });
+        }
+        opener = std::thread([&gate] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+            gate.set_value();
+        });
+    }
+    opener.join();
+    EXPECT_EQ(done.load(), kRoots * (1 + kChildren * (1 + kGrandchildren)));
 }
 
 TEST(ThreadPool, NestedSubmitsLandOnTheWorkersOwnDeque)
@@ -345,51 +314,6 @@ TEST(ThreadPool, IdleWorkersStealNestedBacklog)
     EXPECT_EQ(done.load(), 200);
     EXPECT_GE(pool.steals(), 1u);
     EXPECT_EQ(pool.steals() + pool.localPops(), 200u);
-}
-
-TEST(ThreadPool, CancelDropsTasksQueuedOnLocalDeques)
-{
-    ThreadPool pool(1);
-    std::promise<void> submitted;
-    std::promise<void> gate;
-    std::shared_future<void> open = gate.get_future().share();
-    std::atomic<int> ran{0};
-    pool.submit([&, open] {
-        for (int i = 0; i < 10; ++i)
-            pool.submit([&] { ran.fetch_add(1); });
-        submitted.set_value();
-        open.wait();
-    });
-    submitted.get_future().wait();
-    EXPECT_EQ(pool.queueDepth(), 10u);
-    // cancelPending must see tasks parked on worker deques, not just
-    // the injection queue.
-    EXPECT_EQ(pool.cancelPending(), 10u);
-    gate.set_value();
-    pool.wait();
-    EXPECT_EQ(ran.load(), 0);
-}
-
-TEST(ThreadPool, StealModeBoundedQueueExertsBackpressure)
-{
-    ThreadPool pool(1, 2);
-    std::promise<void> gate;
-    std::shared_future<void> open = gate.get_future().share();
-    std::atomic<int> done{0};
-    pool.submit([open] { open.wait(); });
-    while (pool.queueDepth() != 0)
-        std::this_thread::yield();
-    pool.submit([&] { done.fetch_add(1); });
-    pool.submit([&] { done.fetch_add(1); });
-    EXPECT_EQ(pool.queueDepth(), 2u);
-    EXPECT_FALSE(pool.trySubmit([&] { done.fetch_add(1); }));
-    std::thread producer([&] {
-        pool.submit([&] { done.fetch_add(1); });
-    });
-    gate.set_value();
-    producer.join();
-    pool.wait();
-    EXPECT_EQ(done.load(), 3);
 }
 
 TEST(ThreadPool, StealRaceStressLosesNoTasks)

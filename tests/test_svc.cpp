@@ -556,9 +556,7 @@ TEST(SvcTelemetry, SloAlertsAndFlightRecorderCaptureChaosBreach)
     SvcConfig cfg = soakConfig(2026, 600);
     Server server(cfg);
     SloEngine slo;
-    FlightRecorder::Config fcfg;
-    fcfg.capacity = 8;
-    FlightRecorder flight(fcfg);
+    FlightRecorder flight;
     SvcTelemetry tel;
     tel.slo = &slo;
     tel.flight = &flight;
@@ -587,9 +585,11 @@ TEST(SvcTelemetry, SloAlertsAndFlightRecorderCaptureChaosBreach)
               slo.alertsFired());
 
     // Flight recorder: every completion was offered, the ring held
-    // its bound, and at least one trigger snapshot fired.
+    // exactly its 64-record bound (the campaign records far more),
+    // and at least one trigger snapshot fired.
     EXPECT_EQ(flight.recordedTotal(), c.executed + c.cancelledMidService);
-    EXPECT_LE(flight.held(), size_t{8});
+    EXPECT_GT(flight.recordedTotal(), 64u);
+    EXPECT_EQ(flight.held(), size_t{64});
     EXPECT_GT(flight.triggerTotal(), 0u);
     Json dump = flight.toJson();
     EXPECT_EQ(dump.find("records")->size(), flight.held());

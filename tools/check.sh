@@ -40,23 +40,32 @@ run_tsan=1
 run_bench=0
 run_soak=0
 diffuzz_cases=10000
-expect_cases=0
-for arg in "$@"; do
-    if [[ $expect_cases -eq 1 ]]; then
-        diffuzz_cases="$arg"
-        expect_cases=0
-        continue
-    fi
-    [[ "$arg" == "--no-asan" ]] && run_asan=0
-    [[ "$arg" == "--no-tsan" ]] && run_tsan=0
-    [[ "$arg" == "--bench" ]] && run_bench=1
-    [[ "$arg" == "--soak" ]] && run_soak=1
-    [[ "$arg" == "--diffuzz" ]] && expect_cases=1
-done
-if [[ $expect_cases -eq 1 ]]; then
-    echo "FAIL: --diffuzz requires a case count" >&2
+
+# Flags are strict: a typo or a malformed --diffuzz count exits 2
+# with the usage line before anything is built.
+usage() {
+    echo "check.sh: [invalid-input] $1" >&2
+    echo "usage: tools/check.sh [--no-asan] [--no-tsan] [--diffuzz N]" \
+         "[--bench] [--soak]" >&2
     exit 2
-fi
+}
+while [[ $# -gt 0 ]]; do
+    case "$1" in
+        --no-asan) run_asan=0 ;;
+        --no-tsan) run_tsan=0 ;;
+        --bench) run_bench=1 ;;
+        --soak) run_soak=1 ;;
+        --diffuzz)
+            [[ $# -ge 2 ]] || usage "--diffuzz requires a case count"
+            [[ "$2" =~ ^(0|[1-9][0-9]*)$ ]] \
+                || usage "--diffuzz count '$2' is not a non-negative integer"
+            diffuzz_cases="$2"
+            shift
+            ;;
+        *) usage "unknown flag '$1'" ;;
+    esac
+    shift
+done
 
 step() { printf '\n== %s ==\n' "$*"; }
 
