@@ -58,15 +58,10 @@ measurePeteOnce(int reps)
     MpUint b = MpUint::powerOfTwo(541).add(MpUint(99));
     SimSpeed speed;
     double t0 = now();
-    for (int rep = 0; rep < reps; ++rep) {
-        Pete cpu(program);
-        for (int i = 0; i < 34; ++i)
-            cpu.mem().poke32(0x10000400 + 4 * i, a.limb(i));
-        for (int i = 0; i < 17; ++i)
-            cpu.mem().poke32(0x10000500 + 4 * i, b.limb(i));
-        cpu.run();
-        speed.instructions += cpu.stats().instructions;
-    }
+    for (int rep = 0; rep < reps; ++rep)
+        speed.instructions +=
+            simulateKernel(AsmKernel::MulOs, 17, program, {}, a, b)
+                .stats.instructions;
     speed.wallSeconds = now() - t0;
     speed.mips = speed.instructions / speed.wallSeconds / 1e6;
     return speed;

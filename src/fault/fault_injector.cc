@@ -7,6 +7,8 @@
 
 #include <sstream>
 
+#include "asmkit/assembler.hh"
+
 namespace ulecc
 {
 
@@ -157,6 +159,71 @@ FaultInjector::inject(Pete &cpu)
       case FaultKind::NumKinds:
         break;
     }
+}
+
+MpUint
+randomLimbs(SplitMix64 &rng, int limbs)
+{
+    MpUint v;
+    for (int i = 0; i < limbs; ++i)
+        v.setLimb(i, static_cast<uint32_t>(rng.next()));
+    return v;
+}
+
+KernelVictim
+drawVictim(std::span<const AsmKernel> victims, SplitMix64 &rng)
+{
+    KernelVictim v;
+    v.kernel = victims[rng.below(victims.size())];
+    v.a = randomLimbs(rng, v.kernel == AsmKernel::RedP192 ? 12 : 6);
+    v.b = randomLimbs(rng, 6);
+    return v;
+}
+
+KernelStrike
+strikeKernel(std::span<const AsmKernel> victims, SplitMix64 &rng)
+{
+    KernelVictim v = drawVictim(victims, rng);
+    Program program = assemble(kernelSource(v.kernel, 6));
+    PeteConfig cfg;
+
+    // Golden fault-free run: the reference output and the cycle
+    // horizon for planning the strike.
+    cfg.maxCycles = 10'000'000;
+    KernelSim golden = simulateKernel(v.kernel, 6, program, cfg, v.a, v.b);
+    KernelStrike strike;
+    if (!golden.outcome.ok()) {
+        // The victim failed without a fault: a library bug.
+        strike.error = golden.outcome.error();
+        return strike;
+    }
+
+    FaultInjector injector(rng.next());
+    FaultTargetSpace space;
+    space.cycleHorizon = golden.stats.cycles;
+    space.ramBase = kKernelRamBase;
+    space.ramWords = kKernelRamWords;
+    space.romWords = static_cast<uint32_t>(program.words.size());
+    strike.spec = injector.plan(space);
+    injector.arm(strike.spec);
+    strike.kind = faultKindName(strike.spec.kind);
+
+    // Budget: a generous multiple of golden, so only genuine runaways
+    // (corrupted control flow, budget-exhaust faults) time out -- and
+    // the timeout itself is a safe-point stop: Pete checks its budget
+    // before every instruction and returns Errc::SimTimeout.
+    cfg.maxCycles = golden.stats.cycles * 4 + 100'000;
+    KernelSim faulty =
+        simulateKernel(v.kernel, 6, program, cfg, v.a, v.b, &injector);
+    if (!faulty.outcome.ok()) {
+        strike.outcome = CampaignOutcome::Detected;
+        strike.error = faulty.outcome.error();
+    } else if (faulty.result == golden.result) {
+        strike.outcome = CampaignOutcome::Masked;
+    } else {
+        strike.outcome = CampaignOutcome::SilentlyCorrupted;
+    }
+    return strike;
 }
 
 } // namespace ulecc

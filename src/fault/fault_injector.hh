@@ -20,18 +20,24 @@
  *    and RAM (also how i-cache line corruption is modelled: the
  *    backing line is corrupted so subsequent fetches of the cached
  *    line decode flipped bits);
- *  - Cop2 decoration          -- StallStormCop2 wraps a real
- *    coprocessor and turns its queue/sync interlocks into storms.
+ *  - Pete::addStall          -- stall storms and budget runaways.
+ *
+ * strikeKernel() is the one golden-vs-faulty procedure built on the
+ * injector: tools/fault_campaign and svc chaos mode both call it and
+ * differ only in their victim lists and outcome vocabularies.
  */
 
 #ifndef ULECC_FAULT_FAULT_INJECTOR_HH
 #define ULECC_FAULT_FAULT_INJECTOR_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "base/prng.hh"
+#include "fault/campaign_summary.hh"
 #include "sim/cpu.hh"
+#include "workload/asm_kernels.hh"
 
 namespace ulecc
 {
@@ -98,10 +104,6 @@ class FaultInjector : public StepHook
     void onStep(Pete &cpu) override;
 
     bool fired() const { return fired_; }
-    const FaultSpec &spec() const { return spec_; }
-
-    /** The underlying PRNG (campaign drivers share the stream). */
-    SplitMix64 &rng() { return rng_; }
 
   private:
     void inject(Pete &cpu);
@@ -113,35 +115,42 @@ class FaultInjector : public StepHook
     uint64_t stormEndCycle_ = 0;
 };
 
-/**
- * Cop2 decorator that adds deterministic stall storms on top of a real
- * coprocessor's interlocks: every forwarded instruction inside the
- * storm window costs @p stormStall extra stall cycles.
- */
-class StallStormCop2 : public Cop2
+/** @p limbs random 32-bit limbs, one draw of @p rng each. */
+MpUint randomLimbs(SplitMix64 &rng, int limbs);
+
+/** A strike's victim kernel (at k = 6) and its operands. */
+struct KernelVictim
 {
-  public:
-    StallStormCop2(Cop2 &inner, uint64_t stormStartCycle,
-                   uint64_t stormCycles, uint32_t stormStall)
-        : inner_(inner), start_(stormStartCycle),
-          end_(stormStartCycle + stormCycles), stall_(stormStall)
-    {}
-
-    uint64_t
-    execute(const DecodedInst &inst, Pete &cpu) override
-    {
-        uint64_t stall = inner_.execute(inst, cpu);
-        if (cpu.cycle() >= start_ && cpu.cycle() < end_)
-            stall += stall_;
-        return stall;
-    }
-
-  private:
-    Cop2 &inner_;
-    uint64_t start_;
-    uint64_t end_;
-    uint32_t stall_;
+    AsmKernel kernel = AsmKernel::MpAdd;
+    MpUint a; ///< 12 limbs for RedP192, 6 otherwise
+    MpUint b; ///< 6 limbs
 };
+
+/** Draws the victim from @p victims, then A, then B. */
+KernelVictim drawVictim(std::span<const AsmKernel> victims,
+                        SplitMix64 &rng);
+
+/** How one golden-vs-faulty kernel strike resolved (Crashed: the
+ *  fault-free golden run itself failed). */
+struct KernelStrike
+{
+    const char *kind = "golden-failure"; ///< or faultKindName(spec.kind)
+    CampaignOutcome outcome = CampaignOutcome::Crashed;
+    Error error; ///< the failed run's error (Detected, Crashed)
+    FaultSpec spec;
+};
+
+/**
+ * One fault strike on a victim kernel, fully deterministic in @p rng:
+ * draws the victim and its operands (drawVictim), runs it fault-free
+ * under a 10M-cycle budget, plans one fault over that run with a
+ * FaultInjector seeded from the next draw, and reruns it armed under
+ * 4x the golden cycles + 100k.  A faulty run that fails is Detected;
+ * one that completes is Masked when its result limbs equal golden and
+ * SilentlyCorrupted otherwise.
+ */
+KernelStrike strikeKernel(std::span<const AsmKernel> victims,
+                          SplitMix64 &rng);
 
 } // namespace ulecc
 

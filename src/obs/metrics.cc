@@ -1,6 +1,6 @@
 /**
  * @file
- * MetricsRegistry file sinks.
+ * MetricsRegistry file sink.
  */
 
 #include "obs/metrics.hh"
@@ -17,16 +17,6 @@ MetricsRegistry::writeFile(const std::string &path) const
     if (!out)
         return false;
     out << root_.dump(2) << "\n";
-    return static_cast<bool>(out);
-}
-
-bool
-MetricsRegistry::appendJsonl(const std::string &path, const Json &record)
-{
-    std::ofstream out(path, std::ios::binary | std::ios::app);
-    if (!out)
-        return false;
-    out << record.dump() << "\n";
     return static_cast<bool>(out);
 }
 

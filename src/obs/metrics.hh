@@ -1,13 +1,12 @@
 /**
  * @file
- * Metrics registry + JSON sink.
+ * Metrics registry + JSON file sink.
  *
  * A MetricsRegistry is an ordered bag of named values (counters,
  * gauges, strings, nested documents) that serialises to one stable
- * JSON object.  Producers -- ulecc-run, the bench journal, the fault
- * campaign -- register what they measured; sinks write a whole file or
- * append one compact record per line to a JSONL trajectory, so every
- * run of every tool leaves a machine-readable sample behind.
+ * JSON object.  The tools that write a metrics document -- ulecc-run
+ * --metrics, svc_run --json and diffuzz --json -- set what they
+ * measured and write the whole file.
  */
 
 #ifndef ULECC_OBS_METRICS_HH
@@ -37,30 +36,8 @@ class MetricsRegistry
         root_[name] = std::move(value);
     }
 
-    /** Increments an integer counter (creating it at zero). */
-    void
-    add(const std::string &name, int64_t delta)
-    {
-        Json &slot = root_[name];
-        slot = Json(slot.isNumber() ? slot.asInt() + delta : delta);
-    }
-
-    /** The named value, or nullptr. */
-    const Json *find(const std::string &name) const
-    {
-        return root_.find(name);
-    }
-
-    const Json &toJson() const { return root_; }
-
     /** Pretty-printed document to @p path; false on I/O failure. */
     bool writeFile(const std::string &path) const;
-
-    /**
-     * Appends @p record compactly as one line of @p path (the JSONL
-     * trajectory format); false on I/O failure.
-     */
-    static bool appendJsonl(const std::string &path, const Json &record);
 
   private:
     Json root_ = Json::object();

@@ -138,19 +138,6 @@ const char *const kThreadNames[] = {nullptr, "retire", "stall",
 
 } // namespace
 
-Json
-PipelineTracer::toJson() const
-{
-    Result<Json> doc = Json::parse(dump());
-    // dump() only emits writer-controlled text; a parse failure here
-    // would be a writer bug.
-    if (!doc.ok())
-        throw UleccError(Errc::Internal,
-                         "trace writer produced invalid JSON: "
-                         + doc.error().context);
-    return doc.value();
-}
-
 std::string
 PipelineTracer::dump() const
 {

@@ -119,10 +119,8 @@ class PipelineTracer : public StepHook, public SpanSink
     /** Events dropped past TraceConfig::maxEvents. */
     uint64_t droppedEvents() const { return dropped_; }
 
-    /** The full Chrome trace document ({"traceEvents": [...], ...}). */
-    Json toJson() const;
-
-    /** Serialises toJson(); compact, one event per line. */
+    /** The Chrome trace document ({"traceEvents": [...], ...}),
+     *  compact, one event per line. */
     std::string dump() const;
 
     /** Writes the trace to @p path; false on I/O failure. */

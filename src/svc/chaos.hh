@@ -5,9 +5,10 @@
  * With chaos enabled, a seeded fraction of requests is struck by one
  * fault drawn from the same vocabulary the offline fault campaigns
  * use -- bit flips, program-line corruption, stall storms, and budget
- * runaways on a victim field kernel simulated on Pete, plus crypto-
- * layer corruptions (glitched signatures, corrupted peer points,
- * out-of-range scalars) handled in the service executor.
+ * runaways on a victim field kernel simulated on Pete (the same
+ * fault/strikeKernel() procedure tools/fault_campaign runs), plus
+ * crypto-layer corruptions (glitched signatures, corrupted peer
+ * points, out-of-range scalars) handled in the service executor.
  *
  * The contract the soak test pins: a struck request must still end in
  * a *correct result or a structured error*.  The classification:
@@ -63,8 +64,11 @@ struct SimStrikeResult
 };
 
 /**
- * Runs one victim field kernel on Pete with a planned fault armed and
- * classifies the outcome against a golden fault-free run.  Fully
+ * One fault/strikeKernel() strike on a victim field kernel (MpAdd,
+ * MulOs or RedP192), its outcome mapped onto the service vocabulary:
+ * Detected keeps the run's Errc, Masked is Errc::Ok, SilentlyCorrupted
+ * becomes Errc::FaultDetected / SilentCaught, and a failed golden run
+ * is Errc::Internal / SilentCaught ("golden-failure").  Fully
  * deterministic in @p rng's state.
  */
 SimStrikeResult chaosSimStrike(SplitMix64 &rng);
@@ -79,13 +83,13 @@ SimStrikeResult chaosSimStrike(SplitMix64 &rng);
 SimStrikeResult chaosBudgetStrike(SplitMix64 &rng);
 
 /**
- * Fault-free co-simulation of one victim kernel (the FullSim tier's
+ * Fault-free co-simulation of the MulOs kernel (the FullSim tier's
  * per-request simulation anchor), cross-checked against the native
- * bignum implementation.  Returns the simulated cycle count; sets
- * @p mismatch when the simulator and the native result disagree --
- * which the service reports as a caught silent corruption.
+ * bignum implementation.  Sets @p mismatch when the simulator and the
+ * native result disagree -- which the service reports as a caught
+ * silent corruption.
  */
-uint64_t chaosCosim(SplitMix64 &rng, bool *mismatch);
+void chaosCosim(SplitMix64 &rng, bool *mismatch);
 
 } // namespace ulecc
 

@@ -380,19 +380,6 @@ RequestTracer::dump() const
     return out;
 }
 
-Json
-RequestTracer::toJson() const
-{
-    Result<Json> doc = Json::parse(dump());
-    // dump() only emits writer-controlled text; a parse failure here
-    // would be a writer bug.
-    if (!doc.ok())
-        throw UleccError(Errc::Internal,
-                         "request trace writer produced invalid JSON: "
-                         + doc.error().context);
-    return doc.value();
-}
-
 bool
 RequestTracer::writeFile(const std::string &path) const
 {

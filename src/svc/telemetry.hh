@@ -154,10 +154,8 @@ class RequestTracer
     double opUj(int opIndex) const { return opUj_[opIndex]; }
     /** @} */
 
-    /** The Chrome trace document ({"traceEvents": [...], ...}). */
-    Json toJson() const;
-
-    /** Serialises toJson(); compact, one event per line. */
+    /** The Chrome trace document ({"traceEvents": [...], ...}),
+     *  compact, one event per line. */
     std::string dump() const;
 
     /** Writes the trace to @p path; false on I/O failure. */

@@ -408,6 +408,9 @@ done:
 
 } // namespace
 
+const uint32_t kKernelRamBase = kAddrA;
+const uint32_t kKernelRamWords = (kAddrR + 4 * 16 - kAddrA) / 4;
+
 std::string
 kernelSource(AsmKernel kernel, int k)
 {
@@ -433,47 +436,56 @@ kernelSource(AsmKernel kernel, int k)
     return prologue(k) + body;
 }
 
+KernelSim
+simulateKernel(AsmKernel kernel, int k, const Program &program,
+               const PeteConfig &config, const MpUint &a, const MpUint &b,
+               StepHook *hook)
+{
+    Pete cpu(program, config);
+    for (int i = 0; i < 2 * k; ++i)
+        cpu.mem().poke32(kAddrA + 4 * i, a.limb(i));
+    for (int i = 0; i < k; ++i)
+        cpu.mem().poke32(kAddrB + 4 * i, b.limb(i));
+    if (hook)
+        cpu.attachStepHook(hook);
+    KernelSim sim;
+    sim.outcome = cpu.runChecked();
+    sim.stats = cpu.stats();
+    sim.ram = cpu.mem().ramCounters();
+    sim.romFetch = cpu.mem().romFetchCounters();
+    int result_limbs = (kernel == AsmKernel::MpAdd) ? k + 1
+        : (kernel == AsmKernel::RedP192) ? 6 : 2 * k;
+    for (int i = 0; i < result_limbs; ++i)
+        sim.result.setLimb(i, cpu.mem().peek32(kAddrR + 4 * i));
+    return sim;
+}
+
 KernelRun
 runKernel(AsmKernel kernel, const MpUint &a, const MpUint &b, int k,
           const ICacheConfig *icache, MultiplierVariant multiplier)
 {
-    auto execute = [&](const std::string &src) {
-        PeteConfig cfg;
-        applyMultiplier(cfg, multiplier);
-        if (icache) {
-            cfg.icacheEnabled = true;
-            cfg.icache = *icache;
-        }
-        Pete cpu(assemble(src), cfg);
-        // Operand A may be double-width (reduction kernels).
-        for (int i = 0; i < 2 * k; ++i)
-            cpu.mem().poke32(kAddrA + 4 * i, a.limb(i));
-        for (int i = 0; i < k; ++i)
-            cpu.mem().poke32(kAddrB + 4 * i, b.limb(i));
-        if (!cpu.run())
-            throw UleccError(Errc::SimTimeout,
-                             "runKernel: kernel did not halt within the "
-                             "cycle budget");
-        return cpu;
-    };
-
-    Pete full = execute(kernelSource(kernel, k));
-    Pete empty = execute(prologue(k) + "    break\n");
+    PeteConfig cfg;
+    applyMultiplier(cfg, multiplier);
+    if (icache) {
+        cfg.icacheEnabled = true;
+        cfg.icache = *icache;
+    }
+    KernelSim full = simulateKernel(
+        kernel, k, assemble(kernelSource(kernel, k)), cfg, a, b);
+    KernelSim empty = simulateKernel(
+        kernel, k, assemble(prologue(k) + "    break\n"), cfg, a, b);
+    // value() throws a failed run's structured error.
+    full.outcome.value();
+    empty.outcome.value();
 
     KernelRun run;
-    run.cycles = full.stats().cycles - empty.stats().cycles;
-    run.instructions =
-        full.stats().instructions - empty.stats().instructions;
-    run.ramReads = full.mem().ramCounters().reads;
-    run.ramWrites = full.mem().ramCounters().writes;
-    run.romFetches = full.mem().romFetchCounters().reads
-        - empty.mem().romFetchCounters().reads;
-    run.multIssues = full.stats().multIssues;
-
-    int result_limbs = (kernel == AsmKernel::MpAdd) ? k + 1
-        : (kernel == AsmKernel::RedP192) ? 6 : 2 * k;
-    for (int i = 0; i < result_limbs; ++i)
-        run.result.setLimb(i, full.mem().peek32(kAddrR + 4 * i));
+    run.result = full.result;
+    run.cycles = full.stats.cycles - empty.stats.cycles;
+    run.instructions = full.stats.instructions - empty.stats.instructions;
+    run.ramReads = full.ram.reads;
+    run.ramWrites = full.ram.writes;
+    run.romFetches = full.romFetch.reads - empty.romFetch.reads;
+    run.multIssues = full.stats.multIssues;
     return run;
 }
 

@@ -51,6 +51,34 @@ enum class AsmKernel
 /** Returns the assembly source of @p kernel for @p k limbs. */
 std::string kernelSource(AsmKernel kernel, int k);
 
+/** What one testbench run of a kernel program on Pete produced. */
+struct KernelSim
+{
+    Result<uint64_t> outcome{0ull}; ///< Pete::runChecked()
+    PeteStats stats;
+    MemCounters ram;                ///< RAM data accesses
+    MemCounters romFetch;           ///< narrow ROM fetches
+    /** The kernel's result limbs: k + 1 for MpAdd, 6 for RedP192,
+     *  2k otherwise. */
+    MpUint result;
+};
+
+/**
+ * The kernel testbench, the one place that knows the operand layout:
+ * loads @p a (2k limbs; the reduction kernels read a double-width A)
+ * and @p b (k limbs) at the kernel operand addresses, runs @p program
+ * under @p config with @p hook attached, and reads back @p kernel's
+ * result limbs.
+ */
+KernelSim simulateKernel(AsmKernel kernel, int k, const Program &program,
+                         const PeteConfig &config, const MpUint &a,
+                         const MpUint &b, StepHook *hook = nullptr);
+
+/** The testbench's live RAM, operand A through a 16-limb result: the
+ *  words a fault strike may flip. */
+extern const uint32_t kKernelRamBase;
+extern const uint32_t kKernelRamWords;
+
 /**
  * Runs @p kernel on the simulator with operands @p a and @p b of
  * @p k limbs.  The measured window excludes the setup prologue.

@@ -158,13 +158,10 @@ TEST(AsmKernels, PeteStatsMatchGoldenAtK6)
     MpUint b = MpUint::powerOfTwo(32 * k - 2).add(MpUint(99));
     std::string actual;
     for (const auto &[kernel, name] : kernels) {
-        Pete cpu(assemble(kernelSource(kernel, k)));
-        for (int i = 0; i < 2 * k; ++i)
-            cpu.mem().poke32(0x10000400 + 4 * i, a.limb(i));
-        for (int i = 0; i < k; ++i)
-            cpu.mem().poke32(0x10000500 + 4 * i, b.limb(i));
-        EXPECT_TRUE(cpu.run()) << name;
-        actual += std::string(name) + " " + statsLine(cpu.stats()) + "\n";
+        KernelSim sim = simulateKernel(
+            kernel, k, assemble(kernelSource(kernel, k)), {}, a, b);
+        EXPECT_TRUE(sim.outcome.ok()) << name;
+        actual += std::string(name) + " " + statsLine(sim.stats) + "\n";
     }
     expectMatchesGolden("pete_asm_kernels_k6.txt", actual);
 }

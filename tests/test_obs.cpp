@@ -12,6 +12,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
+#include <string>
 
 #include <algorithm>
 #include <vector>
@@ -116,7 +118,7 @@ TEST(PipelineTracer, EmitsWellFormedChromeTraceWithMonotonicTimestamps)
     PeteStats stats;
     runTraced(kStallMix, tracer, profiler, stats);
 
-    Json doc = tracer.toJson();
+    Json doc = Json::parse(tracer.dump()).value();
     const Json *events = doc.find("traceEvents");
     ASSERT_NE(events, nullptr);
     ASSERT_TRUE(events->isArray());
@@ -161,7 +163,7 @@ TEST(PipelineTracer, CapturesTraceScopeSpansOnPhaseTrack)
         TraceScope outer("ecdsa.sign", "protocol");
         TraceScope inner("ec.scalar_mul", "kernel");
     }
-    Json doc = tracer.toJson();
+    Json doc = Json::parse(tracer.dump()).value();
     const Json *events = doc.find("traceEvents");
     ASSERT_NE(events, nullptr);
     int begins = 0, ends = 0;
@@ -357,40 +359,35 @@ TEST(Json, RoundTripsThroughDumpAndParse)
     EXPECT_EQ(doc.members()[4].key, "text");
 }
 
-TEST(MetricsRegistry, RoundTripsAndAppendsJsonl)
+TEST(MetricsRegistry, WriteFileRoundTrips)
 {
     MetricsRegistry reg("ulecc.test.v1");
     reg.set("cycles", uint64_t{123456789});
     reg.set("ipc", 0.875);
-    reg.add("faults", 3);
-    reg.add("faults", 2);
+    reg.set("ipc", 0.5); // replaces in place
     Json nested = Json::object();
     nested["kind"] = "stall";
     reg.set("detail", std::move(nested));
 
-    ASSERT_NE(reg.find("schema"), nullptr);
-    EXPECT_EQ(reg.find("schema")->asString(), "ulecc.test.v1");
-    EXPECT_EQ(reg.find("faults")->asInt(), 5);
-
-    Result<Json> back = Json::parse(reg.toJson().dump(2));
-    ASSERT_TRUE(back.ok());
-    EXPECT_EQ(back.value(), reg.toJson());
-
-    const char *path = "/tmp/ulecc_test_metrics.jsonl";
-    std::remove(path);
-    ASSERT_TRUE(MetricsRegistry::appendJsonl(path, reg.toJson()));
-    ASSERT_TRUE(MetricsRegistry::appendJsonl(path, reg.toJson()));
+    const char *path = "/tmp/ulecc_test_metrics.json";
+    ASSERT_TRUE(reg.writeFile(path));
     std::ifstream in(path);
-    std::string line;
-    int lines = 0;
-    while (std::getline(in, line)) {
-        ++lines;
-        Result<Json> rec = Json::parse(line);
-        ASSERT_TRUE(rec.ok());
-        EXPECT_EQ(rec.value(), reg.toJson());
-    }
-    EXPECT_EQ(lines, 2);
+    std::string text((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
     std::remove(path);
+    Result<Json> back = Json::parse(text);
+    ASSERT_TRUE(back.ok());
+    const Json &doc = back.value();
+    ASSERT_EQ(doc.members().size(), 4u);
+    EXPECT_EQ(doc.members()[0].key, "schema");
+    EXPECT_EQ(doc.find("schema")->asString(), "ulecc.test.v1");
+    EXPECT_EQ(doc.find("cycles")->asInt(), 123456789);
+    EXPECT_EQ(doc.members()[2].key, "ipc");
+    EXPECT_EQ(doc.find("ipc")->asDouble(), 0.5);
+    EXPECT_EQ(doc.find("detail")->find("kind")->asString(), "stall");
+    EXPECT_EQ(text, doc.dump(2) + "\n");
+
+    EXPECT_FALSE(reg.writeFile("/nonexistent-dir/metrics.json"));
 }
 
 TEST(Table, RendersCsvAndJsonFromTheSameRows)

@@ -6,10 +6,11 @@
  *   diffuzz [--seed N] [--cases N] [--target NAME]... [--corpus DIR]
  *           [--replay FILE]... [--json PATH] [--golden DIR] [--list]
  *
- *   --seed N      base seed (default 1); each target derives its own
- *                 stream from (seed, name), so runs are bit-identical
- *                 at a fixed seed
- *   --cases N     generated cases per target (default 10000)
+ *   --seed N      base seed in [0, 2^63 - 1] (default 1); each target
+ *                 derives its own stream from (seed, name), so runs are
+ *                 bit-identical at a fixed seed
+ *   --cases N     generated cases per target, in [1, 2^63 - 1]
+ *                 (default 10000)
  *   --target T    run only the named target(s) (default: all four)
  *   --corpus DIR  write one replayable .case file per failure
  *   --replay F    replay corpus file(s) instead of fuzzing
@@ -19,7 +20,9 @@
  *   --list        print the target names and exit
  *
  * Exit status: 0 all checks passed, 1 any mismatch (or missing golden
- * vectors while the ecdsa target is selected), 2 usage error.
+ * vectors while the ecdsa target is selected), 2 usage error (a
+ * malformed or missing --seed/--cases value prints an [invalid-input]
+ * message before the usage line).
  */
 
 #include <cstdio>
@@ -30,6 +33,8 @@
 #include "check/diffuzz.hh"
 #include "check/oracles.hh"
 #include "obs/metrics.hh"
+
+#include "flag_parse.hh"
 
 #ifndef ULECC_GOLDEN_DIR
 #define ULECC_GOLDEN_DIR "tests/golden"
@@ -81,21 +86,25 @@ main(int argc, char **argv)
         std::string arg = argv[i];
         auto value = [&](const char *flag) -> const char * {
             if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s requires a value\n", flag);
+                std::fprintf(stderr, "diffuzz: [%s] %s requires a value\n",
+                             errcName(Errc::InvalidInput), flag);
                 return nullptr;
             }
             return argv[++i];
         };
+        // The JSON summary reports seed and count as exact integers,
+        // so neither may exceed INT64_MAX.
+        auto count = [&](const char *flag, uint64_t min, uint64_t &out) {
+            const char *v = value(flag);
+            return v && parseCount("diffuzz", flag, v, 10, min, INT64_MAX,
+                                   out);
+        };
         if (arg == "--seed") {
-            const char *v = value("--seed");
-            if (!v)
+            if (!count("--seed", 0, opts.seed))
                 return usage(argv[0]);
-            opts.seed = std::strtoull(v, nullptr, 10);
         } else if (arg == "--cases") {
-            const char *v = value("--cases");
-            if (!v)
+            if (!count("--cases", 1, opts.cases))
                 return usage(argv[0]);
-            opts.cases = std::strtoull(v, nullptr, 10);
         } else if (arg == "--target") {
             const char *v = value("--target");
             if (!v)

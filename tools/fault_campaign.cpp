@@ -10,8 +10,9 @@
  *
  *  - a simulated field kernel on Pete (register/memory/Hi-Lo bit
  *    flips, program-line corruption, stall storms, cycle-budget
- *    runaways), comparing the result memory against a golden
- *    fault-free run of the same kernel; or
+ *    runaways), comparing the result against a golden fault-free run
+ *    of the same kernel (fault/strikeKernel, shared with svc chaos
+ *    mode); or
  *
  *  - a cryptographic entry point (corrupted public key, corrupted
  *    signature, out-of-range scalar, glitched-sign emulation,
@@ -33,22 +34,21 @@
  *                         (caught here so the process never aborts).
  *
  * The run is fully deterministic in --seed: no wall clock, no
- * platform randomness.  The summary is printed as JSON on stdout
- * (the "ulecc.fault_campaign.v1" schema from fault/campaign_summary).
+ * platform randomness.  --seed (0x-hex allowed) and --campaigns are
+ * parsed strictly, up to 2^63 - 1; bad input exits 2.  The summary is
+ * printed as JSON on stdout (the "ulecc.fault_campaign.v1" schema from
+ * fault/campaign_summary).
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <iterator>
 #include <string>
 
-#include "asmkit/assembler.hh"
 #include "ecdsa/ecdh.hh"
 #include "ecdsa/ecdsa.hh"
 #include "fault/campaign_summary.hh"
 #include "fault/fault_injector.hh"
-#include "workload/asm_kernels.hh"
+#include "flag_parse.hh"
 
 using namespace ulecc;
 
@@ -58,7 +58,6 @@ namespace
 constexpr CampaignOutcome Detected = CampaignOutcome::Detected;
 constexpr CampaignOutcome SilentlyCorrupted =
     CampaignOutcome::SilentlyCorrupted;
-constexpr CampaignOutcome Masked = CampaignOutcome::Masked;
 constexpr CampaignOutcome Crashed = CampaignOutcome::Crashed;
 
 struct CampaignResult
@@ -68,117 +67,26 @@ struct CampaignResult
     std::string detail;
 };
 
-/** Memory layout shared with workload/asm_kernels.cc. */
-constexpr uint32_t kAddrA = 0x10000400;
-constexpr uint32_t kAddrB = 0x10000500;
-constexpr uint32_t kAddrR = 0x10000600;
-
-MpUint
-randomLimbs(SplitMix64 &rng, int limbs)
-{
-    MpUint v;
-    for (int i = 0; i < limbs; ++i)
-        v.setLimb(i, static_cast<uint32_t>(rng.next()));
-    return v;
-}
-
-struct KernelCase
-{
-    AsmKernel kernel;
-    const char *name;
-    int aLimbs;  ///< operand A width in limbs
-    int rLimbs;  ///< result width in limbs
+/** Every field kernel, at k = 6. */
+constexpr AsmKernel kVictims[] = {
+    AsmKernel::MpAdd,  AsmKernel::MulOs,   AsmKernel::MulPsMaddu,
+    AsmKernel::MulGf2, AsmKernel::RedP192,
 };
-
-const KernelCase kKernelCases[] = {
-    {AsmKernel::MpAdd, "mp-add", 6, 7},
-    {AsmKernel::MulOs, "mul-os", 6, 12},
-    {AsmKernel::MulPsMaddu, "mul-ps-maddu", 6, 12},
-    {AsmKernel::MulGf2, "mul-gf2", 6, 12},
-    {AsmKernel::RedP192, "red-p192", 12, 6},
-};
-
-struct SimRun
-{
-    Result<uint64_t> outcome{0ull};
-    std::array<uint32_t, 16> result{};
-    uint64_t cycles = 0;
-};
-
-SimRun
-runKernelOnPete(const KernelCase &kc, const MpUint &a, const MpUint &b,
-                uint64_t maxCycles, FaultInjector *injector,
-                uint32_t *romWordsOut)
-{
-    Program prog = assemble(kernelSource(kc.kernel, 6));
-    if (romWordsOut)
-        *romWordsOut = static_cast<uint32_t>(prog.words.size());
-    PeteConfig cfg;
-    cfg.maxCycles = maxCycles;
-    Pete cpu(prog, cfg);
-    for (int i = 0; i < kc.aLimbs; ++i)
-        cpu.mem().poke32(kAddrA + 4 * i, a.limb(i));
-    for (int i = 0; i < 6; ++i)
-        cpu.mem().poke32(kAddrB + 4 * i, b.limb(i));
-    if (injector)
-        cpu.attachStepHook(injector);
-    SimRun run;
-    run.outcome = cpu.runChecked();
-    run.cycles = cpu.stats().cycles;
-    if (run.outcome.ok()) {
-        for (int i = 0; i < kc.rLimbs; ++i)
-            run.result[i] = cpu.mem().peek32(kAddrR + 4 * i);
-    }
-    return run;
-}
 
 CampaignResult
 simCampaign(SplitMix64 &rng)
 {
-    const KernelCase &kc =
-        kKernelCases[rng.below(std::size(kKernelCases))];
-    MpUint a = randomLimbs(rng, kc.aLimbs);
-    MpUint b = randomLimbs(rng, 6);
-
-    // Golden fault-free run establishes the reference output and the
-    // cycle horizon for planning the strike.
-    uint32_t rom_words = 0;
-    SimRun golden =
-        runKernelOnPete(kc, a, b, 10'000'000, nullptr, &rom_words);
+    KernelStrike strike = strikeKernel(kVictims, rng);
     CampaignResult res;
-    if (!golden.outcome.ok()) {
-        res.kind = "golden-failure";
-        res.outcome = Crashed;
-        res.detail = golden.outcome.error().message();
+    res.kind = strike.kind;
+    res.outcome = strike.outcome;
+    if (strike.outcome == Crashed) {
+        res.detail = strike.error.message();
         return res;
     }
-
-    FaultInjector injector(rng.next());
-    FaultTargetSpace space;
-    space.cycleHorizon = golden.cycles;
-    space.ramBase = kAddrA;
-    // Live window: operands plus result region (kAddrR .. +rLimbs).
-    space.ramWords = (kAddrR + 4 * 16 - kAddrA) / 4;
-    space.romWords = rom_words;
-    FaultSpec spec = injector.plan(space);
-    injector.arm(spec);
-    res.kind = faultKindName(spec.kind);
-    res.detail = spec.describe();
-
-    // Budget: generous multiple of golden so only genuine runaways
-    // (corrupted control flow, budget-exhaust faults) time out.
-    SimRun faulty =
-        runKernelOnPete(kc, a, b, golden.cycles * 4 + 100'000,
-                        &injector, nullptr);
-    if (!faulty.outcome.ok()) {
-        res.outcome = Detected;
-        res.detail += " -> " + faulty.outcome.error().message();
-        return res;
-    }
-    bool same = true;
-    for (int i = 0; i < kc.rLimbs; ++i)
-        same = same && faulty.result[i] == golden.result[i];
-    res.outcome = same ? Masked : SilentlyCorrupted;
+    res.detail = strike.spec.describe();
+    if (strike.outcome == Detected)
+        res.detail += " -> " + strike.error.message();
     return res;
 }
 
@@ -304,12 +212,15 @@ cryptoCampaign(SplitMix64 &rng)
     return res;
 }
 
-void
+constexpr const char *kTool = "fault_campaign";
+
+int
 usage()
 {
     std::fprintf(stderr,
                  "usage: fault_campaign [--seed N] [--campaigns N] "
                  "[--verbose]\n");
+    return 2;
 }
 
 } // namespace
@@ -321,16 +232,30 @@ main(int argc, char **argv)
     uint64_t campaigns = 100;
     bool verbose = false;
     for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--seed") && i + 1 < argc) {
-            seed = std::strtoull(argv[++i], nullptr, 0);
-        } else if (!std::strcmp(argv[i], "--campaigns") && i + 1 < argc) {
-            campaigns = std::strtoull(argv[++i], nullptr, 0);
-        } else if (!std::strcmp(argv[i], "--verbose")) {
+        const char *flag = argv[i];
+        // The summary reports seed and count as exact JSON integers,
+        // so neither may exceed INT64_MAX.
+        auto count = [&](uint64_t min, uint64_t &out) {
+            if (i + 1 >= argc) {
+                std::fprintf(stderr, "%s: [%s] %s requires a value\n",
+                             kTool, errcName(Errc::InvalidInput), flag);
+                return false;
+            }
+            return parseCount(kTool, flag, argv[++i], 0, min, INT64_MAX,
+                              out);
+        };
+        bool ok = true;
+        if (!std::strcmp(flag, "--seed")) {
+            ok = count(0, seed);
+        } else if (!std::strcmp(flag, "--campaigns")) {
+            ok = count(1, campaigns);
+        } else if (!std::strcmp(flag, "--verbose")) {
             verbose = true;
         } else {
-            usage();
-            return 2;
+            ok = false;
         }
+        if (!ok)
+            return usage();
     }
 
     CampaignSummary summary(seed, campaigns);

@@ -129,7 +129,9 @@ main(int argc, char **argv)
         };
         bool ok = true;
         if (!std::strcmp(flag, "--seed") && valued) {
-            ok = count(0, UINT64_MAX, cfg.seed);
+            // The report and the flight recorder carry the seed as
+            // their replay key: it must stay an exact JSON integer.
+            ok = count(0, INT64_MAX, cfg.seed);
         } else if (!std::strcmp(flag, "--requests") && valued) {
             ok = count(1, kMaxRequests, cfg.requests);
         } else if (!std::strcmp(flag, "--users") && valued) {

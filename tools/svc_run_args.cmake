@@ -10,6 +10,7 @@
 set(hostile
     "--seed,abc"
     "--seed,-1"
+    "--seed,9223372036854775808"
     "--requests,99999999999999999999"
     "--requests,0"
     "--requests,-5"
