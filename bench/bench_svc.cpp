@@ -77,8 +77,7 @@ campaignConfig(bool serial, bool batching)
     cfg.deadlineFloorNs = 1ull << 60;
     cfg.degrade.memoizedDepth = 100000; // pin FullSim under any depth
     cfg.degrade.analyticDepth = 200000;
-    cfg.batch.enabled = batching;
-    cfg.batch.maxSize = 16;
+    cfg.batch.maxSize = batching ? 16 : 1;
     cfg.batch.lingerNs = 8'000'000;
     return cfg;
 }

@@ -40,13 +40,10 @@ checkAlign(uint32_t addr, uint32_t size, const char *what)
 void
 MemorySystem::loadRom(const std::vector<uint32_t> &words)
 {
-    if (words.size() * 4 > rom_.size())
+    if (words.size() * 4 > MemoryMap::romSize)
         throw UleccError(Errc::MemFault, "program too large for 256KB ROM");
-    for (size_t i = 0; i < words.size(); ++i)
-        std::memcpy(&rom_[4 * i], &words[i], 4);
-    // ROM below the image is now initialised; the rest stays
-    // unmaterialised until something actually reaches past the text.
-    rom_.markWritten(words.size() * 4);
+    const auto *bytes = reinterpret_cast<const uint8_t *>(words.data());
+    rom_.assign(bytes, bytes + 4 * words.size());
 }
 
 uint8_t *
@@ -57,10 +54,9 @@ MemorySystem::locate(uint32_t addr, uint32_t size, bool write)
             memFault("write to ROM", addr);
         if (addr + size > MemoryMap::romSize)
             memFault("ROM access out of range", addr);
-        // One-time zero-fill when an access reaches past the loaded
-        // image (ROM above the program reads as zeros).
-        if (addr + size > rom_.valid())
-            rom_.materialize();
+        // ROM above the loaded image reads as zeros.
+        if (addr + size > rom_.size())
+            rom_.resize(MemoryMap::romSize);
         return &rom_[addr];
     }
     if (inRam(addr)) {
@@ -80,14 +76,6 @@ MemorySystem::fetchGeneral(uint32_t addr)
     std::memcpy(&v, locate(addr, 4, false), 4);
     romFetch_.reads++;
     return v;
-}
-
-void
-MemorySystem::fetchLine(uint32_t addr, uint32_t out[4])
-{
-    checkAlign(addr, 16, "line fetch");
-    std::memcpy(out, locate(addr, 16, false), 16);
-    romFetch_.wideReads++;
 }
 
 uint32_t

@@ -4,15 +4,19 @@
  * single-cycle access (paper Section 5.1), plus access counters that
  * feed the energy model (every ROM/RAM read and write carries a
  * Cacti-derived energy cost, Chapter 6).
+ *
+ * The address map is the paper's, but the ROM's backing store holds
+ * only the loaded image: a kernel is a few KB of the 256.  An access
+ * that reaches past the image (still inside the ROM's range) grows it
+ * zero-filled, so ROM above the program reads as zeros and a
+ * fault-injection strike there stays visible to later fetches.
  */
 
 #ifndef ULECC_SIM_MEMORY_HH
 #define ULECC_SIM_MEMORY_HH
 
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 #include <vector>
 
 #include "base/error.hh"
@@ -20,114 +24,12 @@
 namespace ulecc
 {
 
-/**
- * Byte buffer with zero-on-demand semantics.  Reads are only valid
- * below the watermark set by zeroTo(); materialize() zero-fills the
- * remainder once, on first use.
- *
- * Rationale: a MemorySystem is built per simulated kernel (the
- * design-space sweeps build thousands), and eagerly clearing the
- * 256 KB ROM dominated short kernels' wall time even though a program
- * occupies -- and almost always stays within -- a few KB of it.  The
- * ROM therefore starts uninitialised with the watermark at the loaded
- * image's end, and only an access beyond the image pays the one-time
- * fill.  (calloc cannot deliver this: glibc's adaptive mmap threshold
- * sends repeated 256 KB allocations to the heap, where calloc must
- * memset; direct mmap's syscall pair is itself microseconds on some
- * hosts.)
- */
-class LazyZeroBytes
-{
-  public:
-    explicit LazyZeroBytes(size_t size)
-        : data_(static_cast<uint8_t *>(std::malloc(size))), size_(size)
-    {
-        if (!data_)
-            throw std::bad_alloc();
-    }
-
-    ~LazyZeroBytes() { std::free(data_); }
-
-    LazyZeroBytes(const LazyZeroBytes &) = delete;
-    LazyZeroBytes &operator=(const LazyZeroBytes &) = delete;
-
-    LazyZeroBytes(LazyZeroBytes &&other) noexcept
-        : data_(other.data_), size_(other.size_), valid_(other.valid_)
-    {
-        other.data_ = nullptr;
-        other.size_ = 0;
-        other.valid_ = 0;
-    }
-
-    LazyZeroBytes &
-    operator=(LazyZeroBytes &&other) noexcept
-    {
-        if (this != &other) {
-            std::free(data_);
-            data_ = other.data_;
-            size_ = other.size_;
-            valid_ = other.valid_;
-            other.data_ = nullptr;
-            other.size_ = 0;
-            other.valid_ = 0;
-        }
-        return *this;
-    }
-
-    uint8_t &operator[](size_t i) { return data_[i]; }
-    const uint8_t &operator[](size_t i) const { return data_[i]; }
-    size_t size() const { return size_; }
-
-    /** First byte not yet guaranteed zero-or-written. */
-    size_t valid() const { return valid_; }
-
-    /** Declares [0, end) initialised (zeroing [valid, end) if the
-     *  caller has not already written it). */
-    void
-    zeroTo(size_t end)
-    {
-        if (end > valid_) {
-            std::memset(data_ + valid_, 0, end - valid_);
-            valid_ = end;
-        }
-    }
-
-    /** Raises the watermark over a range the caller just wrote. */
-    void
-    markWritten(size_t end)
-    {
-        if (end > valid_)
-            valid_ = end;
-    }
-
-    /** Zero-fills everything above the watermark (one-time). */
-    void
-    materialize()
-    {
-        if (valid_ < size_) {
-            std::memset(data_ + valid_, 0, size_ - valid_);
-            valid_ = size_;
-        }
-    }
-
-  private:
-    uint8_t *data_ = nullptr;
-    size_t size_ = 0;
-    size_t valid_ = 0; ///< bytes below this are zeroed or written
-};
-
 /** Per-memory access counters consumed by the energy model. */
 struct MemCounters
 {
     uint64_t reads = 0;      ///< narrow (32-bit) reads
-    uint64_t wideReads = 0;  ///< 128-bit cache-line reads (I$ fills)
+    uint64_t wideReads = 0;  ///< 128-bit line fills, mirrored from the I$
     uint64_t writes = 0;
-
-    void
-    reset()
-    {
-        reads = wideReads = writes = 0;
-    }
 };
 
 /** Simulated memory layout constants. */
@@ -143,15 +45,7 @@ struct MemoryMap
 class MemorySystem
 {
   public:
-    MemorySystem()
-        : rom_(MemoryMap::romSize), ram_(MemoryMap::ramSize)
-    {
-        // RAM is small and accessed scattershot: zero it eagerly.
-        // ROM stays unmaterialised beyond the loaded image; accesses
-        // past the watermark take the general paths, which zero-fill
-        // the remainder once (LazyZeroBytes::materialize).
-        ram_.materialize();
-    }
+    MemorySystem() : ram_(MemoryMap::ramSize, 0) {}
 
     /** Loads a program image into ROM starting at address 0. */
     void loadRom(const std::vector<uint32_t> &words);
@@ -169,7 +63,7 @@ class MemorySystem
     uint32_t
     fetch(uint32_t addr)
     {
-        if ((addr & 3) == 0 && uint64_t(addr) + 4 <= rom_.valid()) {
+        if ((addr & 3) == 0 && uint64_t(addr) + 4 <= rom_.size()) {
             uint32_t v;
             std::memcpy(&v, &rom_[addr], 4);
             romFetch_.reads++;
@@ -177,9 +71,6 @@ class MemorySystem
         }
         return fetchGeneral(addr);
     }
-
-    /** Wide 128-bit fetch for cache fills (counts one wide read). */
-    void fetchLine(uint32_t addr, uint32_t out[4]);
 
     /** Data read (32-bit). */
     uint32_t
@@ -198,7 +89,7 @@ class MemorySystem
     uint32_t
     peek32(uint32_t addr)
     {
-        if ((addr & 3) == 0 && uint64_t(addr) + 4 <= rom_.valid()) {
+        if ((addr & 3) == 0 && uint64_t(addr) + 4 <= rom_.size()) {
             uint32_t v;
             std::memcpy(&v, &rom_[addr], 4);
             return v;
@@ -270,8 +161,8 @@ class MemorySystem
     uint32_t read32General(uint32_t addr);
     void write32General(uint32_t addr, uint32_t value);
 
-    LazyZeroBytes rom_;
-    LazyZeroBytes ram_;
+    std::vector<uint8_t> rom_; ///< the loaded image (grown on demand)
+    std::vector<uint8_t> ram_;
     MemCounters romFetch_;
     MemCounters romData_;
     MemCounters ramCnt_;

@@ -12,13 +12,6 @@ namespace ulecc
 
 BatchFormer::BatchFormer(const BatchPolicy &policy) : policy_(policy)
 {
-    if (!policy_.enabled) {
-        // Disabled batching is the degenerate policy: every request
-        // closes its own batch at join time, reproducing the
-        // unbatched engine's event timeline exactly.
-        policy_.maxSize = 1;
-        policy_.lingerNs = 0;
-    }
     if (policy_.maxSize == 0)
         policy_.maxSize = 1;
     // No linger budget means no timer would ever close a waiting
@@ -109,9 +102,8 @@ BatchFormer::join(const Request &req, ServiceTier tier, uint64_t estNs,
 }
 
 bool
-BatchFormer::onLinger(uint64_t batchId, uint64_t now)
+BatchFormer::onLinger(uint64_t batchId)
 {
-    (void)now;
     for (auto it = open_.begin(); it != open_.end(); ++it) {
         if (it->second.id == batchId) {
             close(it, "linger");

@@ -25,8 +25,8 @@
  * Every decision is a pure function of coordinator state, so batch
  * composition -- and therefore every report/telemetry artifact -- is
  * byte-identical across serial, parallel, and work-stealing runs.
- * With maxSize == 1 (or enabled == false) each request closes its own
- * batch at join time, reproducing the unbatched engine exactly.
+ * With maxSize == 1 each request closes its own batch at join time,
+ * reproducing the unbatched engine exactly.
  */
 
 #ifndef ULECC_SVC_BATCH_HH
@@ -66,7 +66,6 @@ struct BatchKey
 /** Close policy + modelled amortization parameters. */
 struct BatchPolicy
 {
-    bool enabled = true;
     uint32_t maxSize = 8;          ///< close trigger: member count
     uint64_t lingerNs = 2'000'000; ///< close trigger: virtual linger
     /** Close when the tightest deadline leaves less than this many
@@ -129,12 +128,12 @@ class BatchFormer
                     uint64_t estNs, uint64_t now);
 
     /**
-     * Linger timer for @p batchId fired at @p now.  Closes the batch
+     * Linger timer for @p batchId fired.  Closes the batch
      * if it is still open (it may have closed earlier by size or
      * deadline pressure -- then this is a no-op).  Returns true when
      * a batch moved to the ready queue.
      */
-    bool onLinger(uint64_t batchId, uint64_t now);
+    bool onLinger(uint64_t batchId);
 
     bool hasReady() const { return !ready_.empty(); }
 

@@ -403,22 +403,14 @@ struct Server::Impl
               ExecOutcome &out) const
     {
         uint64_t pick = rng.below(4);
-        if (pick == 0) {
-            SimStrikeResult sr = chaosSimStrike(rng);
+        if (pick < 2) {
+            SimStrikeResult sr =
+                pick == 0 ? chaosSimStrike(rng) : chaosBudgetStrike(rng);
             out.errc = sr.errc;
             out.chaos = sr.cls;
             out.chaosKind = sr.kind;
             // A masked strike left the device unharmed: the request's
             // real answer is still produced.
-            if (sr.cls == ChaosClass::Masked)
-                normalPath(ctx, s, req, out);
-            return;
-        }
-        if (pick == 1) {
-            SimStrikeResult sr = chaosBudgetStrike(rng);
-            out.errc = sr.errc;
-            out.chaos = sr.cls;
-            out.chaosKind = sr.kind;
             if (sr.cls == ChaosClass::Masked)
                 normalPath(ctx, s, req, out);
             return;
@@ -819,7 +811,7 @@ struct Server::Impl
     void
     onBatchLinger(const Event &ev)
     {
-        if (former->onLinger(ev.batchId, ev.t)) {
+        if (former->onLinger(ev.batchId)) {
             noteClosedBatch();
             tryDispatch(ev.t);
         }
@@ -1186,7 +1178,7 @@ struct Server::Impl
         arrivals["diurnal_steps"] = cfg.arrivals.diurnalSteps;
         config["arrivals"] = arrivals;
         Json batchCfg = Json::object();
-        batchCfg["enabled"] = cfg.batch.enabled;
+        batchCfg["enabled"] = cfg.batch.maxSize > 1;
         batchCfg["max_size"] = cfg.batch.maxSize;
         batchCfg["linger_ns"] = cfg.batch.lingerNs;
         batchCfg["deadline_slack"] = cfg.batch.deadlineSlack;

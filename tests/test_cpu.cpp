@@ -947,6 +947,123 @@ TEST(Pete, StepHookTextStrikeTakesEffectAtOnce)
     EXPECT_EQ(cpu.stats().cycles, cpu.stats().instructions + 2);
 }
 
+// ---------------------------------------------------------------------
+// The ROM contract: 256 KB of address space, of which the program
+// image fills only the bottom; everything above it reads as zeros.
+
+namespace
+{
+
+/** The Errc a memory access throws, or Ok when it does not throw. */
+template <typename F>
+Errc
+errcOf(F &&access)
+{
+    try {
+        access();
+    } catch (const UleccError &e) {
+        return e.code();
+    }
+    return Errc::Ok;
+}
+
+} // namespace
+
+TEST(Pete, RomAboveImageReadsZero)
+{
+    const uint32_t top = MemoryMap::romSize - 4;
+    Program prog = assemble(R"(
+        addiu $t1, $zero, 11
+        addiu $t2, $zero, 22
+        li    $t0, 0x100
+        lw    $t1, 0($t0)       # above the image
+        lui   $t0, 0x4
+        lw    $t2, -4($t0)      # the last ROM word
+        break
+    )");
+    const uint32_t imageEnd = 4 * static_cast<uint32_t>(prog.words.size());
+    ASSERT_LT(imageEnd, 0x100u);
+    Pete cpu(prog);
+    EXPECT_EQ(cpu.mem().peek32(imageEnd), 0u);
+    EXPECT_EQ(cpu.mem().peek32(0x100), 0u);
+    EXPECT_EQ(cpu.mem().peek32(top), 0u);
+    EXPECT_TRUE(cpu.run());
+    EXPECT_EQ(cpu.reg(9), 0u);
+    EXPECT_EQ(cpu.reg(10), 0u);
+    EXPECT_EQ(cpu.mem().romDataCounters().reads, 2u);
+}
+
+TEST(Pete, RunsOffImageThroughZeroWords)
+{
+    // No break: past its last word the program executes zero words,
+    // which are `sll $zero, $zero, 0` (nop), until the budget stops it.
+    PeteConfig cfg;
+    cfg.maxCycles = 100;
+    Pete cpu(assemble("addiu $t0, $zero, 1\n"), cfg);
+    Result<uint64_t> r = cpu.runChecked();
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.code(), Errc::SimTimeout);
+    EXPECT_EQ(cpu.reg(8), 1u);
+    EXPECT_EQ(cpu.stats().cycles, 100u);
+    EXPECT_EQ(cpu.stats().instructions, 100u);
+    EXPECT_EQ(cpu.pc(), 400u);
+}
+
+TEST(Pete, CorruptAboveImageIsSeenByPeekAndFetch)
+{
+    // Strike code into the zeros above the image and jump there, with
+    // and without an I-cache in front of the ROM.
+    const uint32_t addiu = assemble("addiu $t3, $zero, 7\n").words.at(0);
+    const uint32_t brk = assemble("break\n").words.at(0);
+    for (bool icache : {false, true}) {
+        SCOPED_TRACE(icache ? "icache" : "no icache");
+        PeteConfig cfg;
+        cfg.icacheEnabled = icache;
+        Pete cpu(assemble("li $t0, 0x1000\njr $t0\nnop\n"), cfg);
+        cpu.mem().corrupt32(0x1000, addiu);
+        cpu.mem().corrupt32(0x1004, brk);
+        cpu.mem().corrupt32(MemoryMap::romSize - 4, 0x5a5a5a5au);
+        EXPECT_EQ(cpu.mem().peek32(0x1000), addiu);
+        EXPECT_EQ(cpu.mem().peek32(0x1004), brk);
+        EXPECT_EQ(cpu.mem().peek32(MemoryMap::romSize - 4), 0x5a5a5a5au);
+        EXPECT_TRUE(cpu.run());
+        EXPECT_EQ(cpu.reg(11), 7u);
+        EXPECT_EQ(cpu.pc(), 0x1008u);
+    }
+}
+
+TEST(Pete, AccessAtRomSizeFaults)
+{
+    // romSize is the first address past the ROM: unmapped, whatever
+    // the image size.
+    Pete cpu(assemble("break\n"));
+    MemorySystem &mem = cpu.mem();
+    const uint32_t end = MemoryMap::romSize;
+    EXPECT_EQ(errcOf([&] { mem.peek32(end - 4); }), Errc::Ok);
+    EXPECT_EQ(errcOf([&] { mem.peek32(end); }), Errc::MemFault);
+    EXPECT_EQ(errcOf([&] { mem.fetch(end); }), Errc::MemFault);
+    EXPECT_EQ(errcOf([&] { mem.read8(end); }), Errc::MemFault);
+    EXPECT_EQ(errcOf([&] { mem.corrupt32(end, 1); }), Errc::MemFault);
+
+    Pete load(assemble("lui $t0, 0x4\nlw $t1, 0($t0)\nbreak\n"));
+    Result<uint64_t> r = load.runChecked();
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.code(), Errc::MemFault);
+}
+
+TEST(Pete, RomImageSizeLimit)
+{
+    Program full;
+    full.words.assign(MemoryMap::romSize / 4, 0);
+    full.words.back() = 0xdeadbeefu;
+    Pete cpu(full);
+    EXPECT_EQ(cpu.mem().peek32(MemoryMap::romSize - 4), 0xdeadbeefu);
+
+    Program over = full;
+    over.words.push_back(0);
+    EXPECT_EQ(errcOf([&] { Pete tooBig(over); }), Errc::MemFault);
+}
+
 namespace
 {
 

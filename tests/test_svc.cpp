@@ -660,14 +660,14 @@ TEST(SvcBatch, FormerClosesBySizeAndKeepsShapesApart)
 
     // A linger timer for an already-closed batch is a no-op; for the
     // open one it closes it.
-    EXPECT_FALSE(f.onLinger(b.id, 5));
+    EXPECT_FALSE(f.onLinger(b.id));
     EXPECT_FALSE(f.hasReady());
     // A fresh third shape closes only when its linger timer fires.
     auto fresh = f.join(batchReq(30, UINT64_MAX, CurveId::P256),
                         ServiceTier::Memoized, est, 3);
     EXPECT_FALSE(fresh.closed);
     EXPECT_TRUE(fresh.lingerArmed);
-    EXPECT_TRUE(f.onLinger(fresh.batchId, fresh.lingerAtNs));
+    EXPECT_TRUE(f.onLinger(fresh.batchId));
     EXPECT_EQ(f.closedByLinger(), 1u);
     Batch lb = f.takeReady();
     EXPECT_STREQ(lb.closeReason, "linger");
@@ -698,10 +698,10 @@ TEST(SvcBatch, FormerDeadlinePressureClosesEarly)
 
 TEST(SvcBatch, DegeneratePoliciesCannotStrandRequests)
 {
-    // Disabled batching: every join closes its own size-1 batch.
+    // Disabled batching (maxSize 1): every join closes its own size-1
+    // batch and arms no linger timer, however long the linger budget.
     BatchPolicy off;
-    off.enabled = false;
-    off.maxSize = 64;
+    off.maxSize = 1;
     off.lingerNs = 50'000'000;
     BatchFormer foff(off);
     auto jr = foff.join(batchReq(1, UINT64_MAX), ServiceTier::FullSim,
@@ -767,8 +767,7 @@ TEST(SvcBatch, OutcomesMatchUnbatchedEngineUnderGenerousDeadlines)
     SvcCounters got[2];
     for (int on = 0; on < 2; ++on) {
         SvcConfig cfg = base;
-        cfg.batch.enabled = on == 1;
-        cfg.batch.maxSize = 16;
+        cfg.batch.maxSize = on == 1 ? 16 : 1;
         cfg.batch.lingerNs = 4'000'000;
         Server server(cfg);
         server.run();

@@ -171,7 +171,7 @@ main(int argc, char **argv)
         } else if (!std::strcmp(flag, "--diurnal-steps") && valued) {
             ok = count(1, UINT32_MAX, cfg.arrivals.diurnalSteps);
         } else if (!std::strcmp(flag, "--no-batch")) {
-            cfg.batch.enabled = false;
+            cfg.batch.maxSize = 1;
         } else if (!std::strcmp(flag, "--batch-max") && valued) {
             ok = count(1, UINT32_MAX, cfg.batch.maxSize);
         } else if (!std::strcmp(flag, "--batch-linger-us") && valued) {

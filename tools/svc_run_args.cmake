@@ -5,7 +5,7 @@
 # run with the same flags must still succeed.
 #
 # Invoked by ctest (tool_svc_run_args) with:
-#   -DSVC_RUN=<path to svc_run>
+#   -DSVC_RUN=<path to svc_run> -DWORK_DIR=<scratch dir>
 
 set(hostile
     "--seed,abc"
@@ -79,4 +79,31 @@ execute_process(
     ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
     message(FATAL_ERROR "control run failed (exit ${rc}): ${err}")
+endif()
+
+# --no-batch is shorthand for --batch-max 1: the two reports, config
+# echo included, must be byte-identical.
+foreach(mode no-batch batch-max-1)
+    if(mode STREQUAL "no-batch")
+        set(batch_flags --no-batch)
+    else()
+        set(batch_flags --batch-max 1)
+    endif()
+    execute_process(
+        COMMAND ${SVC_RUN} --seed 515 --requests 60 --chaos 20
+                --arrival bursty --quiet ${batch_flags}
+                --json ${WORK_DIR}/svc_args_${mode}.json
+        RESULT_VARIABLE rc
+        ERROR_VARIABLE err)
+    if(NOT rc EQUAL 0)
+        message(FATAL_ERROR "svc_run ${batch_flags} failed (exit ${rc}): ${err}")
+    endif()
+endforeach()
+execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files
+            ${WORK_DIR}/svc_args_no-batch.json
+            ${WORK_DIR}/svc_args_batch-max-1.json
+    RESULT_VARIABLE same)
+if(NOT same EQUAL 0)
+    message(FATAL_ERROR "--no-batch and --batch-max 1 reports differ")
 endif()
