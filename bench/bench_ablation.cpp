@@ -26,20 +26,6 @@ using namespace ulecc::bench;
 namespace
 {
 
-/** Oracle affine-only double-and-add, counted. */
-AffinePoint
-naiveMul(const Curve &c, MpUint k, AffinePoint p)
-{
-    AffinePoint q = AffinePoint::makeInfinity();
-    while (!k.isZero()) {
-        if (k.isOdd())
-            q = c.addAffine(q, p);
-        k = k.shiftRight(1);
-        p = c.doubleAffine(p);
-    }
-    return q;
-}
-
 OpCounts
 countOps(const std::function<void()> &fn)
 {
@@ -77,7 +63,7 @@ main(int argc, char **argv)
 
     banner("Ablation A", "Coordinate system (192-bit scalar multiply)");
     OpCounts affine = countOps([&] {
-        naiveMul(c, k, c.generator());
+        naiveScalarMul(c, k, c.generator());
     });
     OpCounts mixed = countOps([&] {
         scalarMul(c, k, c.generator());
@@ -116,7 +102,7 @@ main(int argc, char **argv)
         scalarMulLadder(bc, kb, bc.generator());
     });
     OpCounts dbl_add = countOps([&] {
-        naiveMul(bc, kb, bc.generator());
+        naiveScalarMul(bc, kb, bc.generator());
     });
     Table b({"Algorithm", "Mul", "Sqr", "Inv", "Binary-ISA cycles"});
     auto brow = [&](const char *label, const OpCounts &ops) {

@@ -16,8 +16,9 @@ using namespace ulecc;
 int
 main()
 {
-    // 1. Pick a standard curve.  The registry self-verifies the
-    //    embedded parameters (n * G == infinity) at first use.
+    // 1. Pick a standard curve.  orderVerified() runs the parameter
+    //    self-check (n * G == infinity) on request; building the curve
+    //    only stores its constants.
     const Curve &curve = standardCurve(CurveId::P256);
     std::printf("curve: %s (%d-bit, parameters %s)\n",
                 curve.name().c_str(), curve.fieldBits(),

@@ -15,14 +15,6 @@
 namespace ulecc
 {
 
-namespace
-{
-
-/**
- * Plain right-to-left double-and-add (paper Algorithm 1), used only for
- * the registration-time order self-check -- deliberately independent of
- * the optimised scalar-multiplication code it helps validate.
- */
 AffinePoint
 naiveScalarMul(const Curve &c, MpUint k, AffinePoint p)
 {
@@ -31,28 +23,18 @@ naiveScalarMul(const Curve &c, MpUint k, AffinePoint p)
         if (k.isOdd())
             q = c.addAffine(q, p);
         k = k.shiftRight(1);
-        if (!k.isZero())
-            p = c.doubleAffine(p);
+        p = c.doubleAffine(p);
     }
     return q;
 }
 
-} // namespace
-
-void
-Curve::verifyOrder()
+bool
+Curve::orderVerified() const
 {
-    if (synthetic_) {
-        // A synthetic order cannot pass; skip the costly check.
-        orderVerified_ = false;
-        return;
-    }
-    if (g_.infinity || n_.isZero() || !onCurve(g_)) {
-        orderVerified_ = false;
-        return;
-    }
-    AffinePoint r = naiveScalarMul(*this, n_, g_);
-    orderVerified_ = r.infinity;
+    // A synthetic order cannot pass: answer before any field work.
+    if (synthetic_ || g_.infinity || n_.isZero() || !onCurve(g_))
+        return false;
+    return naiveScalarMul(*this, n_, g_).infinity;
 }
 
 std::vector<AffinePoint>
@@ -95,17 +77,13 @@ PrimeCurve::PrimeCurve(std::string name, NistPrime prime, const MpUint &a,
                        const MpUint &b, const AffinePoint &g,
                        const MpUint &n, bool synthetic)
     : Curve(std::move(name), g, n, synthetic), field_(prime), a_(a), b_(b)
-{
-    verifyOrder();
-}
+{}
 
 PrimeCurve::PrimeCurve(std::string name, const MpUint &p, const MpUint &a,
                        const MpUint &b, const AffinePoint &g,
                        const MpUint &n, bool synthetic)
     : Curve(std::move(name), g, n, synthetic), field_(p), a_(a), b_(b)
-{
-    verifyOrder();
-}
+{}
 
 bool
 PrimeCurve::onCurve(const AffinePoint &p) const
@@ -261,18 +239,14 @@ BinaryCurve::BinaryCurve(std::string name, NistBinary fieldKind,
                          bool synthetic)
     : Curve(std::move(name), g, n, synthetic), field_(fieldKind), a_(a),
       b_(b)
-{
-    verifyOrder();
-}
+{}
 
 BinaryCurve::BinaryCurve(std::string name, const MpUint &poly,
                          const MpUint &a, const MpUint &b,
                          const AffinePoint &g, const MpUint &n,
                          bool synthetic)
     : Curve(std::move(name), g, n, synthetic), field_(poly), a_(a), b_(b)
-{
-    verifyOrder();
-}
+{}
 
 bool
 BinaryCurve::onCurve(const AffinePoint &p) const

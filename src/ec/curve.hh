@@ -4,12 +4,13 @@
  *
  * The study evaluates ECDSA over the NIST prime curves (P-192..P-521,
  * short Weierstrass y^2 = x^3 + ax + b) and the NIST binary curves
- * (B-163..B-571, y^2 + xy = x^3 + ax^2 + b).  Curve parameters embedded
- * here are checked for self-consistency (n * G == infinity) at
- * registration; parameters that cannot be verified in-tree are replaced
- * by documented synthetic equivalents of identical field/order size --
- * the energy evaluation depends only on operand widths, never on the
- * specific constants (see DESIGN.md).
+ * (B-163..B-571, y^2 + xy = x^3 + ax^2 + b).  Building a curve only
+ * stores its parameters; the self-consistency check (n * G == infinity)
+ * runs when Curve::orderVerified() is called, which the tests do for
+ * every standard curve.  Parameters that cannot be verified in-tree are
+ * replaced by documented synthetic equivalents of identical field/order
+ * size -- the energy evaluation depends only on operand widths, never
+ * on the specific constants (see DESIGN.md).
  */
 
 #ifndef ULECC_EC_CURVE_HH
@@ -77,10 +78,14 @@ class Curve
     const MpUint &order() const { return n_; }
 
     /**
-     * True when the embedded parameters passed the in-tree
-     * self-consistency check (G on curve and n * G == infinity).
+     * True when the embedded parameters pass the in-tree
+     * self-consistency check: G is a finite point on the curve and
+     * n * G == infinity.  Synthetic parameters report false without
+     * any field work.  Runs the full naive check (naiveScalarMul) on
+     * every call -- tens of ms on P-521 -- so only the tests and the
+     * toy-curve search call it.
      */
-    bool orderVerified() const { return orderVerified_; }
+    bool orderVerified() const;
 
     /** True if the parameters are documented synthetic stand-ins. */
     bool synthetic() const { return synthetic_; }
@@ -126,15 +131,20 @@ class Curve
           synthetic_(synthetic)
     {}
 
-    /** Runs the self-consistency check; called by subclasses. */
-    void verifyOrder();
-
     std::string name_;
     AffinePoint g_;
     MpUint n_;
-    bool orderVerified_ = false;
     bool synthetic_ = false;
 };
+
+/**
+ * Plain right-to-left double-and-add (paper Algorithm 1): adds @p p
+ * for every set bit of @p k and doubles @p p after every bit, all in
+ * affine coordinates.  Deliberately independent of ec/scalar_mult, so
+ * it serves as the oracle for the optimised scalar multiplications and
+ * for the order check in Curve::orderVerified().
+ */
+AffinePoint naiveScalarMul(const Curve &c, MpUint k, AffinePoint p);
 
 /** Short-Weierstrass curve over GF(p): y^2 = x^3 + ax + b. */
 class PrimeCurve : public Curve

@@ -11,26 +11,13 @@
 #include "ec/scalar_mult.hh"
 #include "ec/toy_curves.hh"
 #include "test_util.hh"
+#include "workload/op_trace.hh"
 
 using namespace ulecc;
 using ulecc::test::Rng;
 
 namespace
 {
-
-/** Oracle: plain affine double-and-add. */
-AffinePoint
-naiveMul(const Curve &c, MpUint k, AffinePoint p)
-{
-    AffinePoint q = AffinePoint::makeInfinity();
-    while (!k.isZero()) {
-        if (k.isOdd())
-            q = c.addAffine(q, p);
-        k = k.shiftRight(1);
-        p = c.doubleAffine(p);
-    }
-    return q;
-}
 
 class StandardCurves : public ::testing::TestWithParam<CurveId>
 {
@@ -51,18 +38,65 @@ samePoint(const AffinePoint &a, const AffinePoint &b)
 TEST(CurveRegistry, AllRealCurvesVerified)
 {
     // Every non-synthetic embedded parameter set must pass the
-    // n * G == infinity self-check.
-    for (CurveId id : primeCurveIds()) {
+    // n * G == infinity self-check, and exactly those: the ECDSA/ECDH
+    // suites skip on synthetic() and rely on the two agreeing.
+    std::vector<CurveId> ids = primeCurveIds();
+    ids.insert(ids.end(), binaryCurveIds().begin(), binaryCurveIds().end());
+    for (CurveId id : ids) {
         const Curve &c = standardCurve(id);
         EXPECT_TRUE(c.onCurve(c.generator())) << c.name();
-        EXPECT_TRUE(c.orderVerified()) << c.name();
+        EXPECT_EQ(c.orderVerified(), !c.synthetic()) << c.name();
     }
-    for (CurveId id : binaryCurveIds()) {
+}
+
+TEST(CurveRegistry, ConstructionRunsNoFieldArithmetic)
+{
+    // Building a curve only stores its parameters; the order check
+    // runs when orderVerified() is called, and only then.
+    const auto &p521 =
+        dynamic_cast<const PrimeCurve &>(standardCurve(CurveId::P521));
+    const auto &b283 =
+        dynamic_cast<const BinaryCurve &>(standardCurve(CurveId::B283));
+    OpRecorder rec;
+    OpObserverScope scope(&rec);
+    PrimeCurve p("P-521", p521.field().kind(), p521.a(), p521.b(),
+                 p521.generator(), p521.order());
+    PrimeCurve pGeneric("P-521", p521.field().modulus(), p521.a(),
+                        p521.b(), p521.generator(), p521.order());
+    BinaryCurve b("B-283", b283.field().kind(), b283.a(), b283.b(),
+                  b283.generator(), b283.order());
+    BinaryCurve bGeneric("B-283", b283.field().poly(), b283.a(), b283.b(),
+                         b283.generator(), b283.order());
+    EXPECT_EQ(rec.counts.total(), 0u);
+    EXPECT_TRUE(p.orderVerified());
+    EXPECT_TRUE(b.orderVerified());
+    EXPECT_GT(rec.counts.total(), 0u);
+}
+
+TEST(CurveRegistry, OrderCheckRejectsBadParameters)
+{
+    for (CurveId id : {CurveId::P192, CurveId::B163}) {
         const Curve &c = standardCurve(id);
-        if (c.synthetic())
-            continue;
-        EXPECT_TRUE(c.onCurve(c.generator())) << c.name();
-        EXPECT_TRUE(c.orderVerified()) << c.name();
+        const AffinePoint &g = c.generator();
+        AffinePoint offCurve = g;
+        offCurve.x = offCurve.x.bitXor(MpUint(1));
+        ASSERT_FALSE(c.onCurve(offCurve)) << c.name();
+
+        auto rebuilt = [&](const AffinePoint &gen, const MpUint &n)
+            -> std::unique_ptr<Curve> {
+            if (const auto *pc = dynamic_cast<const PrimeCurve *>(&c))
+                return std::make_unique<PrimeCurve>(
+                    c.name(), pc->field().kind(), pc->a(), pc->b(), gen, n);
+            const auto &bc = dynamic_cast<const BinaryCurve &>(c);
+            return std::make_unique<BinaryCurve>(
+                c.name(), bc.field().kind(), bc.a(), bc.b(), gen, n);
+        };
+        EXPECT_TRUE(rebuilt(g, c.order())->orderVerified()) << c.name();
+        EXPECT_FALSE(rebuilt(g, c.order().add(MpUint(1)))->orderVerified())
+            << c.name();
+        EXPECT_FALSE(rebuilt(g, MpUint(0))->orderVerified()) << c.name();
+        EXPECT_FALSE(rebuilt(offCurve, c.order())->orderVerified())
+            << c.name();
     }
 }
 
@@ -161,12 +195,12 @@ TEST_P(StandardCurves, SlidingWindowMatchesNaive)
     const AffinePoint &g = c.generator();
     for (uint64_t k : {1ull, 2ull, 3ull, 5ull, 16ull, 255ull, 65537ull}) {
         EXPECT_TRUE(samePoint(scalarMul(c, MpUint(k), g),
-                              naiveMul(c, MpUint(k), g)))
+                              naiveScalarMul(c, MpUint(k), g)))
             << c.name() << " k=" << k;
     }
     // One large random scalar (naive oracle is slow; keep it single).
     MpUint k = rng.mpBelow(c.order());
-    EXPECT_TRUE(samePoint(scalarMul(c, k, g), naiveMul(c, k, g)))
+    EXPECT_TRUE(samePoint(scalarMul(c, k, g), naiveScalarMul(c, k, g)))
         << c.name() << " k=" << k.toHex();
     // Order annihilates the generator.
     EXPECT_TRUE(scalarMul(c, c.order(), g).infinity) << c.name();

@@ -135,6 +135,9 @@ step "paper benches: serial vs parallel (text and journals identical)"
 paper_benches=(bench_fig7_{01..15} bench_table7_{1..5} bench_sec7_7
                bench_sec7_8 bench_ablation bench_future_work
                bench_related_work bench_multspace)
+# The par runs are also the cold paper-suite wall-clock: one fresh
+# process per bench, one after another (printed, never gated).
+par_ns=0
 for bench in "${paper_benches[@]}"; do
     for mode in par ser; do
         extra=()
@@ -142,9 +145,13 @@ for bench in "${paper_benches[@]}"; do
         out="$work/$bench.$mode"
         : > "$out.jsonl"
         : > "$out.multspace.jsonl"
+        t0=$(date +%s%N)
         ULECC_BENCH_METRICS="$out.jsonl" \
         ULECC_MULTSPACE_METRICS="$out.multspace.jsonl" \
             "$repo/build/bench/$bench" "${extra[@]}" > "$out.txt"
+        if [[ $mode == par ]]; then
+            par_ns=$((par_ns + $(date +%s%N) - t0))
+        fi
     done
     for ext in txt jsonl multspace.jsonl; do
         if ! cmp -s "$work/$bench.par.$ext" "$work/$bench.ser.$ext"; then
@@ -158,6 +165,8 @@ for bench in "${paper_benches[@]}"; do
         "$work/$bench.par.jsonl"
 done
 echo "ok:   ${#paper_benches[@]} paper benches byte-identical serial vs parallel"
+printf 'info: %d paper benches (par) %d.%02d s\n' "${#paper_benches[@]}" \
+    $((par_ns / 1000000000)) $((par_ns / 10000000 % 100))
 "$json_check" --jsonl "$schemas/multspace.schema.json" \
     "$work/bench_multspace.par.multspace.jsonl"
 
