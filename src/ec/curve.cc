@@ -405,28 +405,6 @@ pointHex(const char *x, const char *y)
     return {MpUint::fromHex(x), MpUint::fromHex(y)};
 }
 
-/**
- * Finds a genuine point on y^2 + xy = x^3 + ax^2 + b via half-trace
- * (for the synthetic stand-in curves: the point is real so the
- * arithmetic is fully representative even though the claimed order is
- * not the true group order).
- */
-AffinePoint
-findBinaryPoint(const BinaryField &f, const MpUint &a, const MpUint &b)
-{
-    for (uint32_t xv = 2; xv < 4096; ++xv) {
-        MpUint x(xv);
-        // Substitute y = x z:  z^2 + z = x + a + b / x^2.
-        MpUint rhs = f.add(f.add(x, a), f.mul(b, f.inv(f.sqr(x))));
-        if (f.trace(rhs) != 0)
-            continue;
-        MpUint z = f.halfTrace(rhs);
-        MpUint y = f.mul(x, z);
-        return {x, y};
-    }
-    throw UleccError(Errc::Internal, "findBinaryPoint: none found");
-}
-
 std::unique_ptr<Curve>
 buildCurve(CurveId id)
 {
@@ -528,27 +506,32 @@ buildCurve(CurveId id)
                      "50eddb0826779c813f0df45be8112f4"),
             MpUint::fromHex("3ffffffffffffffffffffffffffffffffff"
                             "ef90399660fc938a90165b042a7cefadb307"));
-      case CurveId::B409: {
+      case CurveId::B409:
         // Synthetic stand-in of the correct field and order size (see
-        // DESIGN.md): the generator is a genuine curve point, so the
-        // arithmetic is fully representative; only the claimed order
-        // is synthetic (latency/energy evaluation only).
-        BinaryField f(NistBinary::B409);
-        AffinePoint g = findBinaryPoint(f, MpUint(1), MpUint(1));
+        // DESIGN.md): the generator is a genuine point of
+        // y^2 + xy = x^3 + x^2 + 1, the first x >= 2 the half-trace
+        // search finds (CurveRegistry.SyntheticGeneratorsArePinned
+        // re-derives it), so the arithmetic is fully representative;
+        // only the claimed order is synthetic (latency/energy
+        // evaluation only).
         return std::make_unique<BinaryCurve>(
-            "B-409s", NistBinary::B409, MpUint(1), MpUint(1), g,
+            "B-409s", NistBinary::B409, MpUint(1), MpUint(1),
+            pointHex("3",
+                     "1757486742c09f6b73d2bf0e09946d2ba8d547ed26a431ac"
+                     "cd3538b35db4e1d61d31488bbf555d882ab73d95c8b9f69b"
+                     "614c781"),
             MpUint::powerOfTwo(408).add(MpUint(0x1DB)),
             /*synthetic=*/true);
-      }
-      case CurveId::B571: {
-        // Synthetic stand-in (see DESIGN.md).
-        BinaryField f(NistBinary::B571);
-        AffinePoint g = findBinaryPoint(f, MpUint(1), MpUint(1));
+      case CurveId::B571:
+        // Synthetic stand-in, pinned the same way as B-409s.
         return std::make_unique<BinaryCurve>(
-            "B-571s", NistBinary::B571, MpUint(1), MpUint(1), g,
+            "B-571s", NistBinary::B571, MpUint(1), MpUint(1),
+            pointHex("3",
+                     "66a8a76d332c0ef206cfaa2e6061ed1892c8b812b576866b"
+                     "4b9c4e958213ca7a9ba71068a34b14fe1631df852fea91d3"
+                     "8765389efc01ff979cdfd0513dcd52a0a14ff0b5059ebaf"),
             MpUint::powerOfTwo(570).add(MpUint(0x425)),
             /*synthetic=*/true);
-      }
     }
     throw UleccError(Errc::InvalidInput, "buildCurve: bad id");
 }

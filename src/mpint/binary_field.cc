@@ -11,6 +11,8 @@
 #include <array>
 #include <cassert>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "mpint/op_observer.hh"
 
@@ -78,6 +80,10 @@ detectBinaryKind(const MpUint &f)
     return NistBinary::Generic;
 }
 
+/** Words of the widest element (degree <= 640) and of its raw product. */
+constexpr int kMaxWords64 = MpUint::maxLimbs / 4;
+constexpr int kMaxWide64 = 2 * kMaxWords64;
+
 /** 8-bit -> 16-bit zero-interleaving table for fast squaring. */
 const std::array<uint16_t, 256> &
 squareSpreadTable()
@@ -97,12 +103,80 @@ squareSpreadTable()
     return table;
 }
 
+/**
+ * Paper Algorithm 6 on K 64-bit words: left-to-right comb with windows
+ * of width w = 4.  Precompute Bu = u(x) * b(x) for all 16 window
+ * values, then scan the multiplier a one window column at a time from
+ * the top, XORing the rows its windows select into the accumulator C
+ * and shifting C left by w.  Each column builds C one output word at a
+ * time with the shift folded in, so every word is stored once per
+ * column, and with K fixed every loop unrolls.  (XORing whole rows into
+ * C in place stalls on overlapping read-modify-writes; on 64-bit words
+ * that form ran about 2x slower.)
+ */
+template <int K>
+void
+combWords(const uint64_t *a, const uint64_t *b, uint64_t *out)
+{
+    constexpr int w = 4;
+    uint64_t bu[1 << w][K + 1];
+    for (int i = 0; i < K; ++i) {
+        bu[0][i] = 0;
+        bu[1][i] = b[i];
+    }
+    bu[0][K] = bu[1][K] = 0;
+    for (int u = 2; u < (1 << w); u += 2) {
+        // bu[u] = bu[u/2] << 1, bu[u+1] = bu[u] ^ b.
+        uint64_t in = 0;
+        for (int i = 0; i <= K; ++i) {
+            uint64_t v = bu[u / 2][i];
+            bu[u][i] = (v << 1) | in;
+            bu[u + 1][i] = bu[u][i] ^ bu[1][i];
+            in = v >> 63;
+        }
+    }
+    uint64_t c[2 * K] = {};
+    for (int j = 64 / w - 1; j >= 0; --j) {
+        const uint64_t *row[K];
+        for (int i = 0; i < K; ++i)
+            row[i] = bu[(a[i] >> (w * j)) & ((1 << w) - 1)];
+        const int sh = j ? w : 0;
+        uint64_t carry = 0;
+#pragma GCC unroll 32
+        for (int s = 0; s < 2 * K; ++s) {
+            uint64_t acc = c[s];
+#pragma GCC unroll 16
+            for (int i = 0; i < K; ++i) {
+                if (s - i >= 0 && s - i <= K)
+                    acc ^= row[i][s - i];
+            }
+            c[s] = (acc << sh) | carry;
+            carry = acc >> (63 - sh) >> 1;
+        }
+    }
+    std::copy(c, c + 2 * K, out);
+}
+
+using CombFn = void (*)(const uint64_t *, const uint64_t *, uint64_t *);
+
+template <int... I>
+constexpr std::array<CombFn, sizeof...(I)>
+combTable(std::integer_sequence<int, I...>)
+{
+    return {&combWords<I + 1>...};
+}
+
+/** combWords<K> at index K - 1, for every element width. */
+constexpr auto kCombByWords =
+    combTable(std::make_integer_sequence<int, kMaxWords64>{});
+
 } // namespace
 
 BinaryField::BinaryField(const MpUint &f)
     : f_(f),
       m_(f.bitLength() - 1),
       words_((f.bitLength() + 30) / 32),
+      words64_((words_ + 1) / 2),
       kind_(detectBinaryKind(f))
 {
     if (m_ < 2)
@@ -137,7 +211,10 @@ MpUint
 BinaryField::mul(const MpUint &a, const MpUint &b) const
 {
     notifyFieldOp(FieldOp::Mul, m_, true);
-    return reduce(polyMulComb(a, b));
+    uint64_t c[kMaxWide64];
+    combMul(a, b, c);
+    fold(c, 2 * words64_);
+    return MpUint::fromWords64(c, words64_);
 }
 
 MpUint
@@ -151,7 +228,16 @@ MpUint
 BinaryField::sqr(const MpUint &a) const
 {
     notifyFieldOp(FieldOp::Sqr, m_, true);
-    return reduce(polySqr(a));
+    return square(a);
+}
+
+MpUint
+BinaryField::square(const MpUint &a) const
+{
+    uint64_t c[kMaxWide64];
+    const int n = spread(a, c);
+    fold(c, n);
+    return MpUint::fromWords64(c, words64_);
 }
 
 MpUint
@@ -195,10 +281,10 @@ BinaryField::invFermat(const MpUint &a) const
     MpUint x = reduce(a);
     MpUint acc = x;
     for (int i = 0; i < m_ - 2; ++i) {
-        acc = reduce(polySqr(acc));
+        acc = square(acc);
         acc = reduce(polyMulClmul(acc, x));
     }
-    return reduce(polySqr(acc));
+    return square(acc);
 }
 
 MpUint
@@ -222,16 +308,16 @@ BinaryField::invItohTsujii(const MpUint &a) const
     for (int i = top - 1; i >= 0; --i) {
         MpUint u = t;
         for (int s = 0; s < n; ++s)
-            u = reduce(polySqr(u));
+            u = square(u);
         t = reduce(polyMulClmul(u, t));
         n *= 2;
         if ((e >> i) & 1) {
-            t = reduce(polyMulClmul(reduce(polySqr(t)), x));
+            t = reduce(polyMulClmul(square(t), x));
             n += 1;
         }
     }
     assert(n == e);
-    return reduce(polySqr(t));
+    return square(t);
 }
 
 int
@@ -247,67 +333,51 @@ BinaryField::itohTsujiiMulCount(int m)
 MpUint
 BinaryField::reduce(const MpUint &wide) const
 {
-    // Word-level fold: each word above the boundary distributes through
-    // the reduction terms x^m == x^a + x^b + x^c + 1 (paper Algorithm 7
-    // generalised to any NIST trinomial/pentanomial).
-    uint32_t c[2 * MpUint::maxLimbs] = {0};
-    int top_words = (wide.bitLength() + 31) / 32;
-    assert(top_words <= 2 * MpUint::maxLimbs);
-    for (int i = 0; i < top_words; ++i)
-        c[i] = wide.limbU(i);
+    // Any MpUint fits the 2 * kMaxWords64-word buffer; read at least
+    // words64_ + 1 words so fold() may touch word words64_.
+    uint64_t c[kMaxWide64];
+    const int n = std::max((wide.size() + 1) / 2, words64_ + 1);
+    for (int i = 0; i < n; ++i)
+        c[i] = wide.limb64U(i);
+    fold(c, n);
+    return MpUint::fromWords64(c, words64_);
+}
 
-    auto fold_word = [&](uint32_t t, int bitpos) {
-        // XOR t into bit position bitpos.
-        int w = bitpos / 32, s = bitpos % 32;
+void
+BinaryField::fold(uint64_t *c, int n) const
+{
+    // Word-level fold (paper Algorithm 7 generalised to any trinomial
+    // or pentanomial): a word t at bit 64i >= m stands for
+    // t * x^(64i - m) * (x^a + x^b + x^c + 1).  A fold lands at most
+    // 63 - (m - a) bits above its source word's base, so it can only
+    // refill the word being folded when m - a < 64 (small toy fields):
+    // each word is folded until it stays zero.
+    auto xorAt = [c](uint64_t t, int bit) {
+        const unsigned w = unsigned(bit) / 64, s = unsigned(bit) % 64;
         c[w] ^= t << s;
-        if (s)
-            c[w + 1] ^= t >> (32 - s);
+        c[w + 1] ^= t >> (63 - s) >> 1;
     };
-
-    int boundary_word = m_ / 32;
-    bool again = true;
-    while (again) {
-        again = false;
-        for (int i = top_words - 1; i > boundary_word; --i) {
-            uint32_t t = c[i];
-            if (!t)
-                continue;
+    for (int i = n - 1; i >= words64_; --i) {
+        while (uint64_t t = c[i]) {
             c[i] = 0;
-            int base = i * 32 - m_;
-            fold_word(t, base);
+            const int base = 64 * i - m_;
+            xorAt(t, base);
             for (int e : mid_)
-                fold_word(t, base + e);
-        }
-        // Partial boundary word: bits m .. 32*(boundary_word+1)-1.
-        int sh = m_ % 32;
-        uint32_t t = (sh == 0) ? c[boundary_word]
-                               : (c[boundary_word] >> sh);
-        if (t) {
-            if (sh == 0)
-                c[boundary_word] = 0;
-            else
-                c[boundary_word] &= (1u << sh) - 1;
-            fold_word(t, 0);
-            for (int e : mid_)
-                fold_word(t, e);
-            // Folding may have re-set bits >= m when e + width(t)
-            // crosses the boundary; re-check.
-            for (int i = top_words - 1; i >= boundary_word; --i) {
-                uint32_t hi = (i > boundary_word)
-                    ? c[i]
-                    : (sh ? (c[i] >> sh) : c[i]);
-                if (hi) {
-                    again = true;
-                    break;
-                }
-            }
+                xorAt(t, base + e);
         }
     }
-    MpUint r;
-    for (int i = 0; i <= boundary_word && i < MpUint::maxLimbs; ++i)
-        r.setLimb(i, c[i]);
-    assert(r.bitLength() <= m_);
-    return r;
+    // Bits m .. 64 * words64_ - 1 of the top element word.  They fold
+    // below bit 64 * words64_ - 1, so word words64_ only sees zeros.
+    const int sh = m_ % 64;
+    if (!sh)
+        return;
+    uint64_t &top = c[words64_ - 1];
+    while (uint64_t t = top >> sh) {
+        top &= (uint64_t(1) << sh) - 1;
+        xorAt(t, 0);
+        for (int e : mid_)
+            xorAt(t, e);
+    }
 }
 
 MpUint
@@ -327,7 +397,7 @@ BinaryField::trace(const MpUint &a) const
     MpUint t = reduce(a);
     MpUint acc = t;
     for (int i = 1; i < m_; ++i) {
-        t = reduce(polySqr(t));
+        t = square(t);
         acc = acc.bitXor(t);
     }
     assert(acc.isZero() || acc == MpUint(1));
@@ -341,7 +411,7 @@ BinaryField::halfTrace(const MpUint &a) const
     MpUint t = reduce(a);
     MpUint acc = t;
     for (int i = 1; i <= (m_ - 1) / 2; ++i) {
-        t = reduce(polySqr(reduce(polySqr(t))));
+        t = square(square(t));
         acc = acc.bitXor(t);
     }
     return acc;
@@ -350,48 +420,20 @@ BinaryField::halfTrace(const MpUint &a) const
 MpUint
 BinaryField::polyMulComb(const MpUint &a, const MpUint &b) const
 {
-    // Paper Algorithm 6: left-to-right comb with windows of width
-    // w = 4.  Precompute Bu = u(x) * b(x) for all 16 window values,
-    // then scan the multiplier a window-column at a time, XORing rows
-    // into the accumulator C{i} and shifting C left by w in place.
-    constexpr int w = 4;
-    constexpr int kMax = MpUint::maxLimbs / 2; // words_ <= kMax
-    const int k = words_;
-    uint32_t bu[1 << w][kMax + 1];
-    for (int i = 0; i < k; ++i) {
-        bu[0][i] = 0;
-        bu[1][i] = b.limbU(i);
+    uint64_t c[kMaxWide64];
+    combMul(a, b, c);
+    return MpUint::fromWords64(c, 2 * words64_);
+}
+
+void
+BinaryField::combMul(const MpUint &a, const MpUint &b, uint64_t *c) const
+{
+    uint64_t aw[kMaxWords64], bw[kMaxWords64];
+    for (int i = 0; i < words64_; ++i) {
+        aw[i] = a.limb64U(i);
+        bw[i] = b.limb64U(i);
     }
-    bu[0][k] = bu[1][k] = 0;
-    for (int u = 2; u < (1 << w); u += 2) {
-        // bu[u] = bu[u/2] << 1, bu[u+1] = bu[u] ^ b.
-        uint32_t in = 0;
-        for (int i = 0; i <= k; ++i) {
-            uint32_t v = bu[u / 2][i];
-            bu[u][i] = (v << 1) | in;
-            bu[u + 1][i] = bu[u][i] ^ bu[1][i];
-            in = v >> 31;
-        }
-    }
-    uint32_t c[2 * kMax];
-    std::fill(c, c + 2 * k, 0u);
-    for (int j = (32 / w) - 1; j >= 0; --j) {
-        for (int i = 0; i < k; ++i) {
-            uint32_t u = (a.limbU(i) >> (w * j)) & ((1 << w) - 1);
-            const uint32_t *row = bu[u];
-            for (int t = 0; t <= k; ++t)
-                c[i + t] ^= row[t];
-        }
-        if (j != 0) {
-            for (int t = 2 * k - 1; t > 0; --t)
-                c[t] = (c[t] << w) | (c[t - 1] >> (32 - w));
-            c[0] <<= w;
-        }
-    }
-    MpUint out;
-    for (int i = 0; i < 2 * k; ++i)
-        out.setLimb(i, c[i]);
-    return out;
+    kCombByWords[words64_ - 1](aw, bw, c);
 }
 
 MpUint
@@ -420,23 +462,34 @@ BinaryField::polyMulClmul(const MpUint &a, const MpUint &b) const
 MpUint
 BinaryField::polySqr(const MpUint &a) const
 {
+    uint64_t c[kMaxWide64];
+    const int n = spread(a, c);
+    return MpUint::fromWords64(c, n);
+}
+
+int
+BinaryField::spread(const MpUint &a, uint64_t *c) const
+{
     // Zero-interleave each byte via the 256-entry spread table
-    // (Section 4.2.3).
+    // (Section 4.2.3): word i of a becomes words 2i and 2i + 1.
+    const int k = std::max((a.size() + 1) / 2, words64_);
+    if (k > kMaxWords64)
+        throw UleccError(Errc::OutOfRange,
+                         "BinaryField: square of an operand over "
+                         + std::to_string(64 * kMaxWords64) + " bits");
     const auto &tbl = squareSpreadTable();
-    const int k = (a.bitLength() + 31) / 32;
-    MpUint r;
+    auto spread32 = [&tbl](uint32_t v) {
+        return uint64_t(tbl[v & 0xFF])
+            | (uint64_t(tbl[(v >> 8) & 0xFF]) << 16)
+            | (uint64_t(tbl[(v >> 16) & 0xFF]) << 32)
+            | (uint64_t(tbl[v >> 24]) << 48);
+    };
     for (int i = 0; i < k; ++i) {
-        uint32_t v = a.limb(i);
-        uint32_t lo = tbl[v & 0xFF] | (static_cast<uint32_t>(
-            tbl[(v >> 8) & 0xFF]) << 16);
-        uint32_t hi = tbl[(v >> 16) & 0xFF] | (static_cast<uint32_t>(
-            tbl[(v >> 24) & 0xFF]) << 16);
-        if (lo)
-            r.setLimb(2 * i, lo);
-        if (hi)
-            r.setLimb(2 * i + 1, hi);
+        const uint64_t v = a.limb64U(i);
+        c[2 * i] = spread32(static_cast<uint32_t>(v));
+        c[2 * i + 1] = spread32(static_cast<uint32_t>(v >> 32));
     }
-    return r;
+    return 2 * k;
 }
 
 } // namespace ulecc

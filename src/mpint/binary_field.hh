@@ -6,10 +6,16 @@
  * 4.2.4): carry-less "addition" (XOR), left-to-right comb multiplication
  * with 4-bit windows (paper Algorithm 6 -- the software-only path),
  * carry-less word multiplication (the MULGF2/MADDGF2 ISA-extension
- * path), table-accelerated squaring, NIST fast reduction for the five
- * standard reduction polynomials (Eq. 4.8 - 4.12), and inversion by the
- * polynomial extended Euclidean algorithm and by Fermat's little theorem
- * (the accelerator path).
+ * path), table-accelerated squaring, word-level fast reduction by the
+ * trinomial or pentanomial (Eq. 4.8 - 4.12 for the five NIST fields),
+ * and inversion by the polynomial extended Euclidean algorithm and by
+ * Fermat's little theorem (the accelerator path).
+ *
+ * The native hot path (mul, sqr, reduce) works on 64-bit words: the
+ * comb runs on ceil(m/64) words, squaring spreads bits straight into
+ * a 64-bit product buffer, and one in-place word fold reduces that
+ * buffer for all three.  The CLMUL path keeps the paper's 32-bit
+ * words: it models the ISA extension and is the tests' reference.
  */
 
 #ifndef ULECC_MPINT_BINARY_FIELD_HH
@@ -81,9 +87,10 @@ class BinaryField
 
     /**
      * Field multiplication via the left-to-right comb method with 4-bit
-     * windows (paper Algorithm 6) followed by fast reduction.  This is
-     * the software-only algorithm whose cost makes unassisted binary
-     * ECC impractical.
+     * windows (paper Algorithm 6, on 64-bit words) followed by the
+     * in-place word fold.  This is the software-only algorithm whose
+     * cost makes unassisted binary ECC impractical.  Operands are
+     * elements: only their low ceil(m/64) 64-bit words are read.
      */
     MpUint mul(const MpUint &a, const MpUint &b) const;
 
@@ -94,7 +101,10 @@ class BinaryField
      */
     MpUint mulClmul(const MpUint &a, const MpUint &b) const;
 
-    /** Field squaring via the 8->16 bit spread table + reduction. */
+    /**
+     * Field squaring: the 8->16 bit spread table fills a 64-bit product
+     * buffer, which the word fold reduces in place.
+     */
     MpUint sqr(const MpUint &a) const;
 
     /** Inversion via the polynomial extended Euclidean algorithm. */
@@ -118,7 +128,10 @@ class BinaryField
      */
     static int itohTsujiiMulCount(int m);
 
-    /** Reduces a polynomial of degree < 2m modulo f(x). */
+    /**
+     * Reduces any MpUint (commonly a product, degree < 2m) modulo f(x)
+     * by the word fold mul() and sqr() use.
+     */
     MpUint reduce(const MpUint &wide) const;
 
     /** Reduction oracle via polynomial long division (tests only). */
@@ -133,19 +146,47 @@ class BinaryField
      */
     MpUint halfTrace(const MpUint &a) const;
 
-    /** Raw polynomial product (no reduction), comb method. */
+    /**
+     * Raw polynomial product (no reduction), comb method on 64-bit
+     * words; reads the low ceil(m/64) 64-bit words of each operand.
+     */
     MpUint polyMulComb(const MpUint &a, const MpUint &b) const;
 
     /** Raw polynomial product (no reduction), word CLMUL scanning. */
     MpUint polyMulClmul(const MpUint &a, const MpUint &b) const;
 
-    /** Raw polynomial square (bit spreading, no reduction). */
+    /**
+     * Raw polynomial square (bit spreading, no reduction) of an operand
+     * of at most 640 bits; wider throws Errc::OutOfRange.
+     */
     MpUint polySqr(const MpUint &a) const;
 
   private:
+    /** sqr() without the op notification (the inversions' chains). */
+    MpUint square(const MpUint &a) const;
+
+    /**
+     * Raw comb product of the words64_-word operands into c[0 ..
+     * 2 * words64_).
+     */
+    void combMul(const MpUint &a, const MpUint &b, uint64_t *c) const;
+
+    /**
+     * Raw square of @p a (at least words64_ words of it) into c;
+     * returns the product's word count.
+     */
+    int spread(const MpUint &a, uint64_t *c) const;
+
+    /**
+     * Reduces the n-word polynomial c modulo f(x) in place; n must be
+     * > words64_.  The result is c[0 .. words64_).
+     */
+    void fold(uint64_t *c, int n) const;
+
     MpUint f_;
     int m_;
     int words_;
+    int words64_;
     NistBinary kind_;
     std::vector<int> mid_;
 };

@@ -59,6 +59,19 @@ MpUint::fromHex(std::string_view hex)
     return r;
 }
 
+MpUint
+MpUint::fromWords64(const uint64_t *words, int count)
+{
+    MpUint r;
+    for (int i = 0; i < count; ++i) {
+        r.limbs_[size_t(2 * i)] = static_cast<uint32_t>(words[i]);
+        r.limbs_[size_t(2 * i + 1)] = static_cast<uint32_t>(words[i] >> 32);
+    }
+    r.n_ = 2 * count;
+    r.trim();
+    return r;
+}
+
 std::string
 MpUint::toHex() const
 {

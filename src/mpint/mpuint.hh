@@ -74,6 +74,23 @@ class MpUint
      */
     uint32_t limbU(int i) const { return limbs_[size_t(i)]; }
 
+    /**
+     * Unchecked read of 64-bit word @p i (limbs 2i and 2i+1): @p i must
+     * be in [0, maxLimbs / 2).  For the binary-field kernels, which
+     * work on 64-bit words.
+     */
+    uint64_t limb64U(int i) const
+    {
+        return limbs_[size_t(2 * i)]
+            | (static_cast<uint64_t>(limbs_[size_t(2 * i + 1)]) << 32);
+    }
+
+    /**
+     * Builds a value from @p count 64-bit words, least significant
+     * first; @p count must be in [0, maxLimbs / 2].
+     */
+    static MpUint fromWords64(const uint64_t *words, int count);
+
     /** Sets limb @p i (extending the significant length as needed). */
     void setLimb(int i, uint32_t v);
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "base/error.hh"
@@ -291,5 +292,61 @@ TEST(BinaryField, ToyFieldExhaustiveInverse)
         MpUint a(v);
         MpUint ia = gf.inv(a);
         EXPECT_EQ(gf.mul(a, ia).toHex(), "1") << v;
+    }
+}
+
+TEST(BinaryField, WordKernelSplitPoints)
+{
+    // mul/sqr/reduce work on 64-bit words and fold in place; check them
+    // against the 32-bit CLMUL product and long division where the
+    // word layout changes shape: m = 0 (mod 64), m just below and above
+    // a word, top 64-bit words only half used (odd 32-bit word counts:
+    // B-283, B-409), and reductions whose fold refills the word being
+    // folded (m - a < 64).
+    const std::vector<std::vector<int>> polys = {
+        {128, 7, 2, 1, 0}, {64, 4, 3, 1, 0}, {63, 1, 0}, {65, 18, 0},
+        {7, 1, 0},         {13, 4, 3, 1, 0}, {283, 12, 7, 5, 0},
+        {409, 87, 0},      {640, 1, 0},
+    };
+    Rng rng(0x64b);
+    for (const auto &exps : polys) {
+        MpUint f;
+        for (int e : exps)
+            f.setBit(e);
+        BinaryField gf(f);
+        const int m = gf.degree();
+        SCOPED_TRACE("m=" + std::to_string(m));
+        const MpUint ones = MpUint::powerOfTwo(m).sub(MpUint(1));
+        std::vector<MpUint> ops = {ones, MpUint::powerOfTwo(m - 1),
+                                   MpUint::powerOfTwo(m - 1).add(MpUint(1)),
+                                   MpUint(1), MpUint()};
+        for (int i = 0; i < 6; ++i)
+            ops.push_back(rng.mp(m));
+        for (const MpUint &a : ops) {
+            const MpUint sq = gf.polyMulClmul(a, a);
+            EXPECT_EQ(gf.polySqr(a), sq) << "a=" << a.toHex();
+            EXPECT_EQ(gf.sqr(a), gf.reduceGeneric(sq)) << "a=" << a.toHex();
+            for (const MpUint &b : ops) {
+                const MpUint p = gf.polyMulClmul(a, b);
+                EXPECT_EQ(gf.polyMulComb(a, b), p)
+                    << "a=" << a.toHex() << " b=" << b.toHex();
+                EXPECT_EQ(gf.mul(a, b), gf.reduceGeneric(p))
+                    << "a=" << a.toHex() << " b=" << b.toHex();
+            }
+        }
+        // reduce() on all-ones and random inputs of every width up to
+        // the full MpUint, past the 2m - 1 bits of a product.
+        for (int bits = 1; bits < 32 * MpUint::maxLimbs;
+             bits += (bits < 2 * m + 64 ? 1 : 61)) {
+            for (const MpUint &w : {MpUint::powerOfTwo(bits).sub(MpUint(1)),
+                                    rng.mp(bits)}) {
+                EXPECT_EQ(gf.reduce(w), gf.reduceGeneric(w))
+                    << "w=" << w.toHex();
+            }
+        }
+        MpUint full;
+        for (int i = 0; i < MpUint::maxLimbs; ++i)
+            full.setLimb(i, 0xFFFFFFFFu);
+        EXPECT_EQ(gf.reduce(full), gf.reduceGeneric(full));
     }
 }

@@ -33,6 +33,27 @@ samePoint(const AffinePoint &a, const AffinePoint &b)
     return a.x == b.x && a.y == b.y;
 }
 
+/**
+ * Finds a genuine point on y^2 + xy = x^3 + ax^2 + b via half-trace:
+ * the search that chose the synthetic stand-in curves' generators.
+ */
+AffinePoint
+findBinaryPoint(const BinaryField &f, const MpUint &a, const MpUint &b)
+{
+    for (uint32_t xv = 2; xv < 4096; ++xv) {
+        MpUint x(xv);
+        // Substitute y = x z:  z^2 + z = x + a + b / x^2.
+        MpUint rhs = f.add(f.add(x, a), f.mul(b, f.inv(f.sqr(x))));
+        if (f.trace(rhs) != 0)
+            continue;
+        MpUint z = f.halfTrace(rhs);
+        MpUint y = f.mul(x, z);
+        return {x, y};
+    }
+    ADD_FAILURE() << "findBinaryPoint: none found";
+    return AffinePoint();
+}
+
 } // namespace
 
 TEST(CurveRegistry, AllRealCurvesVerified)
@@ -46,6 +67,21 @@ TEST(CurveRegistry, AllRealCurvesVerified)
         const Curve &c = standardCurve(id);
         EXPECT_TRUE(c.onCurve(c.generator())) << c.name();
         EXPECT_EQ(c.orderVerified(), !c.synthetic()) << c.name();
+    }
+}
+
+TEST(CurveRegistry, SyntheticGeneratorsArePinned)
+{
+    // B-409s and B-571s embed the point the half-trace search returns
+    // for y^2 + xy = x^3 + x^2 + 1, so no process re-derives it.
+    for (CurveId id : {CurveId::B409, CurveId::B571}) {
+        const auto &c = dynamic_cast<const BinaryCurve &>(standardCurve(id));
+        ASSERT_TRUE(c.synthetic()) << c.name();
+        ASSERT_EQ(c.a(), MpUint(1));
+        ASSERT_EQ(c.b(), MpUint(1));
+        AffinePoint found = findBinaryPoint(c.field(), c.a(), c.b());
+        EXPECT_TRUE(samePoint(found, c.generator())) << c.name();
+        EXPECT_TRUE(c.onCurve(found)) << c.name();
     }
 }
 

@@ -86,7 +86,8 @@ TEST(Ecdh, ToyCurveRoundTrip)
         EcdhShared sa = ecdh.agree(da, ecdh.publicPoint(db));
         EcdhShared sb = ecdh.agree(db, ecdh.publicPoint(da));
         ASSERT_EQ(sa.valid, sb.valid);
-        if (sa.valid)
+        if (sa.valid) {
             EXPECT_EQ(sa.sharedX, sb.sharedX);
+        }
     }
 }

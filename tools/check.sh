@@ -69,8 +69,8 @@ done
 
 step() { printf '\n== %s ==\n' "$*"; }
 
-step "configure + build (default preset)"
-cmake --preset default
+step "configure + build (default preset, warnings are errors)"
+cmake --preset default -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build --preset default -j "$(nproc)"
 
 step "test (default preset)"
