@@ -12,6 +12,7 @@
 #include "base/error.hh"
 #include "check/refint.hh"
 #include "ec/curve.hh"
+#include "ec/scalar_mult.hh"
 #include "ecdsa/ecdsa.hh"
 #include "ecdsa/sha256.hh"
 #include "mpint/binary_field.hh"
@@ -72,6 +73,25 @@ mismatch(const std::string &what, const std::string &got,
          const std::string &want)
 {
     return what + ": got " + got + " want " + want;
+}
+
+/**
+ * Passes iff @p call throws UleccError(Errc::InvalidInput): the
+ * contract of every inversion on a non-invertible input.
+ */
+template <class F>
+std::optional<std::string>
+expectInvalid(const std::string &what, F call)
+{
+    try {
+        call();
+    } catch (const UleccError &e) {
+        if (e.code() == Errc::InvalidInput)
+            return std::nullopt;
+        return what + ": non-invertible input threw "
+            + errcName(e.code());
+    }
+    return what + ": non-invertible input not rejected";
 }
 
 RefInt
@@ -332,10 +352,11 @@ class MpintTarget final : public Target
         } else if (c.op == "inv" && a.size() == 2) {
             auto x = tryMp(a[0]), m = tryMp(a[1]);
             if (!x || !m || !m->isOdd() || *m <= MpUint(1)
-                || x->isZero() || !(*x < *m))
+                || !(*x < *m))
                 return std::nullopt;
+            // Non-invertible (x == 0 included): Errc::InvalidInput.
             if (RefInt::gcd(ref(*x), ref(*m)) != RefInt(1))
-                return std::nullopt;
+                return expectInvalid("inv", [&] { x->modInverseOdd(*m); });
             MpUint got = x->modInverseOdd(*m);
             if (!(got < *m))
                 return "inv: result >= modulus";
@@ -514,10 +535,7 @@ class FieldTarget final : public Target
                 c.op = op < 80 ? "fcios" : "ffips";
             } else {
                 c.op = "finv";
-                MpUint x = rng.mpBelow(p);
-                if (x.isZero())
-                    x = MpUint(1);
-                c.args = {tok, x.toHex()};
+                c.args = {tok, rng.mpBelow(p).toHex()};
                 return c;
             }
             c.args = {tok, rng.mpBelow(p).toHex()};
@@ -544,10 +562,9 @@ class FieldTarget final : public Target
                 c.op = "gpmul";
             } else {
                 c.op = "ginv";
-                MpUint x = rng.mp(1 + static_cast<int>(rng.below(m)));
-                if (x.isZero())
-                    x = MpUint(1);
-                c.args = {tok, x.toHex()};
+                c.args = {tok,
+                          rng.mp(1 + static_cast<int>(rng.below(m)))
+                              .toHex()};
                 return c;
             }
             c.args = {tok,
@@ -625,8 +642,17 @@ class FieldTarget final : public Target
         }
         if (c.op == "finv" && a.size() == 2) {
             auto x = tryMp(a[1]);
-            if (!x || x->isZero() || !(*x < f->modulus()))
+            if (!x)
                 return std::nullopt;
+            // Both inversions reduce first; x == 0 (mod p) is
+            // Errc::InvalidInput.
+            if (ref(*x).mod(rp) == RefInt(0)) {
+                if (auto bad = expectInvalid("finv " + a[0],
+                                             [&] { f->inv(*x); }))
+                    return bad;
+                return expectInvalid("finv invFermat " + a[0],
+                                     [&] { f->invFermat(*x); });
+            }
             MpUint got = f->inv(*x);
             if (!(got < f->modulus()))
                 return "finv: result >= p";
@@ -729,8 +755,20 @@ class FieldTarget final : public Target
         }
         if (c.op == "ginv" && a.size() == 2) {
             auto x = tryMp(a[1]);
-            if (!x || x->isZero() || x->bitLength() > m)
+            if (!x)
                 return std::nullopt;
+            // All three inversions reduce first; x == 0 (mod f) is
+            // Errc::InvalidInput.
+            if (ref(*x).polyMod(rf) == RefInt(0)) {
+                if (auto bad = expectInvalid("ginv " + a[0],
+                                             [&] { f->inv(*x); }))
+                    return bad;
+                if (auto bad = expectInvalid("ginv invFermat " + a[0],
+                                             [&] { f->invFermat(*x); }))
+                    return bad;
+                return expectInvalid("ginv invItohTsujii " + a[0],
+                                     [&] { f->invItohTsujii(*x); });
+            }
             MpUint got = f->inv(*x);
             if (ref(*x).polyMul(ref(got)).polyMod(rf) != RefInt(1))
                 return "ginv " + a[0] + ": a * a^-1 != 1 (got "
@@ -956,6 +994,22 @@ class EcdsaTarget final : public Target
             c.args = {std::to_string(rng.below(entries_.size()))};
             return c;
         }
+        if (r >= 47 && r < 55) {
+            // Optimised point multiplications against Algorithm 1.
+            std::string curve = kCurves[rng.below(8)];
+            const MpUint &n = curveByName(curve)->order();
+            auto scalar = [&] {
+                uint64_t shape = rng.below(4);
+                if (shape < 2)
+                    return n.sub(MpUint(1 + shape));
+                MpUint k = rng.mp(1 + static_cast<int>(rng.below(64)));
+                return k.isZero() ? MpUint(1) : k;
+            };
+            MpUint k1 = scalar();
+            c.op = "smul";
+            c.args = {curve, k1.toHex(), scalar().toHex()};
+            return c;
+        }
         if (r >= 92) {
             // Random sign/verify roundtrip on the cheapest curves.
             static const char *kFast[] = {"P-192", "B-163"};
@@ -1009,6 +1063,36 @@ class EcdsaTarget final : public Target
             if (ref(got) != want)
                 return mismatch("b2i " + a[0], got.toHex(),
                                 want.toHex());
+            return std::nullopt;
+        }
+        if (c.op == "smul" && a.size() == 3) {
+            const Curve *cv = curveByName(a[0]);
+            auto k1 = tryMp(a[1]), k2 = tryMp(a[2]);
+            if (!cv || !k1 || !k2)
+                return std::nullopt;
+            const MpUint &n = cv->order();
+            if (k1->isZero() || k2->isZero() || !(*k1 < n) || !(*k2 < n))
+                return std::nullopt;
+            auto same = [](const AffinePoint &x, const AffinePoint &y) {
+                return x.infinity == y.infinity
+                    && (x.infinity || (x.x == y.x && x.y == y.y));
+            };
+            auto hex = [](const AffinePoint &p) {
+                return p.infinity ? std::string("inf")
+                                  : p.x.toHex() + "," + p.y.toHex();
+            };
+            const AffinePoint &g = cv->generator();
+            AffinePoint want = naiveScalarMul(*cv, *k1, g);
+            AffinePoint got = scalarMul(*cv, *k1, g);
+            if (!same(got, want))
+                return mismatch("scalarMul " + a[0], hex(got), hex(want));
+            // u1 G + u2 Q for Q = 2G, which shares no table point with G.
+            AffinePoint q = cv->doubleAffine(g);
+            want = cv->addAffine(want, naiveScalarMul(*cv, *k2, q));
+            got = twinScalarMul(*cv, *k1, g, *k2, q);
+            if (!same(got, want))
+                return mismatch("twinScalarMul " + a[0], hex(got),
+                                hex(want));
             return std::nullopt;
         }
         if (c.op == "sv" && a.size() == 3) {

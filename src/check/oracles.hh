@@ -12,7 +12,9 @@
  *          modular/polynomial oracles, over every NIST field of the
  *          study plus a non-NIST generic prime;
  *   ecdsa  sign/verify/nonce/bits2int vs RFC 6979 + CAVP-style golden
- *          vectors (tests/golden/) and random roundtrips;
+ *          vectors (tests/golden/) and random roundtrips, and
+ *          scalarMul/twinScalarMul vs naiveScalarMul (paper
+ *          Algorithm 1) on the eight non-synthetic curves;
  *   pete   the simulated assembly kernels vs their native C++
  *          counterparts, across limb widths.
  *

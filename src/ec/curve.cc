@@ -37,30 +37,28 @@ Curve::orderVerified() const
     return naiveScalarMul(*this, n_, g_).infinity;
 }
 
-std::vector<AffinePoint>
+std::vector<AffineElem>
 Curve::toAffineBatch(const std::vector<ProjPoint> &points) const
 {
     // Montgomery's simultaneous inversion: one field inversion plus
     // 3(n-1) multiplications inverts every non-trivial Z at once.
-    std::vector<AffinePoint> out(points.size());
+    std::vector<AffineElem> out(points.size());
     std::vector<size_t> live;
-    std::vector<MpUint> prefix;
-    MpUint acc(1);
+    std::vector<FieldElem> prefix;
+    FieldElem acc = FieldElem::word(1);
     for (size_t i = 0; i < points.size(); ++i) {
-        if (points[i].isInfinity()) {
-            out[i] = AffinePoint::makeInfinity();
+        if (points[i].isInfinity())
             continue;
-        }
         live.push_back(i);
         prefix.push_back(acc);
         acc = fieldMul(acc, points[i].z);
     }
     if (live.empty())
         return out;
-    MpUint inv_acc = fieldInv(acc);
+    FieldElem inv_acc = fieldInv(acc);
     for (size_t j = live.size(); j-- > 0;) {
         size_t i = live[j];
-        MpUint zinv = fieldMul(inv_acc, prefix[j]);
+        FieldElem zinv = fieldMul(inv_acc, prefix[j]);
         inv_acc = fieldMul(inv_acc, points[i].z);
         out[i] = affineFromProj(points[i], zinv);
     }
@@ -76,13 +74,17 @@ Curve::toAffineBatch(const std::vector<ProjPoint> &points) const
 PrimeCurve::PrimeCurve(std::string name, NistPrime prime, const MpUint &a,
                        const MpUint &b, const AffinePoint &g,
                        const MpUint &n, bool synthetic)
-    : Curve(std::move(name), g, n, synthetic), field_(prime), a_(a), b_(b)
+    : PrimeCurve(std::move(name), nistPrimeValue(prime), a, b, g, n,
+                 synthetic)
 {}
 
 PrimeCurve::PrimeCurve(std::string name, const MpUint &p, const MpUint &a,
                        const MpUint &b, const AffinePoint &g,
                        const MpUint &n, bool synthetic)
-    : Curve(std::move(name), g, n, synthetic), field_(p), a_(a), b_(b)
+    : Curve(std::move(name), g, n, synthetic), field_(p), a_(a), b_(b),
+      aElem_(field_.elem(a)), two_(field_.elem(MpUint(2))),
+      three_(field_.elem(MpUint(3))), four_(field_.elem(MpUint(4))),
+      eight_(field_.elem(MpUint(8)))
 {}
 
 bool
@@ -140,12 +142,29 @@ PrimeCurve::doubleAffine(const AffinePoint &p) const
     return {x3, y3};
 }
 
-ProjPoint
-PrimeCurve::toProj(const AffinePoint &p) const
+AffineElem
+PrimeCurve::toElem(const AffinePoint &p) const
 {
     if (p.infinity)
-        return {MpUint(1), MpUint(1), MpUint()};
-    return {p.x, p.y, MpUint(1)};
+        return {};
+    return {field_.elem(p.x), field_.elem(p.y), false};
+}
+
+AffineElem
+PrimeCurve::negate(const AffineElem &p) const
+{
+    if (p.infinity)
+        return p;
+    return {p.x, field_.neg(p.y), false};
+}
+
+ProjPoint
+PrimeCurve::toProj(const AffineElem &p) const
+{
+    const FieldElem one = FieldElem::word(1);
+    if (p.infinity)
+        return {one, one, FieldElem()};
+    return {p.x, p.y, one};
 }
 
 AffinePoint
@@ -154,9 +173,9 @@ PrimeCurve::toAffine(const ProjPoint &p) const
     if (p.isInfinity())
         return AffinePoint::makeInfinity();
     const PrimeField &f = field_;
-    MpUint zi = f.inv(p.z);
-    MpUint zi2 = f.sqr(zi);
-    return {f.mul(p.x, zi2), f.mul(p.y, f.mul(zi2, zi))};
+    FieldElem zi = f.inv(p.z);
+    FieldElem zi2 = f.sqr(zi);
+    return {f.value(f.mul(p.x, zi2)), f.value(f.mul(p.y, f.mul(zi2, zi)))};
 }
 
 ProjPoint
@@ -166,41 +185,42 @@ PrimeCurve::doubleProj(const ProjPoint &p) const
     //   S = 4 X Y^2,  M = 3 X^2 + a Z^4
     //   X' = M^2 - 2S,  Y' = M (S - X') - 8 Y^4,  Z' = 2 Y Z
     if (p.isInfinity() || p.y.isZero())
-        return {MpUint(1), MpUint(1), MpUint()};
+        return toProj(AffineElem());
     const PrimeField &f = field_;
-    MpUint y2 = f.sqr(p.y);
-    MpUint s = f.mul(MpUint(4), f.mul(p.x, y2));
-    MpUint z2 = f.sqr(p.z);
-    MpUint m = f.add(f.mul(MpUint(3), f.sqr(p.x)),
-                     f.mul(a_, f.sqr(z2)));
-    MpUint x3 = f.sub(f.sqr(m), f.add(s, s));
-    MpUint y4x8 = f.mul(MpUint(8), f.sqr(y2));
-    MpUint y3 = f.sub(f.mul(m, f.sub(s, x3)), y4x8);
-    MpUint z3 = f.mul(MpUint(2), f.mul(p.y, p.z));
+    FieldElem y2 = f.sqr(p.y);
+    FieldElem s = f.mul(four_, f.mul(p.x, y2));
+    FieldElem z2 = f.sqr(p.z);
+    FieldElem m = f.add(f.mul(three_, f.sqr(p.x)),
+                        f.mul(aElem_, f.sqr(z2)));
+    FieldElem x3 = f.sub(f.sqr(m), f.add(s, s));
+    FieldElem y4x8 = f.mul(eight_, f.sqr(y2));
+    FieldElem y3 = f.sub(f.mul(m, f.sub(s, x3)), y4x8);
+    FieldElem z3 = f.mul(two_, f.mul(p.y, p.z));
     return {x3, y3, z3};
 }
 
-MpUint
-PrimeCurve::fieldInv(const MpUint &a) const
+FieldElem
+PrimeCurve::fieldInv(const FieldElem &a) const
 {
     return field_.inv(a);
 }
 
-MpUint
-PrimeCurve::fieldMul(const MpUint &a, const MpUint &b) const
+FieldElem
+PrimeCurve::fieldMul(const FieldElem &a, const FieldElem &b) const
 {
     return field_.mul(a, b);
 }
 
-AffinePoint
-PrimeCurve::affineFromProj(const ProjPoint &p, const MpUint &zinv) const
+AffineElem
+PrimeCurve::affineFromProj(const ProjPoint &p, const FieldElem &zinv) const
 {
-    MpUint zi2 = field_.sqr(zinv);
-    return {field_.mul(p.x, zi2), field_.mul(p.y, field_.mul(zi2, zinv))};
+    FieldElem zi2 = field_.sqr(zinv);
+    return {field_.mul(p.x, zi2), field_.mul(p.y, field_.mul(zi2, zinv)),
+            false};
 }
 
 ProjPoint
-PrimeCurve::addMixed(const ProjPoint &p, const AffinePoint &q) const
+PrimeCurve::addMixed(const ProjPoint &p, const AffineElem &q) const
 {
     // Mixed Jacobian + affine addition.
     if (q.infinity)
@@ -208,22 +228,22 @@ PrimeCurve::addMixed(const ProjPoint &p, const AffinePoint &q) const
     if (p.isInfinity())
         return toProj(q);
     const PrimeField &f = field_;
-    MpUint z1z1 = f.sqr(p.z);
-    MpUint u2 = f.mul(q.x, z1z1);
-    MpUint s2 = f.mul(q.y, f.mul(z1z1, p.z));
-    MpUint h = f.sub(u2, p.x);
-    MpUint r = f.sub(s2, p.y);
+    FieldElem z1z1 = f.sqr(p.z);
+    FieldElem u2 = f.mul(q.x, z1z1);
+    FieldElem s2 = f.mul(q.y, f.mul(z1z1, p.z));
+    FieldElem h = f.sub(u2, p.x);
+    FieldElem r = f.sub(s2, p.y);
     if (h.isZero()) {
         if (r.isZero())
             return doubleProj(p);
-        return {MpUint(1), MpUint(1), MpUint()}; // P + (-P)
+        return toProj(AffineElem()); // P + (-P)
     }
-    MpUint h2 = f.sqr(h);
-    MpUint h3 = f.mul(h2, h);
-    MpUint v = f.mul(p.x, h2);
-    MpUint x3 = f.sub(f.sub(f.sqr(r), h3), f.add(v, v));
-    MpUint y3 = f.sub(f.mul(r, f.sub(v, x3)), f.mul(p.y, h3));
-    MpUint z3 = f.mul(p.z, h);
+    FieldElem h2 = f.sqr(h);
+    FieldElem h3 = f.mul(h2, h);
+    FieldElem v = f.mul(p.x, h2);
+    FieldElem x3 = f.sub(f.sub(f.sqr(r), h3), f.add(v, v));
+    FieldElem y3 = f.sub(f.mul(r, f.sub(v, x3)), f.mul(p.y, h3));
+    FieldElem z3 = f.mul(p.z, h);
     return {x3, y3, z3};
 }
 
@@ -237,15 +257,16 @@ BinaryCurve::BinaryCurve(std::string name, NistBinary fieldKind,
                          const MpUint &a, const MpUint &b,
                          const AffinePoint &g, const MpUint &n,
                          bool synthetic)
-    : Curve(std::move(name), g, n, synthetic), field_(fieldKind), a_(a),
-      b_(b)
+    : BinaryCurve(std::move(name), nistBinaryPoly(fieldKind), a, b, g, n,
+                  synthetic)
 {}
 
 BinaryCurve::BinaryCurve(std::string name, const MpUint &poly,
                          const MpUint &a, const MpUint &b,
                          const AffinePoint &g, const MpUint &n,
                          bool synthetic)
-    : Curve(std::move(name), g, n, synthetic), field_(poly), a_(a), b_(b)
+    : Curve(std::move(name), g, n, synthetic), field_(poly), a_(a), b_(b),
+      aElem_(field_.elem(a)), bElem_(field_.elem(b))
 {}
 
 bool
@@ -304,12 +325,29 @@ BinaryCurve::doubleAffine(const AffinePoint &p) const
     return {x3, y3};
 }
 
-ProjPoint
-BinaryCurve::toProj(const AffinePoint &p) const
+AffineElem
+BinaryCurve::toElem(const AffinePoint &p) const
 {
     if (p.infinity)
-        return {MpUint(1), MpUint(), MpUint()};
-    return {p.x, p.y, MpUint(1)};
+        return {};
+    return {field_.elem(p.x), field_.elem(p.y), false};
+}
+
+AffineElem
+BinaryCurve::negate(const AffineElem &p) const
+{
+    if (p.infinity)
+        return p;
+    return {p.x, field_.add(p.x, p.y), false};
+}
+
+ProjPoint
+BinaryCurve::toProj(const AffineElem &p) const
+{
+    const FieldElem one = FieldElem::word(1);
+    if (p.infinity)
+        return {one, FieldElem(), FieldElem()};
+    return {p.x, p.y, one};
 }
 
 AffinePoint
@@ -318,8 +356,8 @@ BinaryCurve::toAffine(const ProjPoint &p) const
     if (p.isInfinity())
         return AffinePoint::makeInfinity();
     const BinaryField &f = field_;
-    MpUint zi = f.inv(p.z);
-    return {f.mul(p.x, zi), f.mul(p.y, f.sqr(zi))};
+    FieldElem zi = f.inv(p.z);
+    return {f.value(f.mul(p.x, zi)), f.value(f.mul(p.y, f.sqr(zi)))};
 }
 
 ProjPoint
@@ -330,38 +368,39 @@ BinaryCurve::doubleProj(const ProjPoint &p) const
     //   X3 = X1^4 + b Z1^4
     //   Y3 = b Z1^4 Z3 + X3 (a Z3 + Y1^2 + b Z1^4)
     if (p.isInfinity() || p.x.isZero())
-        return {MpUint(1), MpUint(), MpUint()};
+        return toProj(AffineElem());
     const BinaryField &f = field_;
-    MpUint z2 = f.sqr(p.z);
-    MpUint x2 = f.sqr(p.x);
-    MpUint z3 = f.mul(x2, z2);
-    MpUint bz4 = f.mul(b_, f.sqr(z2));
-    MpUint x3 = f.add(f.sqr(x2), bz4);
-    MpUint inner = f.add(f.add(f.mul(a_, z3), f.sqr(p.y)), bz4);
-    MpUint y3 = f.add(f.mul(bz4, z3), f.mul(x3, inner));
+    FieldElem z2 = f.sqr(p.z);
+    FieldElem x2 = f.sqr(p.x);
+    FieldElem z3 = f.mul(x2, z2);
+    FieldElem bz4 = f.mul(bElem_, f.sqr(z2));
+    FieldElem x3 = f.add(f.sqr(x2), bz4);
+    FieldElem inner = f.add(f.add(f.mul(aElem_, z3), f.sqr(p.y)), bz4);
+    FieldElem y3 = f.add(f.mul(bz4, z3), f.mul(x3, inner));
     return {x3, y3, z3};
 }
 
-MpUint
-BinaryCurve::fieldInv(const MpUint &a) const
+FieldElem
+BinaryCurve::fieldInv(const FieldElem &a) const
 {
     return field_.inv(a);
 }
 
-MpUint
-BinaryCurve::fieldMul(const MpUint &a, const MpUint &b) const
+FieldElem
+BinaryCurve::fieldMul(const FieldElem &a, const FieldElem &b) const
 {
     return field_.mul(a, b);
 }
 
-AffinePoint
-BinaryCurve::affineFromProj(const ProjPoint &p, const MpUint &zinv) const
+AffineElem
+BinaryCurve::affineFromProj(const ProjPoint &p, const FieldElem &zinv) const
 {
-    return {field_.mul(p.x, zinv), field_.mul(p.y, field_.sqr(zinv))};
+    return {field_.mul(p.x, zinv), field_.mul(p.y, field_.sqr(zinv)),
+            false};
 }
 
 ProjPoint
-BinaryCurve::addMixed(const ProjPoint &p, const AffinePoint &q) const
+BinaryCurve::addMixed(const ProjPoint &p, const AffineElem &q) const
 {
     // Mixed Lopez-Dahab + affine addition (Hankerson et al.,
     // Algorithm 3.37).
@@ -370,23 +409,23 @@ BinaryCurve::addMixed(const ProjPoint &p, const AffinePoint &q) const
     if (p.isInfinity())
         return toProj(q);
     const BinaryField &f = field_;
-    MpUint z1sq = f.sqr(p.z);
-    MpUint a_coef = f.add(f.mul(q.y, z1sq), p.y);          // A
-    MpUint b_coef = f.add(f.mul(q.x, p.z), p.x);           // B
+    FieldElem z1sq = f.sqr(p.z);
+    FieldElem a_coef = f.add(f.mul(q.y, z1sq), p.y);          // A
+    FieldElem b_coef = f.add(f.mul(q.x, p.z), p.x);           // B
     if (b_coef.isZero()) {
         if (a_coef.isZero())
             return doubleProj(p);
-        return {MpUint(1), MpUint(), MpUint()}; // q == -p
+        return toProj(AffineElem()); // q == -p
     }
-    MpUint c_coef = f.mul(p.z, b_coef);                    // C
-    MpUint d_coef = f.mul(f.sqr(b_coef),
-                          f.add(c_coef, f.mul(a_, z1sq))); // D
-    MpUint z3 = f.sqr(c_coef);
-    MpUint e_coef = f.mul(a_coef, c_coef);                 // E
-    MpUint x3 = f.add(f.add(f.sqr(a_coef), d_coef), e_coef);
-    MpUint f_coef = f.add(x3, f.mul(q.x, z3));             // F
-    MpUint g_coef = f.mul(f.add(q.x, q.y), f.sqr(z3));     // G
-    MpUint y3 = f.add(f.mul(f.add(e_coef, z3), f_coef), g_coef);
+    FieldElem c_coef = f.mul(p.z, b_coef);                    // C
+    FieldElem d_coef = f.mul(f.sqr(b_coef),
+                             f.add(c_coef, f.mul(aElem_, z1sq))); // D
+    FieldElem z3 = f.sqr(c_coef);
+    FieldElem e_coef = f.mul(a_coef, c_coef);                 // E
+    FieldElem x3 = f.add(f.add(f.sqr(a_coef), d_coef), e_coef);
+    FieldElem f_coef = f.add(x3, f.mul(q.x, z3));             // F
+    FieldElem g_coef = f.mul(f.add(q.x, q.y), f.sqr(z3));     // G
+    FieldElem y3 = f.add(f.mul(f.add(e_coef, z3), f_coef), g_coef);
     return {x3, y3, z3};
 }
 

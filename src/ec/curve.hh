@@ -43,15 +43,29 @@ struct AffinePoint
 };
 
 /**
- * A point in projective coordinates.  For prime curves these are
- * Jacobian ((X,Y,Z) -> (X/Z^2, Y/Z^3), infinity (1,1,0)); for binary
- * curves Lopez-Dahab ((X,Y,Z) -> (X/Z, Y/Z^2), infinity (1,0,0)).
+ * An affine point held as field elements of its curve's field: the
+ * form the scalar multiplications keep their input points and
+ * precomputed tables in.  Curve::toElem() makes one from an
+ * AffinePoint.
+ */
+struct AffineElem
+{
+    FieldElem x;
+    FieldElem y;
+    bool infinity = true;
+};
+
+/**
+ * A point in projective coordinates, held as field elements.  For
+ * prime curves these are Jacobian ((X,Y,Z) -> (X/Z^2, Y/Z^3), infinity
+ * (1,1,0)); for binary curves Lopez-Dahab ((X,Y,Z) -> (X/Z, Y/Z^2),
+ * infinity (1,0,0)).
  */
 struct ProjPoint
 {
-    MpUint x;
-    MpUint y;
-    MpUint z; ///< zero indicates the point at infinity
+    FieldElem x;
+    FieldElem y;
+    FieldElem z; ///< zero indicates the point at infinity
 
     bool isInfinity() const { return z.isZero(); }
 };
@@ -99,30 +113,40 @@ class Curve
     virtual AffinePoint doubleAffine(const AffinePoint &p) const = 0;
     /** @} */
 
-    /** @name Group operations (projective, the evaluated fast path) */
+    /**
+     * @name Group operations on field elements (the evaluated fast path)
+     * A scalar multiplication converts its input points in once
+     * (toElem), runs on elements, and converts its result out once
+     * (toAffine).
+     */
     /** @{ */
-    virtual ProjPoint toProj(const AffinePoint &p) const = 0;
+    /** @p p as field elements (coordinates reduced into the field). */
+    virtual AffineElem toElem(const AffinePoint &p) const = 0;
+    virtual AffineElem negate(const AffineElem &p) const = 0;
+    virtual ProjPoint toProj(const AffineElem &p) const = 0;
+    /** The affine point of @p p (one field inversion), as MpUints. */
     virtual AffinePoint toAffine(const ProjPoint &p) const = 0;
     virtual ProjPoint doubleProj(const ProjPoint &p) const = 0;
     /** Mixed addition: projective + affine (the hot operation). */
     virtual ProjPoint addMixed(const ProjPoint &p,
-                               const AffinePoint &q) const = 0;
+                               const AffineElem &q) const = 0;
     /**
      * Converts several points to affine sharing one field inversion
      * (Montgomery's simultaneous-inversion trick) -- used for the
      * precomputed-point tables so a scalar multiplication performs
      * only two inversions in total.
      */
-    std::vector<AffinePoint>
+    std::vector<AffineElem>
     toAffineBatch(const std::vector<ProjPoint> &points) const;
 
     /** The field inversion used by toAffineBatch. */
-    virtual MpUint fieldInv(const MpUint &a) const = 0;
+    virtual FieldElem fieldInv(const FieldElem &a) const = 0;
     /** The field multiplication used by toAffineBatch. */
-    virtual MpUint fieldMul(const MpUint &a, const MpUint &b) const = 0;
-    /** Completes an affine point from x = X * zinvA, y = Y * zinvB. */
-    virtual AffinePoint affineFromProj(const ProjPoint &p,
-                                       const MpUint &zinv) const = 0;
+    virtual FieldElem fieldMul(const FieldElem &a,
+                               const FieldElem &b) const = 0;
+    /** Completes an affine point of @p p given zinv = 1/Z. */
+    virtual AffineElem affineFromProj(const ProjPoint &p,
+                                      const FieldElem &zinv) const = 0;
     /** @} */
 
   protected:
@@ -172,20 +196,26 @@ class PrimeCurve : public Curve
                           const AffinePoint &q) const override;
     AffinePoint doubleAffine(const AffinePoint &p) const override;
 
-    ProjPoint toProj(const AffinePoint &p) const override;
+    AffineElem toElem(const AffinePoint &p) const override;
+    AffineElem negate(const AffineElem &p) const override;
+    ProjPoint toProj(const AffineElem &p) const override;
     AffinePoint toAffine(const ProjPoint &p) const override;
     ProjPoint doubleProj(const ProjPoint &p) const override;
     ProjPoint addMixed(const ProjPoint &p,
-                       const AffinePoint &q) const override;
-    MpUint fieldInv(const MpUint &a) const override;
-    MpUint fieldMul(const MpUint &a, const MpUint &b) const override;
-    AffinePoint affineFromProj(const ProjPoint &p,
-                               const MpUint &zinv) const override;
+                       const AffineElem &q) const override;
+    FieldElem fieldInv(const FieldElem &a) const override;
+    FieldElem fieldMul(const FieldElem &a,
+                       const FieldElem &b) const override;
+    AffineElem affineFromProj(const ProjPoint &p,
+                              const FieldElem &zinv) const override;
 
   private:
     PrimeField field_;
     MpUint a_;
     MpUint b_;
+    FieldElem aElem_;
+    /** The small constants of doubleProj, as elements. */
+    FieldElem two_, three_, four_, eight_;
 };
 
 /** Binary curve over GF(2^m): y^2 + xy = x^3 + ax^2 + b. */
@@ -214,20 +244,25 @@ class BinaryCurve : public Curve
                           const AffinePoint &q) const override;
     AffinePoint doubleAffine(const AffinePoint &p) const override;
 
-    ProjPoint toProj(const AffinePoint &p) const override;
+    AffineElem toElem(const AffinePoint &p) const override;
+    AffineElem negate(const AffineElem &p) const override;
+    ProjPoint toProj(const AffineElem &p) const override;
     AffinePoint toAffine(const ProjPoint &p) const override;
     ProjPoint doubleProj(const ProjPoint &p) const override;
     ProjPoint addMixed(const ProjPoint &p,
-                       const AffinePoint &q) const override;
-    MpUint fieldInv(const MpUint &a) const override;
-    MpUint fieldMul(const MpUint &a, const MpUint &b) const override;
-    AffinePoint affineFromProj(const ProjPoint &p,
-                               const MpUint &zinv) const override;
+                       const AffineElem &q) const override;
+    FieldElem fieldInv(const FieldElem &a) const override;
+    FieldElem fieldMul(const FieldElem &a,
+                       const FieldElem &b) const override;
+    AffineElem affineFromProj(const ProjPoint &p,
+                              const FieldElem &zinv) const override;
 
   private:
     BinaryField field_;
     MpUint a_;
     MpUint b_;
+    FieldElem aElem_;
+    FieldElem bElem_;
 };
 
 /** Identifiers for the curves of the study. */

@@ -74,26 +74,25 @@ scalarMul(const Curve &curve, const MpUint &k, const AffinePoint &p)
 
     // Precompute 3P and 5P in affine form, sharing one inversion via
     // Montgomery's simultaneous-inversion trick.
-    ProjPoint p2 = curve.doubleProj(curve.toProj(p));
-    ProjPoint p3proj = curve.addMixed(p2, p);
+    const AffineElem pe = curve.toElem(p);
+    ProjPoint p2 = curve.doubleProj(curve.toProj(pe));
+    ProjPoint p3proj = curve.addMixed(p2, pe);
     ProjPoint p4 = curve.doubleProj(p2);
-    ProjPoint p5proj = curve.addMixed(p4, p);
-    std::vector<AffinePoint> table =
-        curve.toAffineBatch({p3proj, p5proj});
-    const AffinePoint &p3 = table[0];
-    const AffinePoint &p5 = table[1];
+    ProjPoint p5proj = curve.addMixed(p4, pe);
+    std::vector<AffineElem> table = curve.toAffineBatch({p3proj, p5proj});
+    const AffineElem &p3 = table[0];
+    const AffineElem &p5 = table[1];
 
     std::vector<int> digits = recodeSigned135(k);
-    ProjPoint acc = curve.toProj(AffinePoint::makeInfinity());
+    ProjPoint acc = curve.toProj(AffineElem());
     for (int i = static_cast<int>(digits.size()) - 1; i >= 0; --i) {
         acc = curve.doubleProj(acc);
         int d = digits[i];
         if (d == 0)
             continue;
-        const AffinePoint &base = (d == 1 || d == -1) ? p
+        const AffineElem &base = (d == 1 || d == -1) ? pe
             : (d == 3 || d == -3) ? p3 : p5;
-        AffinePoint addend = (d > 0) ? base : curve.negate(base);
-        acc = curve.addMixed(acc, addend);
+        acc = curve.addMixed(acc, d > 0 ? base : curve.negate(base));
     }
     return curve.toAffine(acc);
 }
@@ -107,32 +106,30 @@ twinScalarMul(const Curve &curve, const MpUint &u1, const AffinePoint &p,
         return AffinePoint::makeInfinity();
 
     // Precompute P+Q and P-Q (affine), sharing one inversion.
-    std::vector<AffinePoint> table = curve.toAffineBatch(
-        {curve.addMixed(curve.toProj(p), q),
-         curve.addMixed(curve.toProj(p), curve.negate(q))});
-    const AffinePoint &pq = table[0];
-    const AffinePoint &pmq = table[1];
+    const AffineElem pe = curve.toElem(p);
+    const AffineElem qe = curve.toElem(q);
+    std::vector<AffineElem> table = curve.toAffineBatch(
+        {curve.addMixed(curve.toProj(pe), qe),
+         curve.addMixed(curve.toProj(pe), curve.negate(qe))});
+    const AffineElem &pq = table[0];
+    const AffineElem &pmq = table[1];
 
     std::vector<int> n1 = recodeNaf(u1);
     std::vector<int> n2 = recodeNaf(u2);
     int len = static_cast<int>(std::max(n1.size(), n2.size()));
-    ProjPoint acc = curve.toProj(AffinePoint::makeInfinity());
+    ProjPoint acc = curve.toProj(AffineElem());
     for (int i = len - 1; i >= 0; --i) {
         acc = curve.doubleProj(acc);
         int d1 = (i < static_cast<int>(n1.size())) ? n1[i] : 0;
         int d2 = (i < static_cast<int>(n2.size())) ? n2[i] : 0;
         if (d1 == 0 && d2 == 0)
             continue;
-        AffinePoint addend;
-        if (d1 != 0 && d2 != 0) {
-            const AffinePoint &base = (d1 == d2) ? pq : pmq;
-            addend = (d1 > 0) ? base : curve.negate(base);
-        } else if (d1 != 0) {
-            addend = (d1 > 0) ? p : curve.negate(p);
-        } else {
-            addend = (d2 > 0) ? q : curve.negate(q);
-        }
-        acc = curve.addMixed(acc, addend);
+        const int d = d1 != 0 ? d1 : d2;
+        const AffineElem &base = d1 == 0 ? qe
+            : d2 == 0                     ? pe
+            : d1 == d2                    ? pq
+                                          : pmq;
+        acc = curve.addMixed(acc, d > 0 ? base : curve.negate(base));
     }
     return curve.toAffine(acc);
 }

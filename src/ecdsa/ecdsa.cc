@@ -186,7 +186,7 @@ Ecdsa::signDigest(const MpUint &d, const Sha256Digest &digest,
         if (!r.isZero()) {
             // s = k^-1 (e + r d) mod n -- extended Euclidean inversion.
             MpUint kinv = fn.inv(k);
-            MpUint s = fn.mul(kinv, fn.add(e, fn.mul(r, d.mod(n))));
+            MpUint s = fn.mul(kinv, fn.add(e, fn.mul(r, d)));
             if (!s.isZero())
                 return {r, s};
         }
@@ -202,6 +202,22 @@ Result<Signature>
 Ecdsa::signDigestChecked(const MpUint &d, const Sha256Digest &digest,
                          const std::optional<MpUint> &nonce) const
 {
+    if (d.isZero() || d >= curve_.order())
+        return Error{Errc::InvalidInput,
+                     "signDigest: private scalar out of [1, n)"};
+    try {
+        return signDigestChecked(
+            d, scalarMul(curve_, d, curve_.generator()), digest, nonce);
+    } catch (const UleccError &e) {
+        return e.error();
+    }
+}
+
+Result<Signature>
+Ecdsa::signDigestChecked(const MpUint &d, const AffinePoint &q,
+                         const Sha256Digest &digest,
+                         const std::optional<MpUint> &nonce) const
+{
     const MpUint &n = curve_.order();
     if (d.isZero() || d >= n)
         return Error{Errc::InvalidInput,
@@ -215,7 +231,6 @@ Ecdsa::signDigestChecked(const MpUint &d, const Sha256Digest &digest,
         // classic ECDSA fault attack leaking the private key through a
         // faulty r) produces a signature that does not verify against
         // our own public point.  Withhold it.
-        AffinePoint q = scalarMul(curve_, d, curve_.generator());
         if (!verifyDigest(q, digest, sig))
             return Error{Errc::FaultDetected,
                          "signDigest: verify-after-sign mismatch "

@@ -88,9 +88,19 @@ class Ecdsa
      *  - scalar-range validation of d (and of an explicit nonce):
      *    Errc::InvalidInput;
      *  - verify-after-sign: the fresh signature is verified against
-     *    Q = dG before release -- the standard check against glitched
-     *    scalar multiplications; a mismatch is Errc::FaultDetected and
-     *    the signature is withheld.
+     *    the signer's public point @p q before release -- the standard
+     *    check against glitched scalar multiplications, which also
+     *    catches a d that no longer matches q; a mismatch is
+     *    Errc::FaultDetected and the signature is withheld.
+     */
+    Result<Signature>
+    signDigestChecked(const MpUint &d, const AffinePoint &q,
+                      const Sha256Digest &digest,
+                      const std::optional<MpUint> &nonce = {}) const;
+
+    /**
+     * signDigestChecked() against Q = dG, computed here (one scalar
+     * multiplication more) after d passes the range check.
      */
     Result<Signature>
     signDigestChecked(const MpUint &d, const Sha256Digest &digest,

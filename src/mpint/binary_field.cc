@@ -104,7 +104,8 @@ squareSpreadTable()
 }
 
 /**
- * Paper Algorithm 6 on K 64-bit words: left-to-right comb with windows
+ * Paper Algorithm 6 on K 64-bit words (read from 2K 32-bit limbs per
+ * operand): left-to-right comb with windows
  * of width w = 4.  Precompute Bu = u(x) * b(x) for all 16 window
  * values, then scan the multiplier a one window column at a time from
  * the top, XORing the rows its windows select into the accumulator C
@@ -116,9 +117,14 @@ squareSpreadTable()
  */
 template <int K>
 void
-combWords(const uint64_t *a, const uint64_t *b, uint64_t *out)
+combWords(const uint32_t *al, const uint32_t *bl, uint64_t *out)
 {
     constexpr int w = 4;
+    uint64_t a[K], b[K];
+    for (int i = 0; i < K; ++i) {
+        a[i] = al[2 * i] | (static_cast<uint64_t>(al[2 * i + 1]) << 32);
+        b[i] = bl[2 * i] | (static_cast<uint64_t>(bl[2 * i + 1]) << 32);
+    }
     uint64_t bu[1 << w][K + 1];
     for (int i = 0; i < K; ++i) {
         bu[0][i] = 0;
@@ -157,7 +163,7 @@ combWords(const uint64_t *a, const uint64_t *b, uint64_t *out)
     std::copy(c, c + 2 * K, out);
 }
 
-using CombFn = void (*)(const uint64_t *, const uint64_t *, uint64_t *);
+using CombFn = void (*)(const uint32_t *, const uint32_t *, uint64_t *);
 
 template <int... I>
 constexpr std::array<CombFn, sizeof...(I)>
@@ -169,6 +175,51 @@ combTable(std::integer_sequence<int, I...>)
 /** combWords<K> at index K - 1, for every element width. */
 constexpr auto kCombByWords =
     combTable(std::make_integer_sequence<int, kMaxWords64>{});
+
+/**
+ * Raw square of the n-limb polynomial l into c[0 .. n): zero-
+ * interleave each byte via the 256-entry spread table (Section 4.2.3),
+ * so 32-bit limb j becomes 64-bit word j.
+ */
+void
+spreadLimbs(const uint32_t *l, int n, uint64_t *c)
+{
+    const auto &tbl = squareSpreadTable();
+    auto spread32 = [&tbl](uint32_t v) {
+        return uint64_t(tbl[v & 0xFF])
+            | (uint64_t(tbl[(v >> 8) & 0xFF]) << 16)
+            | (uint64_t(tbl[(v >> 16) & 0xFF]) << 32)
+            | (uint64_t(tbl[v >> 24]) << 48);
+    };
+    for (int j = 0; j < n; ++j)
+        c[j] = spread32(l[j]);
+}
+
+/** Degree of the n-word polynomial w, or -1 for zero. */
+int
+degreeOf(const uint64_t *w, int n)
+{
+    for (int i = n - 1; i >= 0; --i) {
+        if (w[i])
+            return 64 * i + 63 - __builtin_clzll(w[i]);
+    }
+    return -1;
+}
+
+/** w ^= o * x^j over n words (no bit of the result lies past word n). */
+void
+xorShifted(uint64_t *w, const uint64_t *o, int j, int n)
+{
+    const int ws = j / 64, bs = j % 64;
+    if (bs == 0) {
+        for (int i = ws; i < n; ++i)
+            w[i] ^= o[i - ws];
+        return;
+    }
+    w[ws] ^= o[0] << bs;
+    for (int i = ws + 1; i < n; ++i)
+        w[i] ^= (o[i - ws] << bs) | (o[i - ws - 1] >> (64 - bs));
+}
 
 } // namespace
 
@@ -200,21 +251,130 @@ BinaryField::BinaryField(NistBinary which)
 {
 }
 
+FieldElem
+BinaryField::elem(const MpUint &a) const
+{
+    return a.bitLength() > m_ ? reduce(a).toElem() : a.toElem();
+}
+
+MpUint
+BinaryField::value(const FieldElem &a) const
+{
+    return MpUint::fromElem(a, words_);
+}
+
+FieldElem
+BinaryField::fromWords(const uint64_t *w) const
+{
+    FieldElem e;
+    for (int i = 0; i < words64_; ++i) {
+        e.limb[size_t(2 * i)] = static_cast<uint32_t>(w[i]);
+        e.limb[size_t(2 * i + 1)] = static_cast<uint32_t>(w[i] >> 32);
+    }
+    return e;
+}
+
+FieldElem
+BinaryField::add(const FieldElem &a, const FieldElem &b) const
+{
+    notifyFieldOp(FieldOp::Add, m_, true);
+    FieldElem r;
+    for (int i = 0; i < FieldElem::maxLimbs; ++i)
+        r.limb[size_t(i)] = a.limb[size_t(i)] ^ b.limb[size_t(i)];
+    return r;
+}
+
+FieldElem
+BinaryField::mul(const FieldElem &a, const FieldElem &b) const
+{
+    notifyFieldOp(FieldOp::Mul, m_, true);
+    uint64_t c[kMaxWide64];
+    kCombByWords[size_t(words64_ - 1)](a.limb.data(), b.limb.data(), c);
+    fold(c, 2 * words64_);
+    return fromWords(c);
+}
+
+FieldElem
+BinaryField::sqr(const FieldElem &a) const
+{
+    notifyFieldOp(FieldOp::Sqr, m_, true);
+    return square(a);
+}
+
+FieldElem
+BinaryField::square(const FieldElem &a) const
+{
+    uint64_t c[kMaxWide64];
+    spreadLimbs(a.limb.data(), 2 * words64_, c);
+    fold(c, 2 * words64_);
+    return fromWords(c);
+}
+
+FieldElem
+BinaryField::inv(const FieldElem &a) const
+{
+    // Polynomial extended Euclidean algorithm (Guide to ECC,
+    // Algorithm 2.48) on 64-bit words.  With u = a * g1 and
+    // v = a * g2 (mod f), deg(g1) + deg(v) <= m and deg(g2) + deg(u)
+    // <= m hold throughout, so every operand fits words64_ + 1 words
+    // (f itself needs the extra word when 64 divides m), and the
+    // result g1 has degree < m.
+    notifyFieldOp(FieldOp::Inv, m_, true);
+    const int n = words64_ + 1;
+    uint64_t bu[kMaxWords64 + 1] = {}, bv[kMaxWords64 + 1] = {};
+    uint64_t b1[kMaxWords64 + 1] = {}, b2[kMaxWords64 + 1] = {};
+    for (int i = 0; i < words64_; ++i)
+        bu[i] = a.limb[size_t(2 * i)]
+            | (static_cast<uint64_t>(a.limb[size_t(2 * i + 1)]) << 32);
+    for (int i = 0; i < n; ++i)
+        bv[i] = f_.limb64U(i);
+    b1[0] = 1;
+    uint64_t *u = bu, *v = bv, *g1 = b1, *g2 = b2;
+    int du = degreeOf(u, n), dv = m_;
+    if (du < 0)
+        throw UleccError(Errc::InvalidInput,
+                         "BinaryField: inverse of zero");
+    while (du > 0) {
+        int j = du - dv;
+        if (j < 0) {
+            std::swap(u, v);
+            std::swap(g1, g2);
+            std::swap(du, dv);
+            j = -j;
+        }
+        xorShifted(u, v, j, n);
+        xorShifted(g1, g2, j, n);
+        du = degreeOf(u, du / 64 + 1);
+        if (du < 0)
+            throw UleccError(Errc::InvalidInput,
+                             "BinaryField::inv: element not invertible "
+                             "(reducible polynomial)");
+    }
+    return fromWords(g1);
+}
+
 MpUint
 BinaryField::add(const MpUint &a, const MpUint &b) const
 {
-    notifyFieldOp(FieldOp::Add, m_, true);
-    return a.bitXor(b);
+    return value(add(elem(a), elem(b)));
 }
 
 MpUint
 BinaryField::mul(const MpUint &a, const MpUint &b) const
 {
-    notifyFieldOp(FieldOp::Mul, m_, true);
-    uint64_t c[kMaxWide64];
-    combMul(a, b, c);
-    fold(c, 2 * words64_);
-    return MpUint::fromWords64(c, words64_);
+    return value(mul(elem(a), elem(b)));
+}
+
+MpUint
+BinaryField::sqr(const MpUint &a) const
+{
+    return value(sqr(elem(a)));
+}
+
+MpUint
+BinaryField::inv(const MpUint &a) const
+{
+    return value(inv(elem(a)));
 }
 
 MpUint
@@ -225,60 +385,15 @@ BinaryField::mulClmul(const MpUint &a, const MpUint &b) const
 }
 
 MpUint
-BinaryField::sqr(const MpUint &a) const
-{
-    notifyFieldOp(FieldOp::Sqr, m_, true);
-    return square(a);
-}
-
-MpUint
-BinaryField::square(const MpUint &a) const
-{
-    uint64_t c[kMaxWide64];
-    const int n = spread(a, c);
-    fold(c, n);
-    return MpUint::fromWords64(c, words64_);
-}
-
-MpUint
-BinaryField::inv(const MpUint &a) const
-{
-    // Polynomial extended Euclidean algorithm
-    // (Guide to ECC, Algorithm 2.48).
-    notifyFieldOp(FieldOp::Inv, m_, true);
-    if (a.isZero())
-        throw UleccError(Errc::InvalidInput,
-                         "BinaryField: inverse of zero");
-    MpUint u = reduce(a), v = f_;
-    MpUint g1(1), g2;
-    const MpUint one(1);
-    while (u != one && !u.isZero()) {
-        int j = u.bitLength() - v.bitLength();
-        if (j < 0) {
-            std::swap(u, v);
-            std::swap(g1, g2);
-            j = -j;
-        }
-        u = u.bitXor(v.shiftLeft(j));
-        g1 = g1.bitXor(g2.shiftLeft(j));
-    }
-    if (u != one)
-        throw UleccError(Errc::Internal,
-                         "BinaryField::inv: element not invertible "
-                         "(reducible polynomial?)");
-    return reduce(g1);
-}
-
-MpUint
 BinaryField::invFermat(const MpUint &a) const
 {
     // a^(2^m - 2) = a^(2 * (2^(m-1) - 1)): simple square-and-multiply
     // chain of (m-1) squarings and (m-2) multiplications.
     notifyFieldOp(FieldOp::Inv, m_, true);
-    if (a.isZero())
+    MpUint x = reduce(a);
+    if (x.isZero())
         throw UleccError(Errc::InvalidInput,
                          "BinaryField: inverse of zero");
-    MpUint x = reduce(a);
     MpUint acc = x;
     for (int i = 0; i < m_ - 2; ++i) {
         acc = square(acc);
@@ -295,10 +410,10 @@ BinaryField::invItohTsujii(const MpUint &a) const
     //   always:   t <- t^(2^n) * t        (n doubles)
     //   bit set:  t <- t^2 * a            (n += 1)
     notifyFieldOp(FieldOp::Inv, m_, true);
-    if (a.isZero())
+    MpUint x = reduce(a);
+    if (x.isZero())
         throw UleccError(Errc::InvalidInput,
                          "BinaryField: inverse of zero");
-    MpUint x = reduce(a);
     const int e = m_ - 1;
     int top = 31;
     while (top > 0 && !((e >> top) & 1))
@@ -420,20 +535,14 @@ BinaryField::halfTrace(const MpUint &a) const
 MpUint
 BinaryField::polyMulComb(const MpUint &a, const MpUint &b) const
 {
-    uint64_t c[kMaxWide64];
-    combMul(a, b, c);
-    return MpUint::fromWords64(c, 2 * words64_);
-}
-
-void
-BinaryField::combMul(const MpUint &a, const MpUint &b, uint64_t *c) const
-{
-    uint64_t aw[kMaxWords64], bw[kMaxWords64];
-    for (int i = 0; i < words64_; ++i) {
-        aw[i] = a.limb64U(i);
-        bw[i] = b.limb64U(i);
+    uint32_t al[2 * kMaxWords64], bl[2 * kMaxWords64];
+    for (int i = 0; i < 2 * words64_; ++i) {
+        al[i] = a.limbU(i);
+        bl[i] = b.limbU(i);
     }
-    kCombByWords[words64_ - 1](aw, bw, c);
+    uint64_t c[kMaxWide64];
+    kCombByWords[size_t(words64_ - 1)](al, bl, c);
+    return MpUint::fromWords64(c, 2 * words64_);
 }
 
 MpUint
@@ -462,34 +571,17 @@ BinaryField::polyMulClmul(const MpUint &a, const MpUint &b) const
 MpUint
 BinaryField::polySqr(const MpUint &a) const
 {
-    uint64_t c[kMaxWide64];
-    const int n = spread(a, c);
-    return MpUint::fromWords64(c, n);
-}
-
-int
-BinaryField::spread(const MpUint &a, uint64_t *c) const
-{
-    // Zero-interleave each byte via the 256-entry spread table
-    // (Section 4.2.3): word i of a becomes words 2i and 2i + 1.
     const int k = std::max((a.size() + 1) / 2, words64_);
     if (k > kMaxWords64)
         throw UleccError(Errc::OutOfRange,
                          "BinaryField: square of an operand over "
                          + std::to_string(64 * kMaxWords64) + " bits");
-    const auto &tbl = squareSpreadTable();
-    auto spread32 = [&tbl](uint32_t v) {
-        return uint64_t(tbl[v & 0xFF])
-            | (uint64_t(tbl[(v >> 8) & 0xFF]) << 16)
-            | (uint64_t(tbl[(v >> 16) & 0xFF]) << 32)
-            | (uint64_t(tbl[v >> 24]) << 48);
-    };
-    for (int i = 0; i < k; ++i) {
-        const uint64_t v = a.limb64U(i);
-        c[2 * i] = spread32(static_cast<uint32_t>(v));
-        c[2 * i + 1] = spread32(static_cast<uint32_t>(v >> 32));
-    }
-    return 2 * k;
+    uint32_t l[2 * kMaxWords64];
+    for (int j = 0; j < 2 * k; ++j)
+        l[j] = a.limbU(j);
+    uint64_t c[kMaxWide64];
+    spreadLimbs(l, 2 * k, c);
+    return MpUint::fromWords64(c, 2 * k);
 }
 
 } // namespace ulecc

@@ -11,11 +11,14 @@
  * and inversion by the polynomial extended Euclidean algorithm and by
  * Fermat's little theorem (the accelerator path).
  *
- * The native hot path (mul, sqr, reduce) works on 64-bit words: the
- * comb runs on ceil(m/64) words, squaring spreads bits straight into
- * a 64-bit product buffer, and one in-place word fold reduces that
- * buffer for all three.  The CLMUL path keeps the paper's 32-bit
- * words: it models the ISA extension and is the tests' reference.
+ * The native hot path runs on FieldElem (mpint/mpuint.hh) and on
+ * 64-bit words: the comb runs on ceil(m/64) words, squaring spreads
+ * bits straight into a 64-bit product buffer, one in-place word fold
+ * reduces that buffer for mul, sqr and reduce, and inversion is the
+ * polynomial EEA in place on 64-bit words.  Each MpUint operation
+ * converts its operands in, runs the element operation and converts
+ * the result out.  The CLMUL path keeps the paper's 32-bit words: it
+ * models the ISA extension and is the tests' reference.
  */
 
 #ifndef ULECC_MPINT_BINARY_FIELD_HH
@@ -79,20 +82,55 @@ class BinaryField
      */
     const std::vector<int> &midTerms() const { return mid_; }
 
-    /** Field addition == subtraction == XOR. */
-    MpUint add(const MpUint &a, const MpUint &b) const;
+    /**
+     * @name Element arithmetic (the native hot path)
+     * Operands are elements of this field (degree < m); each operation
+     * notifies the op observer once.
+     */
+    /** @{ */
 
-    /** Alias of add (binary fields are characteristic 2). */
-    MpUint sub(const MpUint &a, const MpUint &b) const { return add(a, b); }
+    /** a mod f(x) as an element. */
+    FieldElem elem(const MpUint &a) const;
+
+    /** The value of element @p a. */
+    MpUint value(const FieldElem &a) const;
+
+    /** Field addition == subtraction == XOR. */
+    FieldElem add(const FieldElem &a, const FieldElem &b) const;
 
     /**
      * Field multiplication via the left-to-right comb method with 4-bit
      * windows (paper Algorithm 6, on 64-bit words) followed by the
      * in-place word fold.  This is the software-only algorithm whose
-     * cost makes unassisted binary ECC impractical.  Operands are
-     * elements: only their low ceil(m/64) 64-bit words are read.
+     * cost makes unassisted binary ECC impractical.
      */
+    FieldElem mul(const FieldElem &a, const FieldElem &b) const;
+
+    /**
+     * Field squaring: the 8->16 bit spread table fills a 64-bit product
+     * buffer, which the word fold reduces in place.
+     */
+    FieldElem sqr(const FieldElem &a) const;
+
+    /**
+     * Inversion by the polynomial extended Euclidean algorithm (Guide
+     * to ECC, Algorithm 2.48) in place on 64-bit words;
+     * Errc::InvalidInput when a is zero.
+     */
+    FieldElem inv(const FieldElem &a) const;
+
+    /** @} */
+
+    /** @name MpUint forms: elem(), the element operation, value() */
+    /** @{ */
+    MpUint add(const MpUint &a, const MpUint &b) const;
+    /** Alias of add (binary fields are characteristic 2). */
+    MpUint sub(const MpUint &a, const MpUint &b) const { return add(a, b); }
     MpUint mul(const MpUint &a, const MpUint &b) const;
+    MpUint sqr(const MpUint &a) const;
+    /** a mod f(x) inverted; Errc::InvalidInput when that is zero. */
+    MpUint inv(const MpUint &a) const;
+    /** @} */
 
     /**
      * Field multiplication built on word-level carry-less multiply
@@ -100,15 +138,6 @@ class BinaryField
      * algorithm.  Bit-identical result to mul().
      */
     MpUint mulClmul(const MpUint &a, const MpUint &b) const;
-
-    /**
-     * Field squaring: the 8->16 bit spread table fills a 64-bit product
-     * buffer, which the word fold reduces in place.
-     */
-    MpUint sqr(const MpUint &a) const;
-
-    /** Inversion via the polynomial extended Euclidean algorithm. */
-    MpUint inv(const MpUint &a) const;
 
     /** Inversion via Fermat: a^(2^m - 2) by square-and-multiply. */
     MpUint invFermat(const MpUint &a) const;
@@ -163,19 +192,11 @@ class BinaryField
 
   private:
     /** sqr() without the op notification (the inversions' chains). */
-    MpUint square(const MpUint &a) const;
+    FieldElem square(const FieldElem &a) const;
+    MpUint square(const MpUint &a) const { return value(square(elem(a))); }
 
-    /**
-     * Raw comb product of the words64_-word operands into c[0 ..
-     * 2 * words64_).
-     */
-    void combMul(const MpUint &a, const MpUint &b, uint64_t *c) const;
-
-    /**
-     * Raw square of @p a (at least words64_ words of it) into c;
-     * returns the product's word count.
-     */
-    int spread(const MpUint &a, uint64_t *c) const;
+    /** The element made of the low words64_ words of @p w. */
+    FieldElem fromWords(const uint64_t *w) const;
 
     /**
      * Reduces the n-word polynomial c modulo f(x) in place; n must be

@@ -8,6 +8,7 @@
 #include <cctype>
 
 #include "base/error.hh"
+#include "mpint/words.hh"
 
 namespace ulecc
 {
@@ -18,13 +19,6 @@ MpUint::MpUint(uint64_t v)
     limbs_[0] = static_cast<uint32_t>(v);
     limbs_[1] = static_cast<uint32_t>(v >> 32);
     n_ = limbs_[1] ? 2 : (limbs_[0] ? 1 : 0);
-}
-
-void
-MpUint::trim()
-{
-    while (n_ > 0 && limbs_[n_ - 1] == 0)
-        --n_;
 }
 
 MpUint
@@ -68,6 +62,17 @@ MpUint::fromWords64(const uint64_t *words, int count)
         r.limbs_[size_t(2 * i + 1)] = static_cast<uint32_t>(words[i] >> 32);
     }
     r.n_ = 2 * count;
+    r.trim();
+    return r;
+}
+
+MpUint
+MpUint::fromLimbs(const uint32_t *limbs, int count)
+{
+    MpUint r;
+    for (int i = 0; i < count; ++i)
+        r.limbs_[size_t(i)] = limbs[i];
+    r.n_ = count;
     r.trim();
     return r;
 }
@@ -282,33 +287,22 @@ MpUint::bitAnd(const MpUint &other) const
 MpUint
 MpUint::mulOperandScan(const MpUint &other) const
 {
-    // Paper Algorithm 2: for each multiplier word b_i, sweep the
-    // multiplicand accumulating (u,v) <- a_j * b_i + p_{i+j} + u.
     // Capacity is judged on bit widths: limb-count sums over-estimate
     // the product width by up to 31 bits and used to reject in-range
     // products (e.g. 260 x 988 bits).  A bit-width sum of exactly
     // capacity + 1 may still fit, so that case is resolved by the top
-    // carry word below.
+    // product words below.
     if (bitLength() + other.bitLength() > 32 * maxLimbs + 1)
         throw UleccError(Errc::OutOfRange, "MpUint::mul overflow");
-    MpUint r;
-    for (int i = 0; i < other.n_; ++i) {
-        uint64_t u = 0;
-        uint64_t bi = other.limbs_[i];
-        for (int j = 0; j < n_; ++j) {
-            uint64_t t = static_cast<uint64_t>(limbs_[j]) * bi
-                + r.limbs_[i + j] + u;
-            r.limbs_[i + j] = static_cast<uint32_t>(t);
-            u = t >> 32;
-        }
-        if (i + n_ < maxLimbs)
-            r.limbs_[i + n_] = static_cast<uint32_t>(u);
-        else if (u != 0)
+    uint32_t r[2 * maxLimbs];
+    const int n = n_ + other.n_;
+    words::mulOperandScan(limbs_.data(), n_, other.limbs_.data(),
+                          other.n_, r);
+    for (int i = maxLimbs; i < n; ++i) {
+        if (r[i] != 0)
             throw UleccError(Errc::OutOfRange, "MpUint::mul overflow");
     }
-    r.n_ = std::min(n_ + other.n_, maxLimbs);
-    r.trim();
-    return r;
+    return fromLimbs(r, std::min(n, maxLimbs));
 }
 
 MpUint
@@ -380,51 +374,11 @@ MpUint::mulWord(uint32_t w) const
 MpUint
 MpUint::sqr() const
 {
-    // Squaring with the doubled-cross-term shortcut (what the paper's
-    // M2ADDU extension accelerates): a_j*a_i cross terms counted once
-    // and doubled.
     if (2 * n_ > maxLimbs)
         throw UleccError(Errc::OutOfRange, "MpUint::sqr overflow");
-    if (n_ == 0)
-        return MpUint();
-    MpUint r;
-    // Cross products (j < i), then double, then add squares.
-    for (int i = 1; i < n_; ++i) {
-        uint64_t carry = 0;
-        for (int j = 0; j < i; ++j) {
-            uint64_t t = static_cast<uint64_t>(limbs_[j]) * limbs_[i]
-                + r.limbs_[i + j] + carry;
-            r.limbs_[i + j] = static_cast<uint32_t>(t);
-            carry = t >> 32;
-        }
-        r.limbs_[2 * i] = static_cast<uint32_t>(carry);
-    }
-    // Double the cross products (shift left one bit, LSB upward).
-    uint32_t carry_bit = 0;
-    for (int i = 0; i < 2 * n_; ++i) {
-        uint32_t nt = r.limbs_[i] >> 31;
-        r.limbs_[i] = (r.limbs_[i] << 1) | carry_bit;
-        carry_bit = nt;
-    }
-    if (carry_bit != 0)
-        throw UleccError(Errc::Internal, "MpUint::sqr: doubling carry");
-    // Add the diagonal squares.
-    uint64_t carry = 0;
-    for (int i = 0; i < n_; ++i) {
-        uint64_t sq = static_cast<uint64_t>(limbs_[i]) * limbs_[i];
-        uint64_t lo = static_cast<uint64_t>(r.limbs_[2 * i])
-            + static_cast<uint32_t>(sq) + carry;
-        r.limbs_[2 * i] = static_cast<uint32_t>(lo);
-        uint64_t hi = static_cast<uint64_t>(r.limbs_[2 * i + 1])
-            + static_cast<uint32_t>(sq >> 32) + (lo >> 32);
-        r.limbs_[2 * i + 1] = static_cast<uint32_t>(hi);
-        carry = hi >> 32;
-    }
-    if (carry != 0)
-        throw UleccError(Errc::Internal, "MpUint::sqr: diagonal carry");
-    r.n_ = 2 * n_;
-    r.trim();
-    return r;
+    uint32_t r[maxLimbs];
+    words::sqr(limbs_.data(), n_, r);
+    return fromLimbs(r, 2 * n_);
 }
 
 MpUint::DivResult
@@ -477,42 +431,20 @@ MpUint::subMod(const MpUint &other, const MpUint &m) const
 MpUint
 MpUint::modInverseOdd(const MpUint &m) const
 {
-    // Binary inversion algorithm (Guide to ECC, Algorithm 2.22).
     if (!m.isOdd())
         throw UleccError(Errc::InvalidInput,
                          "MpUint::modInverseOdd: even modulus");
-    MpUint a = mod(m);
-    if (a.isZero())
+    uint32_t a[maxLimbs];
+    const MpUint r = mod(m);
+    for (int i = 0; i < m.n_; ++i)
+        a[i] = r.limbs_[size_t(i)];
+    if (!words::invOdd(a, m.limbs_.data(), m.n_,
+                       words::negInverse32(m.limbs_[0])))
         throw UleccError(Errc::InvalidInput,
-                         "MpUint::modInverseOdd: inverse of zero");
-    MpUint u = a, v = m;
-    MpUint x1(1), x2(0);
-    const MpUint one(1);
-    while (u != one && v != one) {
-        if (u.isZero() || v.isZero())
-            throw UleccError(Errc::InvalidInput,
-                             "MpUint::modInverseOdd: not invertible");
-        while (!u.isOdd()) {
-            u = u.shiftRight(1);
-            if (x1.isOdd())
-                x1 = x1.add(m);
-            x1 = x1.shiftRight(1);
-        }
-        while (!v.isOdd()) {
-            v = v.shiftRight(1);
-            if (x2.isOdd())
-                x2 = x2.add(m);
-            x2 = x2.shiftRight(1);
-        }
-        if (u.compare(v) >= 0) {
-            u = u.sub(v);
-            x1 = x1.subMod(x2, m);
-        } else {
-            v = v.sub(u);
-            x2 = x2.subMod(x1, m);
-        }
-    }
-    return (u == one) ? x1.mod(m) : x2.mod(m);
+                         r.isZero()
+                             ? "MpUint::modInverseOdd: inverse of zero"
+                             : "MpUint::modInverseOdd: not invertible");
+    return fromLimbs(a, m.n_);
 }
 
 } // namespace ulecc

@@ -10,9 +10,12 @@
  * multiplication) translate one-to-one into the simulated kernels.
  *
  * Values are stored little-endian (limb 0 is least significant) in a
- * fixed-capacity array so no heap allocation ever happens on the hot
- * path.  Capacity covers double-width products of the largest field in
- * the study (571-bit binary -> 18 limbs -> 37-limb products).
+ * fixed-capacity array with a significant-limb count.  Capacity covers
+ * double-width products of the widest field (640 bits -> 20 limbs ->
+ * 40-limb products).  MpUint is the integer type of the API boundary,
+ * of protocol code and of the oracles; the native field arithmetic and
+ * the point formulas run on FieldElem, the fixed-width element below,
+ * and convert to and from MpUint once per public operation.
  */
 
 #ifndef ULECC_MPINT_MPUINT_HH
@@ -20,11 +23,49 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 
 namespace ulecc
 {
+
+/**
+ * A field element: the operand of PrimeField's and BinaryField's
+ * element arithmetic and of the point formulas in ec/.  Little-endian
+ * 32-bit limbs with no length field: the field's word count k bounds
+ * every loop, and limbs k and above are always zero, so equality and
+ * zero tests read the whole array.  20 limbs (80 bytes) hold the
+ * widest field either class accepts (GF(2^640)).  The field that made
+ * an element gives its value as an MpUint (PrimeField::value,
+ * BinaryField::value).
+ */
+struct FieldElem
+{
+    static constexpr int maxLimbs = 20;
+
+    std::array<uint32_t, maxLimbs> limb{};
+
+    /** The element with value @p v; @p v must be below the modulus. */
+    static FieldElem
+    word(uint32_t v)
+    {
+        FieldElem e;
+        e.limb[0] = v;
+        return e;
+    }
+
+    bool
+    isZero() const
+    {
+        uint32_t any = 0;
+        for (uint32_t w : limb)
+            any |= w;
+        return any == 0;
+    }
+
+    bool operator==(const FieldElem &o) const = default;
+};
 
 /** Fixed-capacity multi-precision unsigned integer (little-endian limbs). */
 class MpUint
@@ -90,6 +131,40 @@ class MpUint
      * first; @p count must be in [0, maxLimbs / 2].
      */
     static MpUint fromWords64(const uint64_t *words, int count);
+
+    /**
+     * Builds a value from @p count 32-bit limbs, least significant
+     * first; @p count must be in [0, maxLimbs].
+     */
+    static MpUint fromLimbs(const uint32_t *limbs, int count);
+
+    /**
+     * The value of element @p e, whose limbs at @p count and above are
+     * zero (a field's elements: count is its word count).
+     */
+    static MpUint
+    fromElem(const FieldElem &e, int count)
+    {
+        MpUint r(NoFill{});
+        std::memcpy(r.limbs_.data(), e.limb.data(), sizeof e.limb);
+        std::memset(r.limbs_.data() + FieldElem::maxLimbs, 0,
+                    sizeof r.limbs_ - sizeof e.limb);
+        r.n_ = count;
+        r.trim();
+        return r;
+    }
+
+    /**
+     * This value as an element's limbs; size() must be at most
+     * FieldElem::maxLimbs (the field conversions reduce first).
+     */
+    FieldElem
+    toElem() const
+    {
+        FieldElem e;
+        std::memcpy(e.limb.data(), limbs_.data(), sizeof e.limb);
+        return e;
+    }
 
     /** Sets limb @p i (extending the significant length as needed). */
     void setLimb(int i, uint32_t v);
@@ -183,13 +258,27 @@ class MpUint
     MpUint subMod(const MpUint &other, const MpUint &m) const;
 
     /**
-     * Modular inverse for an odd modulus via the binary inversion
-     * algorithm (Guide to ECC, Algorithm 2.22).  Asserts gcd == 1.
+     * Modular inverse for an odd modulus of up to 40 limbs via the
+     * word-level binary inversion algorithm (Guide to ECC, Algorithm
+     * 2.22; words::invOdd).  Throws Errc::InvalidInput for an even
+     * modulus or when gcd(this, m) != 1 (this == 0 mod m included).
      */
     MpUint modInverseOdd(const MpUint &m) const;
 
   private:
-    void trim();
+    /** Tag of the constructor that leaves the limbs unwritten. */
+    struct NoFill
+    {
+    };
+
+    explicit MpUint(NoFill) : n_(0) {}
+
+    void
+    trim()
+    {
+        while (n_ > 0 && limbs_[size_t(n_ - 1)] == 0)
+            --n_;
+    }
 
     std::array<uint32_t, maxLimbs> limbs_;
     int n_;

@@ -14,11 +14,16 @@
  *  - binary-EEA inversion (used on Pete) and Fermat-little-theorem
  *    inversion (used on the accelerators).
  *
- * The five NIST primes of the study (P-192/224/256/384/521, paper
- * Eq. 4.3-4.7) are recognised and reduced word by word on fixed-width
- * stack arrays: P-192 by the paper's Algorithm 4, P-224/256/384 by the
- * FIPS 186 signed column sums, P-521 by mask-and-add.  Any other odd
- * prime reduces by division.
+ * The arithmetic runs on FieldElem, the fixed-width element of
+ * mpint/mpuint.hh, through word kernels instantiated per word count k
+ * (so every loop has a constant bound).  The five NIST primes of the
+ * study (P-192/224/256/384/521, paper Eq. 4.3-4.7) are recognised and
+ * reduced word by word: P-192 by the paper's Algorithm 4,
+ * P-224/256/384 by the FIPS 186 signed column sums, P-521 by
+ * mask-and-add.  Any other odd modulus (the ECDSA group orders, the
+ * toy curves) reduces by Montgomery REDC followed by one CIOS multiply
+ * by R^2.  Each MpUint operation converts its operands in, runs the
+ * element operation and converts the result out.
  */
 
 #ifndef ULECC_MPINT_PRIME_FIELD_HH
@@ -49,7 +54,10 @@ MpUint nistPrimeValue(NistPrime which);
 class PrimeField
 {
   public:
-    /** Constructs a field for an odd prime @p p. */
+    /**
+     * Constructs a field for an odd prime @p p of at most
+     * FieldElem::maxLimbs words (Errc::InvalidInput otherwise).
+     */
     explicit PrimeField(const MpUint &p);
 
     /** Convenience constructor from a named NIST prime. */
@@ -66,28 +74,61 @@ class PrimeField
     /** Which NIST prime this is (Generic if unrecognised). */
     NistPrime kind() const { return kind_; }
 
-    /** (a + b) mod p; inputs must be < p. */
+    /**
+     * @name Element arithmetic (the native hot path)
+     * Operands are elements of this field (values < p); each operation
+     * notifies the op observer once.
+     */
+    /** @{ */
+
+    /** a mod p as an element. */
+    FieldElem elem(const MpUint &a) const;
+
+    /** The value of element @p a. */
+    MpUint value(const FieldElem &a) const;
+
+    /** (a + b) mod p. */
+    FieldElem add(const FieldElem &a, const FieldElem &b) const;
+
+    /** (a - b) mod p. */
+    FieldElem sub(const FieldElem &a, const FieldElem &b) const;
+
+    /** (-a) mod p (notified as a subtraction). */
+    FieldElem neg(const FieldElem &a) const;
+
+    /** (a * b) mod p: operand scanning, then the reduction. */
+    FieldElem mul(const FieldElem &a, const FieldElem &b) const;
+
+    /** a^2 mod p: the doubled-cross-term square, then the reduction. */
+    FieldElem sqr(const FieldElem &a) const;
+
+    /**
+     * a^-1 mod p by the word-level binary EEA (words::invOdd);
+     * Errc::InvalidInput when a is zero (or shares a factor with a
+     * composite modulus).
+     */
+    FieldElem inv(const FieldElem &a) const;
+
+    /** @} */
+
+    /** @name MpUint forms: elem(), the element operation, value() */
+    /** @{ */
     MpUint add(const MpUint &a, const MpUint &b) const;
-
-    /** (a - b) mod p; inputs must be < p. */
     MpUint sub(const MpUint &a, const MpUint &b) const;
-
-    /** (-a) mod p. */
     MpUint neg(const MpUint &a) const;
-
-    /** (a * b) mod p via operand scanning + fast reduction. */
     MpUint mul(const MpUint &a, const MpUint &b) const;
+    MpUint sqr(const MpUint &a) const;
+    MpUint inv(const MpUint &a) const;
+    /** @} */
 
     /** (a * b) mod p via product scanning + fast reduction. */
     MpUint mulProductScan(const MpUint &a, const MpUint &b) const;
 
-    /** a^2 mod p. */
-    MpUint sqr(const MpUint &a) const;
 
-    /** a^-1 mod p via the binary extended Euclidean algorithm. */
-    MpUint inv(const MpUint &a) const;
-
-    /** a^-1 mod p via Fermat's little theorem (a^(p-2)). */
+    /**
+     * a^-1 mod p via Fermat's little theorem (a^(p-2));
+     * Errc::InvalidInput when a == 0 (mod p), like inv().
+     */
     MpUint invFermat(const MpUint &a) const;
 
     /** a^e mod p (left-to-right binary, Montgomery domain inside). */
@@ -95,7 +136,7 @@ class PrimeField
 
     /**
      * Reduces a double-width value mod p: the word-level NIST fast
-     * reduction for the five NIST primes, division otherwise.
+     * reduction for the five NIST primes, Montgomery REDC otherwise.
      *
      * Contract: @p wide < 2^(2*bits()), which covers every product of
      * two elements < p.  Anything wider throws Errc::InvalidInput.
@@ -144,6 +185,9 @@ class PrimeField
     bool sqrt(const MpUint &a, MpUint &root) const;
 
   private:
+    /** The word kernels of one (reduction, word count) pair. */
+    struct Kernels;
+
     MpUint p_;
     int bits_;
     int words_;
@@ -151,6 +195,9 @@ class PrimeField
     uint32_t n0prime_;
     MpUint rModP_;
     MpUint r2ModP_;
+    FieldElem pElem_;  ///< p
+    FieldElem r2Elem_; ///< R^2 mod p
+    const Kernels *kern_;
 };
 
 } // namespace ulecc

@@ -361,7 +361,7 @@ struct Server::Impl
         switch (req.op) {
           case OpKind::Sign: {
             Result<Signature> r =
-                ctx.ecdsa.signDigestChecked(s.key.d, s.digest);
+                ctx.ecdsa.signDigestChecked(s.key.d, s.key.q, s.digest);
             if (!r.ok())
                 out.errc = r.error().code;
             break;
@@ -439,7 +439,7 @@ struct Server::Impl
                 out.chaosKind = "crypto-scalar-range";
                 MpUint bad = ctx.curve.order().add(s.key.d);
                 Result<Signature> r =
-                    ctx.ecdsa.signDigestChecked(bad, s.digest);
+                    ctx.ecdsa.signDigestChecked(bad, s.key.q, s.digest);
                 if (!r.ok()) {
                     out.errc = r.error().code;
                     out.chaos = ChaosClass::Detected;

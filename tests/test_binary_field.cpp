@@ -281,6 +281,31 @@ INSTANTIATE_TEST_SUITE_P(AllNistBinary, BinaryFieldAll,
         }
     });
 
+TEST_P(BinaryFieldAll, NonInvertibleIsInvalidInput)
+{
+    // Zero and nonzero multiples of f(x) reduce to zero: like
+    // PrimeField::inv(p), every inversion rejects them as bad input.
+    BinaryField f(GetParam());
+    const MpUint x = MpUint::powerOfTwo(3);
+    for (const MpUint &a :
+         {MpUint(), f.poly(), f.polyMulClmul(f.poly(), x)}) {
+        for (int how = 0; how < 3; ++how) {
+            try {
+                how == 0   ? f.inv(a)
+                : how == 1 ? f.invFermat(a)
+                           : f.invItohTsujii(a);
+                ADD_FAILURE() << "inverted " << a.toHex() << " " << how;
+            } catch (const UleccError &e) {
+                EXPECT_EQ(e.code(), Errc::InvalidInput) << a.toHex();
+            }
+        }
+    }
+    // An unreduced input inverts as its residue.
+    MpUint one = MpUint(1);
+    EXPECT_EQ(f.inv(f.poly().bitXor(one)), one);
+    EXPECT_EQ(f.inv(f.poly().bitXor(x)), f.inv(x));
+}
+
 TEST(BinaryField, ToyFieldExhaustiveInverse)
 {
     // GF(2^13), f = x^13 + x^4 + x^3 + x + 1 (a known irreducible).

@@ -189,13 +189,14 @@ TEST_P(StandardCurves, ProjectiveMatchesAffine)
         GTEST_SKIP() << "synthetic parameters";
     const AffinePoint &g = c.generator();
     // Chain of mixed operations, checked against affine oracle.
-    ProjPoint acc = c.toProj(g);
+    const AffineElem ge = c.toElem(g);
+    ProjPoint acc = c.toProj(ge);
     AffinePoint oracle = g;
     for (int i = 0; i < 10; ++i) {
         acc = c.doubleProj(acc);
         oracle = c.doubleAffine(oracle);
         ASSERT_TRUE(samePoint(c.toAffine(acc), oracle)) << i;
-        acc = c.addMixed(acc, g);
+        acc = c.addMixed(acc, ge);
         oracle = c.addAffine(oracle, g);
         ASSERT_TRUE(samePoint(c.toAffine(acc), oracle)) << i;
     }
@@ -208,16 +209,17 @@ TEST_P(StandardCurves, ProjectiveDegenerateCases)
         GTEST_SKIP() << "synthetic parameters";
     const AffinePoint &g = c.generator();
     // P + (-P) == infinity through the mixed path.
-    ProjPoint gp = c.toProj(g);
-    EXPECT_TRUE(c.addMixed(gp, c.negate(g)).isInfinity());
+    const AffineElem ge = c.toElem(g);
+    ProjPoint gp = c.toProj(ge);
+    EXPECT_TRUE(c.addMixed(gp, c.negate(ge)).isInfinity());
     // P + P through the mixed path must detect doubling.
-    AffinePoint d1 = c.toAffine(c.addMixed(gp, g));
+    AffinePoint d1 = c.toAffine(c.addMixed(gp, ge));
     AffinePoint d2 = c.doubleAffine(g);
     EXPECT_TRUE(samePoint(d1, d2));
     // Infinity + Q == Q.
-    ProjPoint inf = c.toProj(AffinePoint::makeInfinity());
+    ProjPoint inf = c.toProj(AffineElem());
     EXPECT_TRUE(inf.isInfinity());
-    EXPECT_TRUE(samePoint(c.toAffine(c.addMixed(inf, g)), g));
+    EXPECT_TRUE(samePoint(c.toAffine(c.addMixed(inf, ge)), g));
     // double(infinity) == infinity.
     EXPECT_TRUE(c.doubleProj(inf).isInfinity());
 }

@@ -45,6 +45,57 @@ TEST(OpTrace, ShapeMatchesEcdsaStructure)
     }
 }
 
+TEST(OpTrace, SequencesMatchGolden)
+{
+    // FNV-1a over the packed (domain, op) events of each curve's sign
+    // and verify traces.  Any change to the order or kind of field ops
+    // a scalar multiplication or an ECDSA step performs shows here,
+    // curve by curve, before it moves a figure.
+    auto fnv1a = [](const std::vector<OpEvent> &seq) {
+        uint64_t h = 1469598103934665603ull;
+        for (OpEvent e : seq) {
+            h ^= e.packed;
+            h *= 1099511628211ull;
+        }
+        return h;
+    };
+    struct Golden
+    {
+        CurveId id;
+        uint64_t sign, verify;
+    };
+    const Golden kGolden[] = {
+        {CurveId::P192, 0xd47abde9d386b828ull,
+         0x20cda83634355686ull},
+        {CurveId::P224, 0x5487960457d660bdull,
+         0xfe57cb0eea12e4dbull},
+        {CurveId::P256, 0x7f7f13924ff45e22ull,
+         0x73d9aba18f88cc24ull},
+        {CurveId::P384, 0xb641f54d66fd975dull,
+         0x86f3594c3200ffeaull},
+        {CurveId::P521, 0x93495162df07b599ull,
+         0x9cd7c72124929177ull},
+        {CurveId::B163, 0x304eaae0caf4c563ull,
+         0x2b260c30bbdbe1d4ull},
+        {CurveId::B233, 0x641f23783a8faafdull,
+         0x32d9e8ced1a0d568ull},
+        {CurveId::B283, 0x353095f2e92928bbull,
+         0x5553dd0d63a064d2ull},
+        {CurveId::B409, 0xa02d66e24ac2b865ull,
+         0x8e74b1e18ae3f0efull},
+        {CurveId::B571, 0x0de4d49ce78feddeull,
+         0xec1e86b5d1e93823ull},
+    };
+    uint64_t total = 0;
+    for (const Golden &g : kGolden) {
+        const EcdsaTrace &t = ecdsaTrace(g.id);
+        EXPECT_EQ(fnv1a(t.signSeq), g.sign) << curveIdName(g.id);
+        EXPECT_EQ(fnv1a(t.verifySeq), g.verify) << curveIdName(g.id);
+        total += t.signSeq.size() + t.verifySeq.size();
+    }
+    EXPECT_EQ(total, 160665u);
+}
+
 TEST(OpTrace, WorkScalesWithKeySize)
 {
     uint64_t m192 = ecdsaTrace(CurveId::P192)

@@ -339,6 +339,34 @@ TEST_F(CheckedEcdsaTest, SignCheckedProducesVerifiableSignature)
     EXPECT_TRUE(v.value());
 }
 
+TEST_F(CheckedEcdsaTest, SignCheckedWithKnownPublicPoint)
+{
+    KeyPair kp = ecdsa.keyFromPrivate(d);
+    Result<Signature> sig = ecdsa.signDigestChecked(d, kp.q, digest);
+    ASSERT_TRUE(sig.ok());
+    Result<Signature> recomputed = ecdsa.signDigestChecked(d, digest);
+    ASSERT_TRUE(recomputed.ok());
+    EXPECT_EQ(sig.value().r, recomputed.value().r);
+    EXPECT_EQ(sig.value().s, recomputed.value().s);
+}
+
+TEST_F(CheckedEcdsaTest, CorruptedScalarCaughtAgainstKnownPublicPoint)
+{
+    // A d that no longer matches the session's public point (a glitched
+    // key register) signs validly for the wrong key: verify-after-sign
+    // against the known Q withholds the signature.
+    KeyPair kp = ecdsa.keyFromPrivate(d);
+    MpUint corrupted = d.bitXor(MpUint::powerOfTwo(17));
+    Result<Signature> sig =
+        ecdsa.signDigestChecked(corrupted, kp.q, digest);
+    ASSERT_FALSE(sig.ok());
+    EXPECT_EQ(sig.code(), Errc::FaultDetected);
+    // The scalar-range strike is still rejected before any signing.
+    EXPECT_EQ(ecdsa.signDigestChecked(curve.order().add(d), kp.q, digest)
+                  .code(),
+              Errc::InvalidInput);
+}
+
 TEST_F(CheckedEcdsaTest, OutOfRangeScalarIsInvalidInput)
 {
     EXPECT_EQ(ecdsa.signDigestChecked(MpUint(), digest).code(),

@@ -179,6 +179,27 @@ TEST_P(PrimeFieldAll, InverseBothAlgorithms)
     }
 }
 
+TEST_P(PrimeFieldAll, NonInvertibleIsInvalidInput)
+{
+    PrimeField f(GetParam());
+    for (const MpUint &a : {MpUint(), f.modulus(), f.modulus().shiftLeft(1)}) {
+        for (bool fermat : {false, true}) {
+            try {
+                fermat ? f.invFermat(a) : f.inv(a);
+                ADD_FAILURE() << "inverted " << a.toHex();
+            } catch (const UleccError &e) {
+                EXPECT_EQ(e.code(), Errc::InvalidInput) << a.toHex();
+            }
+        }
+    }
+    // The inversion corners.
+    MpUint pm1 = f.modulus().sub(MpUint(1));
+    EXPECT_EQ(f.inv(MpUint(1)), MpUint(1));
+    EXPECT_EQ(f.inv(pm1), pm1);
+    MpUint top = MpUint::powerOfTwo(f.bits() - 1);
+    EXPECT_EQ(f.mul(top, f.inv(top)), MpUint(1));
+}
+
 TEST_P(PrimeFieldAll, PowBasics)
 {
     PrimeField f(GetParam());
