@@ -283,12 +283,6 @@ opName(Op op)
     return i ? i->name : "invalid";
 }
 
-bool
-writesGpr(const DecodedInst &inst)
-{
-    return destGpr(inst) != 0;
-}
-
 int
 destGpr(const DecodedInst &inst)
 {

@@ -116,9 +116,6 @@ const char *opName(Op op);
 /** Renders an instruction in assembly syntax. */
 std::string disassemble(const DecodedInst &inst, uint32_t pc);
 
-/** True for ops that write a GPR result in write-back. */
-bool writesGpr(const DecodedInst &inst);
-
 /** Destination GPR (0 when none). */
 int destGpr(const DecodedInst &inst);
 

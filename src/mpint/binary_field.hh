@@ -76,13 +76,6 @@ class BinaryField
     const MpUint &poly() const { return f_; }
 
     /**
-     * The non-leading exponents of f(x): f = x^m + x^a + x^b + x^c + 1
-     * stored as {a, b, c} (trinomials store just {a}), descending, the
-     * final +1 implied.
-     */
-    const std::vector<int> &midTerms() const { return mid_; }
-
-    /**
      * @name Element arithmetic (the native hot path)
      * Operands are elements of this field (degree < m); each operation
      * notifies the op observer once.
@@ -209,6 +202,8 @@ class BinaryField
     int words_;
     int words64_;
     NistBinary kind_;
+    /** f's non-leading exponents, descending: f = x^m + x^a + x^b +
+     * x^c + 1 stores {a, b, c} (a trinomial just {a}). */
     std::vector<int> mid_;
 };
 

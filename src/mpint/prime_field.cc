@@ -484,9 +484,8 @@ PrimeField::PrimeField(const MpUint &p)
                              + std::to_string(32 * kMaxWords) + " bits");
     n0prime_ = words::negInverse32(p_.limb(0));
     // R = 2^(32*words).
-    MpUint r = MpUint::powerOfTwo(32 * words_);
-    rModP_ = r.mod(p_);
-    r2ModP_ = rModP_.mul(rModP_).mod(p_);
+    MpUint rModP = MpUint::powerOfTwo(32 * words_).mod(p_);
+    r2ModP_ = rModP.mul(rModP).mod(p_);
     for (int i = 0; i < words_; ++i) {
         pElem_.limb[size_t(i)] = p_.limbU(i);
         r2Elem_.limb[size_t(i)] = r2ModP_.limbU(i);

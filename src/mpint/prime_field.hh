@@ -152,12 +152,6 @@ class PrimeField
     /** -p^-1 mod 2^32 (the CIOS n0' constant). */
     uint32_t n0Prime() const { return n0prime_; }
 
-    /** R mod p. */
-    const MpUint &montR() const { return rModP_; }
-
-    /** R^2 mod p (for conversion into the Montgomery domain). */
-    const MpUint &montR2() const { return r2ModP_; }
-
     /** Converts into the Montgomery domain: a*R mod p. */
     MpUint toMont(const MpUint &a) const;
 
@@ -193,8 +187,7 @@ class PrimeField
     int words_;
     NistPrime kind_;
     uint32_t n0prime_;
-    MpUint rModP_;
-    MpUint r2ModP_;
+    MpUint r2ModP_; ///< R^2 mod p (toMont)
     FieldElem pElem_;  ///< p
     FieldElem r2Elem_; ///< R^2 mod p
     const Kernels *kern_;

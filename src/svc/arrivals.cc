@@ -25,22 +25,6 @@ arrivalKindName(ArrivalKind kind)
 ArrivalGen::ArrivalGen(const ArrivalConfig &config, uint64_t seed)
     : cfg_(config), rng_(seed)
 {
-    // A non-positive rate would stall virtual time forever; clamp to
-    // something harmlessly slow instead of dividing by zero.
-    if (!(cfg_.ratePerSec > 0))
-        cfg_.ratePerSec = 1.0;
-    if (!(cfg_.burstFactor >= 1))
-        cfg_.burstFactor = 1.0;
-    // The modulated rate must stay strictly positive: amp in [0, 0.95]
-    // keeps the trough above 5% of the mean.
-    if (!(cfg_.diurnalAmp >= 0))
-        cfg_.diurnalAmp = 0;
-    if (cfg_.diurnalAmp > 0.95)
-        cfg_.diurnalAmp = 0.95;
-    if (cfg_.diurnalSteps == 0)
-        cfg_.diurnalSteps = 1;
-    if (cfg_.dayNs < cfg_.diurnalSteps)
-        cfg_.diurnal = false; // degenerate day, no sub-ns segments
 }
 
 double

@@ -71,11 +71,16 @@ struct ArrivalConfig
     /** Diurnal day-curve modulation of the open-loop generators. */
     bool diurnal = false;
     uint64_t dayNs = 1'000'000'000; ///< one virtual "day"
-    double diurnalAmp = 0.6;        ///< rate swings 1 +- amp (clamped)
+    double diurnalAmp = 0.6;        ///< rate swings 1 +- amp
     uint32_t diurnalSteps = 24;     ///< piecewise segments per day
 };
 
-/** Deterministic arrival-timestamp generator (open-loop kinds). */
+/**
+ * Deterministic arrival-timestamp generator (open-loop kinds).  The
+ * config must satisfy SvcConfig::validate() (svc/service.hh): a
+ * finite positive rate, burstFactor >= 1, diurnalAmp in [0, 0.95]
+ * and, with diurnal on, 1 <= diurnalSteps <= dayNs.
+ */
 class ArrivalGen
 {
   public:

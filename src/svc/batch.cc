@@ -12,21 +12,12 @@ namespace ulecc
 
 BatchFormer::BatchFormer(const BatchPolicy &policy) : policy_(policy)
 {
-    if (policy_.maxSize == 0)
-        policy_.maxSize = 1;
     // No linger budget means no timer would ever close a waiting
-    // batch: without this clamp a lone request whose shape never
-    // recurs would sit in an open batch forever (a lost request, the
-    // one thing the engine must never produce).
+    // batch: a lone request whose shape never recurs would sit in an
+    // open batch forever (a lost request, the one thing the engine
+    // must never produce), so zero linger closes every batch at join.
     if (policy_.lingerNs == 0)
         policy_.maxSize = 1;
-    // setupFraction in [0, 0.5): see header.
-    if (!(policy_.setupFraction >= 0))
-        policy_.setupFraction = 0;
-    if (policy_.setupFraction >= 0.5)
-        policy_.setupFraction = 0.49;
-    if (!(policy_.deadlineSlack >= 0))
-        policy_.deadlineSlack = 0;
 }
 
 uint64_t
@@ -65,9 +56,9 @@ BatchFormer::join(const Request &req, ServiceTier tier, uint64_t estNs,
         b.openNs = now;
         it = open_.emplace(key, std::move(b)).first;
         // A fresh batch needs a linger timer -- unless it will close
-        // by size on this very join (maxSize 1), where the timer
-        // would only be a dead event.
-        if (policy_.maxSize > 1 && policy_.lingerNs > 0) {
+        // by size on this very join (maxSize 1, which zero linger
+        // implies), where the timer would only be a dead event.
+        if (policy_.maxSize > 1) {
             jr.lingerArmed = true;
             jr.lingerAtNs = now + policy_.lingerNs;
         }

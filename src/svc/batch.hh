@@ -74,9 +74,10 @@ struct BatchPolicy
     /**
      * Modelled fraction of a solo pass that is shared setup: a batch
      * of N costs (setup + N x work) where setup = fraction x solo and
-     * work = solo - setup.  Must stay below 0.5 so even a fully
-     * amortized pass can never undercut half a solo pass (deadline
-     * semantics of pathological sub-estimate budgets are preserved).
+     * work = solo - setup.  SvcConfig::validate() keeps it in
+     * [0, 0.5) so even a fully amortized pass can never undercut half
+     * a solo pass (deadline semantics of pathological sub-estimate
+     * budgets are preserved).
      */
     double setupFraction = 0.25;
 };
@@ -107,6 +108,9 @@ struct Batch
 class BatchFormer
 {
   public:
+    /** @p policy must satisfy SvcConfig::validate() (maxSize >= 1).
+     * Zero linger closes every batch at join: policy().maxSize is
+     * then 1, whatever @p policy asked for. */
     explicit BatchFormer(const BatchPolicy &policy);
 
     /** Outcome of joining one request. */
@@ -154,6 +158,7 @@ class BatchFormer
     uint64_t closedByLinger() const { return closedByLinger_; }
     uint64_t closedByDeadline() const { return closedByDeadline_; }
 
+    /** The policy that runs (the report echoes it). */
     const BatchPolicy &policy() const { return policy_; }
 
     /**

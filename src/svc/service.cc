@@ -3,8 +3,11 @@
  * The crypto-as-a-service engine implementation.
  *
  * Shape: a discrete-event coordinator owns *all* virtual-time state
- * (arrival heap, batch former, worker free times, retry schedule)
- * and processes events in strict (time, sequence) order; admitted
+ * (event heap, batch former, worker free times, retry schedule) and
+ * processes events in strict (time, sequence) order.  Requests are
+ * issued lazily -- one pending fresh arrival in open loop, one per
+ * free client in closed loop -- so the heap holds work in flight,
+ * never the whole campaign.  Admitted
  * requests join per-shape batches (svc/batch.hh) and each closed
  * batch is executed for real -- checked crypto, chaos strikes, one
  * shared co-simulation anchor -- as pure functions of (seed, id,
@@ -17,6 +20,7 @@
 #include "svc/service.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <future>
 #include <map>
@@ -164,7 +168,10 @@ struct EventAfter
 struct Server::Impl
 {
     explicit Impl(const SvcConfig &config)
-        : cfg(config), sessions(config.seed)
+        : cfg(config), sessions(config.seed), former(config.batch),
+          arrivalGen(config.arrivals, splitmix64Mix(config.seed, 0xA221)),
+          attrStream(splitmix64Mix(config.seed, 0x5EED)),
+          nextSeq(config.requests)
     {}
 
     SvcConfig cfg;
@@ -174,16 +181,16 @@ struct Server::Impl
     std::map<CurveId, std::unique_ptr<CurveCtx>> curves;
 
     // Virtual-time machinery (coordinator-only state).
+    BatchFormer former; ///< admission queue + coalescing
+    ArrivalGen arrivalGen; ///< open-loop arrival timestamps
+    SplitMix64 attrStream; ///< request attributes, drawn in id order
     std::priority_queue<Event, std::vector<Event>, EventAfter> events;
-    uint64_t nextSeq = 0;
+    /** Sequence of every event but a fresh open-loop arrival, which
+     * takes seq = id: ids 0..requests-1 are reserved for those. */
+    uint64_t nextSeq;
     std::vector<uint64_t> workerFreeNs;
-    std::optional<BatchFormer> former; ///< admission queue + coalescing
     uint64_t virtualEndNs = 0;
     uint64_t finals = 0;
-
-    // Closed-loop issuance state (ArrivalKind::ClosedLoop only).
-    std::vector<Request> issueQueue; ///< pre-drawn attributes
-    uint64_t nextToIssue = 0;
 
     // Real execution.
     std::optional<ThreadPool> pool;
@@ -262,31 +269,52 @@ struct Server::Impl
 
     /** Draws one request's attributes (everything but arrival time). */
     Request
-    drawAttributes(uint64_t id, SplitMix64 &attrs) const
+    drawAttributes(uint64_t id)
     {
-        uint64_t population = cfg.users ? cfg.users : 1;
-        uint64_t hot = population / 10 ? population / 10 : 1;
+        uint64_t hot = cfg.users / 10 ? cfg.users / 10 : 1;
         Request r;
         r.id = id;
         // 80/20 skew: most traffic from a hot tenth of the
         // population, so the session cache sees real reuse.
-        r.userId = attrs.below(100) < 80 ? attrs.below(hot)
-                                         : attrs.below(population);
-        uint64_t op = attrs.below(100);
+        r.userId = attrStream.below(100) < 80
+            ? attrStream.below(hot)
+            : attrStream.below(cfg.users);
+        uint64_t op = attrStream.below(100);
         r.op = op < 40 ? OpKind::Sign
              : op < 75 ? OpKind::Verify
                        : OpKind::Ecdh;
-        r.curve = cfg.curves[attrs.below(cfg.curves.size())];
+        r.curve = cfg.curves[attrStream.below(cfg.curves.size())];
         const CurveCtx &ctx = *curves.at(r.curve);
-        r.arch = ctx.archs[attrs.below(ctx.archs.size())];
+        r.arch = ctx.archs[attrStream.below(ctx.archs.size())];
         return r;
     }
 
-    /** Stamps arrival/deadline on @p r and enqueues its arrival. */
     void
-    issueAt(Request r, uint64_t arrivalNs)
+    schedule(Event ev)
     {
-        r.firstArrivalNs = arrivalNs;
+        events.push(std::move(ev));
+        counters.peakEvents =
+            std::max<uint64_t>(counters.peakEvents, events.size());
+    }
+
+    /**
+     * Issues the next request, if any is left: draws its attributes
+     * and queues its first arrival.  Open loop: at the generator's
+     * next timestamp, with seq = id -- the (t, seq) order the whole
+     * campaign would have had in the heap up front.  Closed loop: one
+     * think time after @p now, when the issuing client became free.
+     */
+    void
+    issueNext(uint64_t now)
+    {
+        if (counters.generated == cfg.requests)
+            return;
+        uint64_t id = counters.generated++;
+        bool closedLoop = cfg.arrivals.kind == ArrivalKind::ClosedLoop;
+        Request r = drawAttributes(id);
+        r.firstArrivalNs = closedLoop
+            ? now + closedLoopThinkNs(cfg.seed, id, cfg.arrivals.thinkNs)
+            : arrivalGen.next();
         uint64_t est = analyticEstNs(r);
         double budget = cfg.deadlineFactor * static_cast<double>(est);
         uint64_t deadline = static_cast<uint64_t>(budget);
@@ -296,60 +324,31 @@ struct Server::Impl
 
         Event ev;
         ev.t = r.firstArrivalNs;
-        ev.seq = nextSeq++;
+        ev.seq = closedLoop ? nextSeq++ : id;
         ev.kind = Event::Kind::Arrival;
         ev.req = r;
-        events.push(ev);
+        schedule(std::move(ev));
     }
 
+    /** Starts issuance: one pending arrival in open loop; one request
+     * per client, each after its own think time, in closed loop. */
     void
-    generate()
+    issueFirst()
     {
-        SplitMix64 attrs(splitmix64Mix(cfg.seed, 0x5EED));
-        if (cfg.arrivals.kind == ArrivalKind::ClosedLoop) {
-            // Closed-loop clients: attributes are pre-drawn in id
-            // order (same stream as open-loop), but a request is only
-            // issued when its client's previous one resolved plus a
-            // deterministic think time.  The first wave staggers one
-            // request per client from t = 0.
-            issueQueue.reserve(cfg.requests);
-            for (uint64_t id = 0; id < cfg.requests; ++id) {
-                issueQueue.push_back(drawAttributes(id, attrs));
-                ++counters.generated;
-            }
-            uint64_t clients = cfg.arrivals.clients
-                ? cfg.arrivals.clients
-                : 1;
-            uint64_t firstWave =
-                std::min<uint64_t>(clients, cfg.requests);
-            for (nextToIssue = 0; nextToIssue < firstWave;
-                 ++nextToIssue) {
-                const Request &r = issueQueue[nextToIssue];
-                issueAt(r, closedLoopThinkNs(cfg.seed, r.id,
-                                             cfg.arrivals.thinkNs));
-            }
-            return;
-        }
-        ArrivalGen gen(cfg.arrivals, splitmix64Mix(cfg.seed, 0xA221));
-        for (uint64_t id = 0; id < cfg.requests; ++id) {
-            uint64_t t = gen.next();
-            issueAt(drawAttributes(id, attrs), t);
-            ++counters.generated;
-        }
+        uint64_t first = cfg.arrivals.kind == ArrivalKind::ClosedLoop
+            ? std::min<uint64_t>(cfg.arrivals.clients, cfg.requests)
+            : 1;
+        for (uint64_t i = 0; i < first; ++i)
+            issueNext(0);
     }
 
     /** Closed-loop only: a final resolution frees its client, who
-     * thinks for a while and issues the next pre-drawn request. */
+     * thinks for a while and issues the next request. */
     void
     onClientFreed(uint64_t now)
     {
-        if (cfg.arrivals.kind != ArrivalKind::ClosedLoop)
-            return;
-        if (nextToIssue >= issueQueue.size())
-            return;
-        const Request &r = issueQueue[nextToIssue++];
-        issueAt(r, now + closedLoopThinkNs(cfg.seed, r.id,
-                                           cfg.arrivals.thinkNs));
+        if (cfg.arrivals.kind == ArrivalKind::ClosedLoop)
+            issueNext(now);
     }
 
     // --- real execution (pure per (seed, id, attempt)) ----------------
@@ -664,7 +663,7 @@ struct Server::Impl
                                          ev.t - now);
         if (tel.timeline)
             tel.timeline->onRetry(now);
-        events.push(ev);
+        schedule(std::move(ev));
     }
 
     void
@@ -719,7 +718,7 @@ struct Server::Impl
         for (uint64_t f : workerFreeNs)
             minFree = std::min(minFree, f);
         uint64_t base = minFree > now ? minFree - now : 0;
-        return base + former->waitingEstSumNs() / workerFreeNs.size();
+        return base + former.waitingEstSumNs() / workerFreeNs.size();
     }
 
     void
@@ -728,6 +727,11 @@ struct Server::Impl
         ++counters.arrivals;
         const Request &req = ev.req;
         uint64_t now = ev.t;
+        // Open loop keeps exactly one fresh arrival pending: popping
+        // request i's first attempt issues request i + 1.
+        if (cfg.arrivals.kind != ArrivalKind::ClosedLoop
+            && req.attempt == 1)
+            issueNext(now);
         if (tel.tracer)
             tel.tracer->onArrival(now, req.id, req.attempt,
                                   opKindName(req.op));
@@ -746,7 +750,7 @@ struct Server::Impl
             recordFinal(req, now, Errc::DeadlineExceeded);
             return;
         }
-        size_t depth = static_cast<size_t>(former->waitingMembers());
+        size_t depth = static_cast<size_t>(former.waitingMembers());
         if (depth >= cfg.queueCap) {
             ++counters.shedDepth;
             if (tel.tracer)
@@ -783,44 +787,29 @@ struct Server::Impl
                                 serviceTierName(tier), depth);
         if (tel.timeline)
             tel.timeline->onAdmit(now, serviceTierName(tier));
-        BatchFormer::JoinResult jr = former->join(req, tier, est, now);
+        BatchFormer::JoinResult jr = former.join(req, tier, est, now);
         if (jr.lingerArmed) {
             Event lv;
             lv.t = jr.lingerAtNs;
             lv.seq = nextSeq++;
             lv.kind = Event::Kind::BatchLinger;
             lv.batchId = jr.batchId;
-            events.push(lv);
+            schedule(std::move(lv));
         }
-        if (jr.closed)
-            noteClosedBatch();
         tryDispatch(now);
-    }
-
-    void
-    noteClosedBatch()
-    {
-        // Mirror the former's close statistics into the report
-        // counters (the former keeps running totals; sample them).
-        counters.batchesClosed = former->closedTotal();
-        counters.batchClosedBySize = former->closedBySize();
-        counters.batchClosedByLinger = former->closedByLinger();
-        counters.batchClosedByDeadline = former->closedByDeadline();
     }
 
     void
     onBatchLinger(const Event &ev)
     {
-        if (former->onLinger(ev.batchId)) {
-            noteClosedBatch();
+        if (former.onLinger(ev.batchId))
             tryDispatch(ev.t);
-        }
     }
 
     void
     tryDispatch(uint64_t now)
     {
-        while (former->hasReady()) {
+        while (former.hasReady()) {
             // Earliest-free worker, lowest index on ties.
             unsigned w = 0;
             for (unsigned i = 1; i < workerFreeNs.size(); ++i) {
@@ -829,7 +818,7 @@ struct Server::Impl
             }
             if (workerFreeNs[w] > now)
                 return; // all workers busy; completions re-dispatch
-            Batch b = former->takeReady();
+            Batch b = former.takeReady();
             counters.batchMembersTotal += b.members.size();
             batchOccupancy.record(
                 static_cast<uint64_t>(b.members.size()));
@@ -876,7 +865,7 @@ struct Server::Impl
             db->cost = dispatchCost(db->members.front().req,
                                     b.key.tier);
             size_t n = db->members.size();
-            uint64_t batchNs = former->passNs(db->cost.serviceNs, n);
+            uint64_t batchNs = former.passNs(db->cost.serviceNs, n);
             db->passNs = batchNs;
             uint64_t share = batchNs / n;
             uint64_t rem = batchNs % n;
@@ -926,7 +915,7 @@ struct Server::Impl
             done.kind = Event::Kind::Completion;
             done.batch = std::move(db);
             workerFreeNs[w] = done.t;
-            events.push(done);
+            schedule(std::move(done));
         }
     }
 
@@ -1109,12 +1098,9 @@ struct Server::Impl
         warmEvalMemo();
         if (!cfg.serial)
             pool.emplace(cfg.jobs);
-        former.emplace(cfg.batch);
-        workerFreeNs.assign(
-            cfg.virtualWorkers ? cfg.virtualWorkers : 1, 0);
-        counters.retriesByAttempt.assign(
-            cfg.backoff.maxAttempts ? cfg.backoff.maxAttempts : 1, 0);
-        generate();
+        workerFreeNs.assign(cfg.virtualWorkers, 0);
+        counters.retriesByAttempt.assign(cfg.backoff.maxAttempts, 0);
+        issueFirst();
         while (!events.empty()) {
             Event ev = events.top();
             events.pop();
@@ -1135,6 +1121,10 @@ struct Server::Impl
             pool->wait();
             pool.reset();
         }
+        counters.batchesClosed = former.closedTotal();
+        counters.batchClosedBySize = former.closedBySize();
+        counters.batchClosedByLinger = former.closedByLinger();
+        counters.batchClosedByDeadline = former.closedByDeadline();
         if (tel.timeline)
             tel.timeline->finalize();
         if (tel.slo)
@@ -1177,12 +1167,14 @@ struct Server::Impl
         arrivals["diurnal_amp"] = cfg.arrivals.diurnalAmp;
         arrivals["diurnal_steps"] = cfg.arrivals.diurnalSteps;
         config["arrivals"] = arrivals;
+        // The policy that ran: zero linger runs size-1 batches.
+        const BatchPolicy &bp = former.policy();
         Json batchCfg = Json::object();
-        batchCfg["enabled"] = cfg.batch.maxSize > 1;
-        batchCfg["max_size"] = cfg.batch.maxSize;
-        batchCfg["linger_ns"] = cfg.batch.lingerNs;
-        batchCfg["deadline_slack"] = cfg.batch.deadlineSlack;
-        batchCfg["setup_fraction"] = cfg.batch.setupFraction;
+        batchCfg["enabled"] = bp.maxSize > 1;
+        batchCfg["max_size"] = bp.maxSize;
+        batchCfg["linger_ns"] = bp.lingerNs;
+        batchCfg["deadline_slack"] = bp.deadlineSlack;
+        batchCfg["setup_fraction"] = bp.setupFraction;
         config["batch"] = batchCfg;
         Json backoff = Json::object();
         backoff["base_ns"] = cfg.backoff.baseNs;
@@ -1410,6 +1402,55 @@ struct Server::Impl
     }
 };
 
+Result<void>
+SvcConfig::validate() const
+{
+    std::string bad;
+    auto check = [&bad](bool ok, const char *field,
+                        const std::string &rule) {
+        if (!ok && bad.empty())
+            bad = std::string("SvcConfig.") + field + " must be " + rule;
+    };
+    check(requests >= 1, "requests", ">= 1");
+    check(users >= 1, "users", ">= 1");
+    // One free-time slot per virtual worker: the cap keeps a typo
+    // from allocating gigabytes.
+    check(virtualWorkers >= 1 && virtualWorkers <= 1u << 16,
+          "virtualWorkers", "in [1, 65536]");
+    check(jobs <= ThreadPool::maxThreads, "jobs",
+          "<= " + std::to_string(ThreadPool::maxThreads));
+    check(!curves.empty(), "curves", "non-empty");
+    // The exponential backoff saturates long before 64 tries.
+    check(backoff.maxAttempts >= 1 && backoff.maxAttempts <= 64,
+          "backoff.maxAttempts", "in [1, 64]");
+    // A non-positive or non-finite rate would stall virtual time.
+    const ArrivalConfig &a = arrivals;
+    check(std::isfinite(a.ratePerSec) && a.ratePerSec > 0,
+          "arrivals.ratePerSec", "finite and > 0");
+    check(std::isfinite(a.burstFactor) && a.burstFactor >= 1,
+          "arrivals.burstFactor", "finite and >= 1");
+    check(a.clients >= 1, "arrivals.clients", ">= 1");
+    // The modulated rate must stay strictly positive: the trough
+    // stays above 5 % of the mean.
+    check(a.diurnalAmp >= 0 && a.diurnalAmp <= 0.95,
+          "arrivals.diurnalAmp", "in [0, 0.95]");
+    check(a.diurnalSteps >= 1, "arrivals.diurnalSteps", ">= 1");
+    // A day shorter than its step count has sub-ns segments.
+    check(!a.diurnal || a.dayNs >= a.diurnalSteps, "arrivals.dayNs",
+          ">= arrivals.diurnalSteps with diurnal on");
+    check(batch.maxSize >= 1, "batch.maxSize", ">= 1");
+    check(batch.setupFraction >= 0 && batch.setupFraction < 0.5,
+          "batch.setupFraction", "in [0, 0.5)");
+    check(std::isfinite(batch.deadlineSlack) && batch.deadlineSlack >= 0,
+          "batch.deadlineSlack", "finite and >= 0");
+    check(std::isfinite(deadlineFactor) && deadlineFactor >= 0,
+          "deadlineFactor", "finite and >= 0");
+    check(chaos.percent <= 100, "chaos.percent", "<= 100");
+    if (!bad.empty())
+        return Error{Errc::InvalidInput, bad};
+    return {};
+}
+
 Server::Server(const SvcConfig &config) : impl_(new Impl(config)) {}
 
 Server::~Server()
@@ -1434,10 +1475,7 @@ Server::run()
     if (impl_->ran)
         throw UleccError(Errc::InvalidInput,
                          "Server::run is single-shot");
-    // Every request draws its curve from this list.
-    if (impl_->cfg.curves.empty())
-        throw UleccError(Errc::InvalidInput,
-                         "Server::run needs at least one curve");
+    impl_->cfg.validate().value(); // throws the InvalidInput error
     impl_->run();
 }
 

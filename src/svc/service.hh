@@ -42,6 +42,7 @@
 #include <string>
 #include <vector>
 
+#include "base/error.hh"
 #include "core/json.hh"
 #include "svc/arrivals.hh"
 #include "svc/batch.hh"
@@ -53,7 +54,10 @@
 namespace ulecc
 {
 
-/** Service engine configuration. */
+/**
+ * Service engine configuration.  validate() is the one place that
+ * knows the valid ranges; the engine runs the fields exactly as set.
+ */
 struct SvcConfig
 {
     uint64_t seed = 1;
@@ -86,12 +90,19 @@ struct SvcConfig
     /** Curves traffic is drawn from (uniform mix). */
     std::vector<CurveId> curves{CurveId::P192, CurveId::B163,
                                 CurveId::P256};
+
+    /**
+     * Checks every engine-level range rule.  Fails with
+     * Errc::InvalidInput and a message naming the first field out of
+     * range; Server::run() throws that error before any thread starts.
+     */
+    Result<void> validate() const;
 };
 
 /** Timing-free outcome counters (everything the report aggregates). */
 struct SvcCounters
 {
-    uint64_t generated = 0;        ///< synthetic requests (== config)
+    uint64_t generated = 0;        ///< requests issued (== config at end)
     uint64_t arrivals = 0;         ///< arrival events incl. retries
     uint64_t admitted = 0;         ///< passed admission control
     uint64_t shedDepth = 0;        ///< refused: queue full
@@ -121,6 +132,9 @@ struct SvcCounters
     uint64_t batchMembersTotal = 0; ///< members across closed batches
     uint64_t batchPassesExecuted = 0; ///< passes that reached a worker
     uint64_t batchCosimAnchors = 0; ///< shared FullSim co-sim anchors
+    /** Most events ever pending at once (arrivals, linger timers,
+     * pass completions).  Not echoed by the report. */
+    uint64_t peakEvents = 0;
     std::map<std::string, uint64_t> failedByErrc;
     std::map<std::string, uint64_t> chaosByKind;
     std::vector<uint64_t> retriesByAttempt; ///< [i]: finals at attempt i+1
@@ -161,7 +175,8 @@ class Server
     void attachTelemetry(const SvcTelemetry &telemetry);
 
     /** Runs the whole synthetic campaign to completion.  Deterministic
-     * in config.seed; callable once per Server. */
+     * in config.seed; callable once per Server.  Throws the
+     * SvcConfig::validate() error for an invalid config. */
     void run();
 
     const SvcCounters &counters() const;

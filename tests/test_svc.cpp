@@ -9,6 +9,7 @@
  */
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -18,6 +19,7 @@
 
 #include "base/error.hh"
 #include "core/json.hh"
+#include "par/thread_pool.hh"
 #include "svc/arrivals.hh"
 #include "svc/degrade.hh"
 #include "svc/retry.hh"
@@ -304,6 +306,9 @@ TEST(SvcServer, EmptyCurveListIsInvalidInput)
         FAIL() << "run() accepted an empty curve list";
     } catch (const UleccError &e) {
         EXPECT_EQ(e.code(), Errc::InvalidInput);
+        EXPECT_NE(e.error().context.find("SvcConfig.curves "),
+                  std::string::npos)
+            << e.error().context;
     }
     EXPECT_EQ(server.counters().arrivals, 0u);
 }
@@ -599,6 +604,208 @@ TEST(SvcTelemetry, SloAlertsAndFlightRecorderCaptureChaosBreach)
 }
 
 // ---------------------------------------------------------------------
+// SvcConfig::validate(): the one owner of the engine's ranges
+
+namespace
+{
+
+/** One range rule: a mutation that breaks it, and the field the
+ * InvalidInput message must name.  The non-empty curve list has its
+ * own test, SvcServer.EmptyCurveListIsInvalidInput. */
+struct ConfigRule
+{
+    const char *name;
+    const char *field;
+    void (*breakIt)(SvcConfig &);
+};
+
+const ConfigRule kConfigRules[] = {
+    {"RequestsZero", "requests", [](SvcConfig &c) { c.requests = 0; }},
+    {"UsersZero", "users", [](SvcConfig &c) { c.users = 0; }},
+    {"VirtualWorkersZero", "virtualWorkers",
+     [](SvcConfig &c) { c.virtualWorkers = 0; }},
+    {"VirtualWorkersAboveCap", "virtualWorkers",
+     [](SvcConfig &c) { c.virtualWorkers = (1u << 16) + 1; }},
+    {"JobsAboveMaxThreads", "jobs",
+     [](SvcConfig &c) { c.jobs = ThreadPool::maxThreads + 1; }},
+    {"MaxAttemptsZero", "backoff.maxAttempts",
+     [](SvcConfig &c) { c.backoff.maxAttempts = 0; }},
+    {"MaxAttemptsAbove64", "backoff.maxAttempts",
+     [](SvcConfig &c) { c.backoff.maxAttempts = 65; }},
+    {"RateZero", "arrivals.ratePerSec",
+     [](SvcConfig &c) { c.arrivals.ratePerSec = 0; }},
+    {"RateNegative", "arrivals.ratePerSec",
+     [](SvcConfig &c) { c.arrivals.ratePerSec = -5; }},
+    {"RateNaN", "arrivals.ratePerSec",
+     [](SvcConfig &c) { c.arrivals.ratePerSec = std::nan(""); }},
+    {"RateInfinite", "arrivals.ratePerSec",
+     [](SvcConfig &c) { c.arrivals.ratePerSec = HUGE_VAL; }},
+    {"BurstFactorBelowOne", "arrivals.burstFactor",
+     [](SvcConfig &c) { c.arrivals.burstFactor = 0.5; }},
+    {"BurstFactorNaN", "arrivals.burstFactor",
+     [](SvcConfig &c) { c.arrivals.burstFactor = std::nan(""); }},
+    {"ClientsZero", "arrivals.clients",
+     [](SvcConfig &c) { c.arrivals.clients = 0; }},
+    {"DiurnalAmpNegative", "arrivals.diurnalAmp",
+     [](SvcConfig &c) { c.arrivals.diurnalAmp = -0.1; }},
+    {"DiurnalAmpAbove095", "arrivals.diurnalAmp",
+     [](SvcConfig &c) { c.arrivals.diurnalAmp = 0.96; }},
+    {"DiurnalStepsZero", "arrivals.diurnalSteps",
+     [](SvcConfig &c) { c.arrivals.diurnalSteps = 0; }},
+    {"DayShorterThanSteps", "arrivals.dayNs",
+     [](SvcConfig &c) {
+         c.arrivals.diurnal = true;
+         c.arrivals.dayNs = 10;
+         c.arrivals.diurnalSteps = 24;
+     }},
+    {"BatchMaxSizeZero", "batch.maxSize",
+     [](SvcConfig &c) { c.batch.maxSize = 0; }},
+    {"SetupFractionHalf", "batch.setupFraction",
+     [](SvcConfig &c) { c.batch.setupFraction = 0.5; }},
+    {"SetupFractionNegative", "batch.setupFraction",
+     [](SvcConfig &c) { c.batch.setupFraction = -0.01; }},
+    {"DeadlineSlackNegative", "batch.deadlineSlack",
+     [](SvcConfig &c) { c.batch.deadlineSlack = -1; }},
+    {"DeadlineSlackInfinite", "batch.deadlineSlack",
+     [](SvcConfig &c) { c.batch.deadlineSlack = HUGE_VAL; }},
+    {"DeadlineFactorNegative", "deadlineFactor",
+     [](SvcConfig &c) { c.deadlineFactor = -16; }},
+    {"DeadlineFactorNaN", "deadlineFactor",
+     [](SvcConfig &c) { c.deadlineFactor = std::nan(""); }},
+    {"ChaosAbove100", "chaos.percent",
+     [](SvcConfig &c) { c.chaos.percent = 101; }},
+};
+
+class SvcConfigValidate : public ::testing::TestWithParam<ConfigRule>
+{};
+
+} // namespace
+
+TEST_P(SvcConfigValidate, RunRefusesTheBrokenRule)
+{
+    const ConfigRule &rule = GetParam();
+    SvcConfig cfg;
+    cfg.seed = 5;
+    cfg.requests = 10;
+    cfg.serial = true;
+    rule.breakIt(cfg);
+    Result<void> valid = cfg.validate();
+    ASSERT_FALSE(valid.ok());
+    EXPECT_EQ(valid.code(), Errc::InvalidInput);
+    std::string field = std::string("SvcConfig.") + rule.field + " ";
+    EXPECT_NE(valid.error().context.find(field), std::string::npos)
+        << valid.error().context;
+    // Server::run throws the same error before issuing anything.
+    Server server(cfg);
+    try {
+        server.run();
+        FAIL() << "run() accepted " << rule.name;
+    } catch (const UleccError &e) {
+        EXPECT_EQ(e.code(), Errc::InvalidInput);
+        EXPECT_EQ(e.error().context, valid.error().context);
+    }
+    EXPECT_EQ(server.counters().generated, 0u);
+    EXPECT_EQ(server.counters().arrivals, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rules, SvcConfigValidate, ::testing::ValuesIn(kConfigRules),
+    [](const ::testing::TestParamInfo<ConfigRule> &info) {
+        return std::string(info.param.name);
+    });
+
+TEST(SvcConfigValidateBounds, EveryBoundaryValueIsAccepted)
+{
+    EXPECT_TRUE(SvcConfig().validate().ok());
+    SvcConfig edge;
+    // Full 64-bit seeds and a 2^60 deadline floor are real configs
+    // (the benchmark's derived seeds and its no-expiry campaigns).
+    edge.seed = UINT64_MAX;
+    edge.deadlineFloorNs = 1ull << 60;
+    edge.requests = 1;
+    edge.users = 1;
+    edge.virtualWorkers = 1u << 16;
+    edge.jobs = ThreadPool::maxThreads;
+    edge.queueCap = 0;
+    edge.deadlineFactor = 0;
+    edge.backoff.maxAttempts = 64;
+    edge.arrivals.burstFactor = 1;
+    edge.arrivals.clients = 1;
+    edge.arrivals.diurnal = true;
+    edge.arrivals.diurnalAmp = 0.95;
+    edge.arrivals.diurnalSteps = 7;
+    edge.arrivals.dayNs = 7;
+    edge.batch.maxSize = 1;
+    edge.batch.lingerNs = 0;
+    edge.batch.setupFraction = 0.49;
+    edge.batch.deadlineSlack = 0;
+    edge.chaos.percent = 100;
+    Result<void> valid = edge.validate();
+    EXPECT_TRUE(valid.ok()) << valid.error().context;
+    // A degenerate day is only an error while the day curve is on.
+    edge.arrivals.diurnal = false;
+    edge.arrivals.dayNs = 0;
+    EXPECT_TRUE(edge.validate().ok());
+}
+
+// ---------------------------------------------------------------------
+// Lazy arrivals: the event heap holds work in flight, not the campaign
+
+TEST(SvcServer, OpenLoopKeepsOneFreshArrivalPending)
+{
+    // Every request expires at arrival, so nothing is ever in flight:
+    // the heap must never hold more than the one pending arrival,
+    // however long the campaign (an up-front heap would peak at 10^6).
+    SvcConfig cfg;
+    cfg.seed = 21;
+    cfg.requests = 1'000'000;
+    cfg.serial = true;
+    cfg.deadlineFactor = 0;
+    cfg.deadlineFloorNs = 0;
+    Server server(cfg);
+    server.run();
+    const SvcCounters &c = server.counters();
+    EXPECT_EQ(c.peakEvents, 1u);
+    EXPECT_EQ(c.generated, cfg.requests);
+    EXPECT_EQ(c.expiredAtArrival, cfg.requests);
+    EXPECT_EQ(c.completedOk + c.failed, cfg.requests);
+}
+
+TEST(SvcServer, ClosedLoopHeapIsBoundedByClientsWorkersAndBatches)
+{
+    // A closed-loop client has one request outstanding: a pending
+    // arrival, a batch member or a pass member.  With no batch able to
+    // close by size (maxSize above the client count) or by deadline
+    // pressure, every pending linger timer belongs to an open batch,
+    // and each open batch holds one client's request.
+    SvcConfig cfg;
+    cfg.seed = 79;
+    cfg.requests = 500;
+    cfg.users = 32;
+    cfg.chaos.percent = 10;
+    cfg.serial = true;
+    cfg.arrivals.kind = ArrivalKind::ClosedLoop;
+    cfg.arrivals.clients = 6;
+    cfg.arrivals.thinkNs = 500'000;
+    cfg.batch.maxSize = 7;
+    cfg.batch.deadlineSlack = 0;
+    cfg.deadlineFactor = 1e6;
+    cfg.deadlineFloorNs = 1ull << 60;
+    Server server(cfg);
+    server.run();
+    const SvcCounters &c = server.counters();
+    EXPECT_EQ(c.generated, cfg.requests);
+    EXPECT_EQ(c.completedOk + c.failed, cfg.requests);
+    EXPECT_EQ(c.batchClosedBySize, 0u);
+    EXPECT_EQ(c.batchClosedByDeadline, 0u);
+    EXPECT_GT(c.batchMembersTotal, c.batchesClosed); // batches formed
+    uint64_t openBatches = cfg.arrivals.clients;
+    EXPECT_LE(c.peakEvents,
+              cfg.arrivals.clients + cfg.virtualWorkers + openBatches);
+}
+
+
+// ---------------------------------------------------------------------
 // Batch former (src/svc/batch.hh)
 
 namespace
@@ -720,6 +927,7 @@ TEST(SvcBatch, DegeneratePoliciesCannotStrandRequests)
     auto jz = fzl.join(batchReq(2, UINT64_MAX), ServiceTier::FullSim,
                        1000, 0);
     EXPECT_TRUE(jz.closed);
+    EXPECT_EQ(fzl.policy().maxSize, 1u); // what the report echoes
     EXPECT_EQ(fzl.waitingMembers(), 1u); // ready but not yet taken
     EXPECT_EQ(fzl.takeReady().members.size(), 1u);
     EXPECT_EQ(fzl.waitingMembers(), 0u);

@@ -7,7 +7,8 @@
  *
  * Implements the subset of JSON Schema the telemetry layer needs --
  * "type" (string or array of strings), "properties", "required",
- *  "items", "enum", "additionalProperties": false -- with no network,
+ * "items", "enum", "minimum", "exclusiveMinimum",
+ * "additionalProperties": false -- with no network,
  * no references, no external dependencies.  With --jsonl each
  * non-empty line of every file is validated as its own document (the
  * bench-journal trajectory format).
@@ -79,6 +80,14 @@ validate(const Json &doc, const Json &schema, const std::string &where,
         if (!ok)
             errs.push_back(where + ": value not in enum");
     }
+
+    if (const Json *min = schema.find("minimum");
+        min && doc.isNumber() && doc.asDouble() < min->asDouble())
+        errs.push_back(where + ": below minimum " + min->dump());
+    if (const Json *min = schema.find("exclusiveMinimum");
+        min && doc.isNumber() && doc.asDouble() <= min->asDouble())
+        errs.push_back(where + ": not above exclusiveMinimum "
+                       + min->dump());
 
     if (const Json *required = schema.find("required")) {
         for (size_t i = 0; i < required->size(); ++i) {

@@ -32,8 +32,12 @@
  *   --flight-recorder  ulecc.svc.flight.v1 last-N request ring dump
  *
  * Every numeric flag is parsed strictly (tools/flag_parse.hh): a
- * malformed, signed, overflowing, non-finite or out-of-range value is
- * rejected with an [invalid-input] message.
+ * malformed, signed, overflowing or non-finite value, or one that does
+ * not fit its field, is rejected with an [invalid-input] message.  The
+ * parsed config then goes through SvcConfig::validate(), the one owner
+ * of the engine's ranges, which rejects the same way.  Requests are
+ * issued lazily, so memory follows the work in flight and --requests
+ * has no cap below 2^64.
  *
  * Exit codes: 0 success; 1 a robustness invariant failed (a request
  * was lost, a wrong answer escaped, an unstructured exception was
@@ -41,16 +45,18 @@
  * usage or I/O error.
  */
 
+#include <algorithm>
+#include <cfloat>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
 #include <type_traits>
 
 #include "core/report.hh"
 #include "obs/metrics.hh"
-#include "par/thread_pool.hh"
 #include "svc/service.hh"
 #include "svc/telemetry.hh"
 
@@ -62,12 +68,6 @@ namespace
 {
 
 constexpr const char *kTool = "svc_run";
-
-/**
- * Campaign size cap: arrivals are generated up front, so memory grows
- * with the campaign, not with the requests in flight.
- */
-constexpr uint64_t kMaxRequests = 10'000'000;
 
 /** Cap on the virtual-time flags (1e12 ms is ~31 virtual years). */
 constexpr double kMaxTime = 1e12;
@@ -108,16 +108,20 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const char *flag = argv[i];
         bool valued = i + 1 < argc;
-        // Strict numeric parses into a flag's range; false = reject.
-        auto count = [&](uint64_t min, uint64_t max, auto &out) {
+        // Strict numeric parses that only check syntax and that the
+        // value fits its field (at most @p max); the engine's ranges
+        // are SvcConfig::validate()'s.  false = reject.
+        auto count = [&](auto &out, uint64_t max = UINT64_MAX) {
+            using T = std::remove_reference_t<decltype(out)>;
+            max = std::min<uint64_t>(max, std::numeric_limits<T>::max());
             uint64_t v = 0;
-            if (!parseCount(kTool, flag, argv[++i], 0, min, max, v))
+            if (!parseCount(kTool, flag, argv[++i], 0, 0, max, v))
                 return false;
-            out = static_cast<std::remove_reference_t<decltype(out)>>(v);
+            out = static_cast<T>(v);
             return true;
         };
-        auto real = [&](double min, double max, double &out) {
-            return parseReal(kTool, flag, argv[++i], min, max, out);
+        auto real = [&](double &out) {
+            return parseReal(kTool, flag, argv[++i], 0, DBL_MAX, out);
         };
         // A virtual duration in units of @p ns nanoseconds.
         auto duration = [&](double ns, uint64_t &out) {
@@ -131,19 +135,19 @@ main(int argc, char **argv)
         if (!std::strcmp(flag, "--seed") && valued) {
             // The report and the flight recorder carry the seed as
             // their replay key: it must stay an exact JSON integer.
-            ok = count(0, INT64_MAX, cfg.seed);
+            ok = count(cfg.seed, INT64_MAX);
         } else if (!std::strcmp(flag, "--requests") && valued) {
-            ok = count(1, kMaxRequests, cfg.requests);
+            ok = count(cfg.requests);
         } else if (!std::strcmp(flag, "--users") && valued) {
-            ok = count(1, UINT64_MAX, cfg.users);
+            ok = count(cfg.users);
         } else if (!std::strcmp(flag, "--workers") && valued) {
-            ok = count(1, 1u << 16, cfg.virtualWorkers);
+            ok = count(cfg.virtualWorkers);
         } else if (!std::strcmp(flag, "--jobs") && valued) {
-            ok = count(0, ThreadPool::maxThreads, cfg.jobs);
+            ok = count(cfg.jobs);
         } else if (!std::strcmp(flag, "--serial")) {
             cfg.serial = true;
         } else if (!std::strcmp(flag, "--queue-cap") && valued) {
-            ok = count(0, SIZE_MAX, cfg.queueCap);
+            ok = count(cfg.queueCap);
         } else if (!std::strcmp(flag, "--arrival") && valued) {
             const char *kind = argv[++i];
             if (!std::strcmp(kind, "poisson")) {
@@ -157,9 +161,9 @@ main(int argc, char **argv)
                 return 2;
             }
         } else if (!std::strcmp(flag, "--rate") && valued) {
-            ok = real(1e-3, 1e9, cfg.arrivals.ratePerSec);
+            ok = real(cfg.arrivals.ratePerSec);
         } else if (!std::strcmp(flag, "--clients") && valued) {
-            ok = count(1, UINT32_MAX, cfg.arrivals.clients);
+            ok = count(cfg.arrivals.clients);
         } else if (!std::strcmp(flag, "--think-ms") && valued) {
             ok = duration(1e6, cfg.arrivals.thinkNs);
         } else if (!std::strcmp(flag, "--diurnal")) {
@@ -167,28 +171,27 @@ main(int argc, char **argv)
         } else if (!std::strcmp(flag, "--day-ms") && valued) {
             ok = duration(1e6, cfg.arrivals.dayNs);
         } else if (!std::strcmp(flag, "--diurnal-amp") && valued) {
-            ok = real(0, 0.95, cfg.arrivals.diurnalAmp);
+            ok = real(cfg.arrivals.diurnalAmp);
         } else if (!std::strcmp(flag, "--diurnal-steps") && valued) {
-            ok = count(1, UINT32_MAX, cfg.arrivals.diurnalSteps);
+            ok = count(cfg.arrivals.diurnalSteps);
         } else if (!std::strcmp(flag, "--no-batch")) {
             cfg.batch.maxSize = 1;
         } else if (!std::strcmp(flag, "--batch-max") && valued) {
-            ok = count(1, UINT32_MAX, cfg.batch.maxSize);
+            ok = count(cfg.batch.maxSize);
         } else if (!std::strcmp(flag, "--batch-linger-us") && valued) {
             ok = duration(1e3, cfg.batch.lingerNs);
         } else if (!std::strcmp(flag, "--batch-slack") && valued) {
-            ok = real(0, kMaxTime, cfg.batch.deadlineSlack);
+            ok = real(cfg.batch.deadlineSlack);
         } else if (!std::strcmp(flag, "--batch-setup") && valued) {
-            ok = real(0, 0.49, cfg.batch.setupFraction);
+            ok = real(cfg.batch.setupFraction);
         } else if (!std::strcmp(flag, "--chaos") && valued) {
-            ok = count(0, 100, cfg.chaos.percent);
+            ok = count(cfg.chaos.percent);
         } else if (!std::strcmp(flag, "--deadline-factor") && valued) {
-            ok = real(0, kMaxTime, cfg.deadlineFactor);
+            ok = real(cfg.deadlineFactor);
         } else if (!std::strcmp(flag, "--deadline-floor-ms") && valued) {
             ok = duration(1e6, cfg.deadlineFloorNs);
         } else if (!std::strcmp(flag, "--retries") && valued) {
-            // The exponential backoff saturates long before 64 tries.
-            ok = count(1, 64, cfg.backoff.maxAttempts);
+            ok = count(cfg.backoff.maxAttempts);
         } else if (!std::strcmp(flag, "--json") && valued) {
             jsonPath = argv[++i];
         } else if (!std::strcmp(flag, "--trace-requests") && valued) {
@@ -196,7 +199,8 @@ main(int argc, char **argv)
         } else if (!std::strcmp(flag, "--timeline") && valued) {
             timelinePath = argv[++i];
         } else if (!std::strcmp(flag, "--window-ms") && valued) {
-            ok = count(1, uint64_t(kMaxTime), windowMs);
+            ok = parseCount(kTool, flag, argv[++i], 0, 1,
+                            uint64_t(kMaxTime), windowMs);
         } else if (!std::strcmp(flag, "--slo") && valued) {
             sloPath = argv[++i];
         } else if (!std::strcmp(flag, "--flight-recorder") && valued) {
@@ -209,6 +213,11 @@ main(int argc, char **argv)
         }
         if (!ok)
             return 2;
+    }
+    if (Result<void> valid = cfg.validate(); !valid.ok()) {
+        std::fprintf(stderr, "%s: [%s] %s\n", kTool,
+                     errcName(valid.code()), valid.error().context.c_str());
+        return 2;
     }
 
     BenchJournal::instance().begin(
@@ -270,19 +279,20 @@ main(int argc, char **argv)
         }
     }
 
-    // The soak invariant: every generated request reaches exactly one
-    // final state -- a correct result or a structured error.  Anything
-    // else (a lost request, a wrong answer marked ok, an exception
-    // outside the Errc taxonomy) is a robustness failure.
+    // The soak invariant: every request of the campaign is issued
+    // and reaches exactly one final state -- a correct result or a
+    // structured error.  Anything else (a lost request, a wrong answer
+    // marked ok, an exception outside the Errc taxonomy) is a
+    // robustness failure.
     uint64_t finals = c.completedOk + c.failed;
-    bool lost = finals != c.generated;
+    bool lost = finals != cfg.requests;
     bool corrupt = c.wrongAnswers != 0 || c.unstructuredExceptions != 0;
     if (lost || corrupt) {
         std::fprintf(stderr,
                      "svc_run: ROBUSTNESS FAILURE: finals %llu / %llu, "
                      "wrong answers %llu, unstructured %llu\n",
                      (unsigned long long)finals,
-                     (unsigned long long)c.generated,
+                     (unsigned long long)cfg.requests,
                      (unsigned long long)c.wrongAnswers,
                      (unsigned long long)c.unstructuredExceptions);
         return 1;

@@ -1,8 +1,10 @@
 # Hostile-argument table for svc_run: every malformed numeric flag value
 # must be rejected as a usage error (exit 2, an [invalid-input] message
 # on stderr) -- never accepted into the report, truncated, or left to
-# saturate into a campaign that cannot finish.  A well-formed control
-# run with the same flags must still succeed.
+# saturate into a campaign that cannot finish.  Syntax and fit are
+# flag_parse.hh's; ranges are SvcConfig::validate()'s, so the rows
+# cover both.  A well-formed control run with the same flags must
+# still succeed.
 #
 # Invoked by ctest (tool_svc_run_args) with:
 #   -DSVC_RUN=<path to svc_run> -DWORK_DIR=<scratch dir>
@@ -19,6 +21,7 @@ set(hostile
     "--users,0"
     "--workers,0"
     "--workers,4294967296"
+    "--workers,65537"
     "--jobs,-1"
     "--jobs,100000"
     "--queue-cap,+8"
@@ -37,12 +40,14 @@ set(hostile
     "--diurnal-amp,2"
     "--diurnal-amp,-0.5"
     "--diurnal-steps,0"
+    "--diurnal,--day-ms,0.00001"
     "--batch-max,abc"
     "--batch-max,0"
     "--batch-max,4294967296"
     "--batch-linger-us,-3"
     "--batch-slack,inf"
     "--batch-setup,0.5"
+    "--batch-slack,-1"
     "--chaos,101"
     "--chaos,-1"
     "--deadline-factor,-16"
@@ -106,4 +111,27 @@ execute_process(
     RESULT_VARIABLE same)
 if(NOT same EQUAL 0)
     message(FATAL_ERROR "--no-batch and --batch-max 1 reports differ")
+endif()
+
+# Zero linger closes every batch at join, so the policy that runs has
+# max_size 1 whatever --batch-max asked for; the config echo must say
+# so (every one of this run's batches holds one member).
+execute_process(
+    COMMAND ${SVC_RUN} --seed 5 --requests 200 --arrival bursty
+            --rate 2000 --batch-max 8 --batch-linger-us 0 --quiet
+            --json ${WORK_DIR}/svc_args_zero_linger.json
+    RESULT_VARIABLE rc
+    ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "zero-linger run failed (exit ${rc}): ${err}")
+endif()
+file(READ ${WORK_DIR}/svc_args_zero_linger.json report)
+string(JSON enabled GET "${report}" config batch enabled)
+string(JSON max_size GET "${report}" config batch max_size)
+string(JSON occupancy_max GET "${report}" batch occupancy max)
+if(NOT enabled STREQUAL "OFF" OR NOT max_size EQUAL 1
+   OR NOT occupancy_max EQUAL 1)
+    message(FATAL_ERROR "zero linger echoes enabled '${enabled}', "
+                        "max_size '${max_size}' (occupancy max "
+                        "${occupancy_max}); want false, 1 (1)")
 endif()
