@@ -64,7 +64,7 @@ campaignConfig(bool serial, bool batching)
 {
     SvcConfig cfg;
     cfg.seed = 2026;
-    cfg.requests = 300;
+    cfg.requests = 4000;
     cfg.users = 64;
     cfg.chaos.percent = 0;
     cfg.serial = serial;

@@ -32,39 +32,35 @@ BatchFormer::passNs(uint64_t soloNs, uint64_t n) const
 }
 
 void
-BatchFormer::close(std::map<BatchKey, Batch>::iterator it,
-                   const char *reason)
+BatchFormer::close(std::vector<Batch>::iterator it, const char *reason)
 {
-    Batch b = std::move(it->second);
+    Batch b = std::move(*it);
     open_.erase(it);
     b.closeReason = reason;
     ready_.push_back(std::move(b));
     ++closedTotal_;
 }
 
-BatchFormer::JoinResult
+bool
 BatchFormer::join(const Request &req, ServiceTier tier, uint64_t estNs,
-                  uint64_t now)
+                  uint64_t now, uint64_t &nextSeq)
 {
     BatchKey key{req.curve, req.arch, req.op, tier};
-    JoinResult jr;
-    auto it = open_.find(key);
+    auto it = std::find_if(open_.begin(), open_.end(),
+                           [&](const Batch &b) { return b.key == key; });
     if (it == open_.end()) {
         Batch b;
         b.id = nextId_++;
         b.key = key;
         b.openNs = now;
-        it = open_.emplace(key, std::move(b)).first;
-        // A fresh batch needs a linger timer -- unless it will close
-        // by size on this very join (maxSize 1, which zero linger
-        // implies), where the timer would only be a dead event.
-        if (policy_.maxSize > 1) {
-            jr.lingerArmed = true;
-            jr.lingerAtNs = now + policy_.lingerNs;
-        }
+        // Only a batch that can outlive this join needs a linger
+        // deadline (maxSize 1, which zero linger implies, closes by
+        // size right below), so only it draws a seq.
+        if (policy_.maxSize > 1)
+            b.lingerSeq = nextSeq++;
+        it = open_.insert(open_.end(), std::move(b));
     }
-    Batch &b = it->second;
-    jr.batchId = b.id;
+    Batch &b = *it;
     b.members.push_back(BatchMember{req, estNs, now});
     ++waitingMembers_;
     waitingEstSumNs_ += estNs;
@@ -72,8 +68,7 @@ BatchFormer::join(const Request &req, ServiceTier tier, uint64_t estNs,
     if (b.members.size() >= policy_.maxSize) {
         close(it, "size");
         ++closedBySize_;
-        jr.closed = true;
-        return jr;
+        return true;
     }
 
     // Deadline pressure: if the tightest member deadline no longer
@@ -87,22 +82,25 @@ BatchFormer::join(const Request &req, ServiceTier tier, uint64_t estNs,
     if (tightest <= now + headroom) {
         close(it, "deadline");
         ++closedByDeadline_;
-        jr.closed = true;
+        return true;
     }
-    return jr;
+    return false;
 }
 
-bool
-BatchFormer::onLinger(uint64_t batchId)
+std::optional<BatchFormer::Linger>
+BatchFormer::nextLinger() const
 {
-    for (auto it = open_.begin(); it != open_.end(); ++it) {
-        if (it->second.id == batchId) {
-            close(it, "linger");
-            ++closedByLinger_;
-            return true;
-        }
-    }
-    return false; // already closed by size/deadline pressure
+    if (open_.empty())
+        return std::nullopt;
+    const Batch &oldest = open_.front();
+    return Linger{oldest.openNs + policy_.lingerNs, oldest.lingerSeq};
+}
+
+void
+BatchFormer::closeNextLinger()
+{
+    close(open_.begin(), "linger");
+    ++closedByLinger_;
 }
 
 Batch

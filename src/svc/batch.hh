@@ -17,7 +17,10 @@
  *
  *  - size:     the batch reached maxSize members;
  *  - linger:   lingerNs of virtual time passed since the batch
- *              opened (a timer event the service schedules);
+ *              opened (a deadline the open batch itself carries; the
+ *              coordinator merges the earliest one into its event
+ *              order, so a batch that closes earlier leaves nothing
+ *              behind);
  *  - deadline: the tightest member deadline no longer leaves
  *              deadlineSlack x the estimated pass length, so waiting
  *              any longer would convert latency into timeouts.
@@ -32,9 +35,10 @@
 #ifndef ULECC_SVC_BATCH_HH
 #define ULECC_SVC_BATCH_HH
 
+#include <compare>
 #include <cstdint>
 #include <deque>
-#include <map>
+#include <optional>
 #include <vector>
 
 #include "svc/degrade.hh"
@@ -51,16 +55,7 @@ struct BatchKey
     OpKind op = OpKind::Sign;
     ServiceTier tier = ServiceTier::FullSim;
 
-    bool operator<(const BatchKey &o) const
-    {
-        if (curve != o.curve)
-            return curve < o.curve;
-        if (arch != o.arch)
-            return arch < o.arch;
-        if (op != o.op)
-            return op < o.op;
-        return tier < o.tier;
-    }
+    bool operator==(const BatchKey &) const = default;
 };
 
 /** Close policy + modelled amortization parameters. */
@@ -97,6 +92,9 @@ struct Batch
     BatchKey key;
     std::vector<BatchMember> members;
     uint64_t openNs = 0;
+    /** The linger deadline's place in the coordinator's (t, seq)
+     * event order; it fires at openNs + lingerNs. */
+    uint64_t lingerSeq = 0;
     const char *closeReason = "open";
 };
 
@@ -113,31 +111,36 @@ class BatchFormer
      * then 1, whatever @p policy asked for. */
     explicit BatchFormer(const BatchPolicy &policy);
 
-    /** Outcome of joining one request. */
-    struct JoinResult
-    {
-        bool closed = false;      ///< this join closed a batch
-        bool lingerArmed = false; ///< schedule a linger timer
-        uint64_t batchId = 0;     ///< batch joined (timer payload)
-        uint64_t lingerAtNs = 0;  ///< when the timer should fire
-    };
-
     /**
      * Adds an admitted request to the open batch for its shape
-     * (opening one if needed).  When the join itself closes the batch
-     * (size or deadline pressure) the batch moves to the ready queue
-     * before this returns.
+     * (opening one if needed).  A fresh batch that can linger
+     * (maxSize > 1) takes its deadline's seq from @p nextSeq, the
+     * coordinator's event sequence.  When the join itself closes the
+     * batch (size or deadline pressure) the batch moves to the ready
+     * queue, deadline and all, before this returns true.
      */
-    JoinResult join(const Request &req, ServiceTier tier,
-                    uint64_t estNs, uint64_t now);
+    bool join(const Request &req, ServiceTier tier, uint64_t estNs,
+              uint64_t now, uint64_t &nextSeq);
 
-    /**
-     * Linger timer for @p batchId fired.  Closes the batch
-     * if it is still open (it may have closed earlier by size or
-     * deadline pressure -- then this is a no-op).  Returns true when
-     * a batch moved to the ready queue.
-     */
-    bool onLinger(uint64_t batchId);
+    /** A pending linger deadline in the coordinator's event order. */
+    struct Linger
+    {
+        uint64_t t = 0;
+        uint64_t seq = 0;
+
+        auto operator<=>(const Linger &) const = default;
+    };
+
+    /** The earliest (t, seq) linger deadline: the oldest open
+     * batch's.  Empty when no batch is open. */
+    std::optional<Linger> nextLinger() const;
+
+    /** Closes the batch whose deadline nextLinger() reports, with
+     * reason "linger".  Requires an open batch. */
+    void closeNextLinger();
+
+    /** Open batches: each one holds a pending linger deadline. */
+    size_t openBatches() const { return open_.size(); }
 
     bool hasReady() const { return !ready_.empty(); }
 
@@ -168,11 +171,13 @@ class BatchFormer
     uint64_t passNs(uint64_t soloNs, uint64_t n) const;
 
   private:
-    void close(std::map<BatchKey, Batch>::iterator it,
-               const char *reason);
+    void close(std::vector<Batch>::iterator it, const char *reason);
 
     BatchPolicy policy_;
-    std::map<BatchKey, Batch> open_;
+    /** Open batches, oldest first.  Joins come in event order and
+     * every batch lingers the same lingerNs, so this is also (t, seq)
+     * deadline order. */
+    std::vector<Batch> open_;
     std::deque<Batch> ready_;
     uint64_t nextId_ = 0;
     uint64_t waitingMembers_ = 0;

@@ -6,15 +6,18 @@
  * (event heap, batch former, worker free times, retry schedule) and
  * processes events in strict (time, sequence) order.  Requests are
  * issued lazily -- one pending fresh arrival in open loop, one per
- * free client in closed loop -- so the heap holds work in flight,
- * never the whole campaign.  Admitted
- * requests join per-shape batches (svc/batch.hh) and each closed
- * batch is executed for real -- checked crypto, chaos strikes, one
- * shared co-simulation anchor -- as pure functions of (seed, id,
- * attempt) in one pooled task that may fan member subtasks onto the
- * work-stealing deques.  The coordinator blocks on a batch's future
- * only when it processes that batch's completion event, so
- * parallelism overlaps real work without ever influencing a decision.
+ * free client in closed loop -- so the heap holds only work in
+ * flight (arrivals and pass completions), never the whole campaign.
+ * Admitted requests join per-shape batches (svc/batch.hh); each open
+ * batch carries its linger deadline, which the run loop merges into
+ * the heap's order, and the report's virtual_ns is the time of the
+ * last event acted on.  Each closed batch is executed for real --
+ * checked crypto, chaos strikes, one shared co-simulation anchor --
+ * as pure functions of (seed, id, attempt) in one pooled task that
+ * may fan member subtasks onto the work-stealing deques.  The
+ * coordinator blocks on a batch's future only when it processes that
+ * batch's completion event, so parallelism overlaps real work without
+ * ever influencing a decision.
  */
 
 #include "svc/service.hh"
@@ -137,16 +140,12 @@ struct Event
     {
         Arrival,
         Completion,
-        BatchLinger,
     };
 
     uint64_t t = 0;
     uint64_t seq = 0;
     Kind kind = Kind::Arrival;
     Request req;
-
-    // BatchLinger-only payload.
-    uint64_t batchId = 0;
 
     // Completion-only payload.
     std::shared_ptr<DispatchedBatch> batch;
@@ -189,6 +188,7 @@ struct Server::Impl
      * takes seq = id: ids 0..requests-1 are reserved for those. */
     uint64_t nextSeq;
     std::vector<uint64_t> workerFreeNs;
+    /** Time of the last event acted on: events run in time order. */
     uint64_t virtualEndNs = 0;
     uint64_t finals = 0;
 
@@ -289,14 +289,6 @@ struct Server::Impl
         return r;
     }
 
-    void
-    schedule(Event ev)
-    {
-        events.push(std::move(ev));
-        counters.peakEvents =
-            std::max<uint64_t>(counters.peakEvents, events.size());
-    }
-
     /**
      * Issues the next request, if any is left: draws its attributes
      * and queues its first arrival.  Open loop: at the generator's
@@ -327,7 +319,7 @@ struct Server::Impl
         ev.seq = closedLoop ? nextSeq++ : id;
         ev.kind = Event::Kind::Arrival;
         ev.req = r;
-        schedule(std::move(ev));
+        events.push(std::move(ev));
     }
 
     /** Starts issuance: one pending arrival in open loop; one request
@@ -474,10 +466,10 @@ struct Server::Impl
             // Bit-flipped peer point must fail validation.
             out.chaosKind = "crypto-corrupt-ecdh-peer";
             AffinePoint bad = ctx.serverKey.q;
-            bad.y.setLimb(
-                static_cast<int>(rng.below(
-                    (curveIdBits(req.curve) + 31) / 32)),
-                bad.y.limb(0) ^ (1u << rng.below(32)));
+            uint32_t bit = 1u << rng.below(32);
+            int limb = static_cast<int>(
+                rng.below((curveIdBits(req.curve) + 31) / 32));
+            bad.y.setLimb(limb, bad.y.limb(limb) ^ bit);
             Result<EcdhShared> r = ctx.ecdh.agreeChecked(s.key.d, bad);
             if (!r.ok()) {
                 out.errc = r.error().code;
@@ -663,7 +655,7 @@ struct Server::Impl
                                          ev.t - now);
         if (tel.timeline)
             tel.timeline->onRetry(now);
-        schedule(std::move(ev));
+        events.push(std::move(ev));
     }
 
     void
@@ -787,23 +779,8 @@ struct Server::Impl
                                 serviceTierName(tier), depth);
         if (tel.timeline)
             tel.timeline->onAdmit(now, serviceTierName(tier));
-        BatchFormer::JoinResult jr = former.join(req, tier, est, now);
-        if (jr.lingerArmed) {
-            Event lv;
-            lv.t = jr.lingerAtNs;
-            lv.seq = nextSeq++;
-            lv.kind = Event::Kind::BatchLinger;
-            lv.batchId = jr.batchId;
-            schedule(std::move(lv));
-        }
+        former.join(req, tier, est, now, nextSeq);
         tryDispatch(now);
-    }
-
-    void
-    onBatchLinger(const Event &ev)
-    {
-        if (former.onLinger(ev.batchId))
-            tryDispatch(ev.t);
     }
 
     void
@@ -915,7 +892,7 @@ struct Server::Impl
             done.kind = Event::Kind::Completion;
             done.batch = std::move(db);
             workerFreeNs[w] = done.t;
-            schedule(std::move(done));
+            events.push(std::move(done));
         }
     }
 
@@ -1101,21 +1078,36 @@ struct Server::Impl
         workerFreeNs.assign(cfg.virtualWorkers, 0);
         counters.retriesByAttempt.assign(cfg.backoff.maxAttempts, 0);
         issueFirst();
-        while (!events.empty()) {
+        for (;;) {
+            // Pending events: the heap plus the open batches' linger
+            // deadlines, sampled before each event.  Handling one
+            // removes only itself and, at a join, the batch that join
+            // closes, after at most one add (the next open-loop
+            // arrival), so no peak falls between two samples.
+            counters.peakEvents = std::max<uint64_t>(
+                counters.peakEvents,
+                events.size() + former.openBatches());
+            // The oldest open batch's linger deadline takes its
+            // (t, seq) turn among the heap's events.
+            std::optional<BatchFormer::Linger> linger = former.nextLinger();
+            if (linger
+                && (events.empty()
+                    || *linger < BatchFormer::Linger{events.top().t,
+                                                     events.top().seq})) {
+                virtualEndNs = linger->t;
+                former.closeNextLinger();
+                tryDispatch(linger->t);
+                continue;
+            }
+            if (events.empty())
+                break;
             Event ev = events.top();
             events.pop();
-            virtualEndNs = std::max(virtualEndNs, ev.t);
-            switch (ev.kind) {
-              case Event::Kind::Arrival:
+            virtualEndNs = ev.t;
+            if (ev.kind == Event::Kind::Arrival)
                 onArrival(ev);
-                break;
-              case Event::Kind::BatchLinger:
-                onBatchLinger(ev);
-                break;
-              case Event::Kind::Completion:
+            else
                 onCompletion(ev);
-                break;
-            }
         }
         if (pool) {
             pool->wait();

@@ -132,8 +132,9 @@ struct SvcCounters
     uint64_t batchMembersTotal = 0; ///< members across closed batches
     uint64_t batchPassesExecuted = 0; ///< passes that reached a worker
     uint64_t batchCosimAnchors = 0; ///< shared FullSim co-sim anchors
-    /** Most events ever pending at once (arrivals, linger timers,
-     * pass completions).  Not echoed by the report. */
+    /** Most events ever pending at once: heap events (arrivals,
+     * pass completions) plus open batches' linger deadlines.  Not
+     * echoed by the report. */
     uint64_t peakEvents = 0;
     std::map<std::string, uint64_t> failedByErrc;
     std::map<std::string, uint64_t> chaosByKind;

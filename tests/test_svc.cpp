@@ -776,8 +776,8 @@ TEST(SvcServer, ClosedLoopHeapIsBoundedByClientsWorkersAndBatches)
     // A closed-loop client has one request outstanding: a pending
     // arrival, a batch member or a pass member.  With no batch able to
     // close by size (maxSize above the client count) or by deadline
-    // pressure, every pending linger timer belongs to an open batch,
-    // and each open batch holds one client's request.
+    // pressure, every pending linger deadline belongs to an open
+    // batch, and each open batch holds one client's request.
     SvcConfig cfg;
     cfg.seed = 79;
     cfg.requests = 500;
@@ -802,6 +802,56 @@ TEST(SvcServer, ClosedLoopHeapIsBoundedByClientsWorkersAndBatches)
     uint64_t openBatches = cfg.arrivals.clients;
     EXPECT_LE(c.peakEvents,
               cfg.arrivals.clients + cfg.virtualWorkers + openBatches);
+
+    // Batches that close by size long before their linger deadline
+    // take the deadline with them, so the bound holds with batching
+    // that closes early too.
+    SvcConfig sized;
+    sized.seed = 2026;
+    sized.curves = {CurveId::P192};
+    sized.requests = 400;
+    sized.chaos.percent = 0;
+    sized.serial = true;
+    sized.arrivals.kind = ArrivalKind::ClosedLoop;
+    sized.arrivals.clients = 16;
+    sized.virtualWorkers = 4;
+    sized.batch.maxSize = 2;
+    sized.batch.lingerNs = 500'000'000;
+    Server sizedServer(sized);
+    sizedServer.run();
+    const SvcCounters &sc = sizedServer.counters();
+    EXPECT_EQ(sc.completedOk + sc.failed, sized.requests);
+    EXPECT_GT(sc.batchClosedBySize, 0u);
+    uint64_t sizedOpen = sized.arrivals.clients;
+    EXPECT_LE(sc.peakEvents,
+              sized.arrivals.clients + sized.virtualWorkers + sizedOpen);
+}
+
+TEST(SvcServer, VirtualTimeEndsAtTheLastEventActedOn)
+{
+    // Six bursty P-192 requests in pairs: every batch closes by size,
+    // so the linger deadline of each (500 ms after it opened) never
+    // fires.  The campaign's virtual time ends with its last pass
+    // completion, not at a deadline that left with its batch.
+    SvcConfig cfg;
+    cfg.seed = 89;
+    cfg.curves = {CurveId::P192};
+    cfg.requests = 6;
+    cfg.arrivals.kind = ArrivalKind::Bursty;
+    cfg.arrivals.ratePerSec = 2000;
+    cfg.batch.maxSize = 2;
+    cfg.batch.lingerNs = 500'000'000;
+    cfg.deadlineFactor = 1e6;
+    cfg.deadlineFloorNs = 1ull << 60;
+    cfg.chaos.percent = 0;
+    cfg.serial = true;
+    Server server(cfg);
+    server.run();
+    const SvcCounters &c = server.counters();
+    EXPECT_EQ(c.completedOk, cfg.requests);
+    EXPECT_EQ(c.batchClosedByLinger, 0u);
+    Json rep = server.report();
+    EXPECT_EQ(rep.find("virtual_ns")->asInt(), 14119244);
 }
 
 
@@ -835,28 +885,33 @@ TEST(SvcBatch, FormerClosesBySizeAndKeepsShapesApart)
     p.maxSize = 3;
     p.lingerNs = 1'000'000;
     BatchFormer f(p);
+    uint64_t seq = 40; // the coordinator's event sequence
 
     // Two shapes interleaved: only same-shape joins coalesce.
     uint64_t est = 100'000;
     for (uint64_t i = 0; i < 2; ++i) {
-        auto a = f.join(batchReq(10 + i, UINT64_MAX), ServiceTier::Memoized,
-                        est, i);
-        auto b = f.join(batchReq(20 + i, UINT64_MAX, CurveId::B163),
-                        ServiceTier::Memoized, est, i);
-        EXPECT_FALSE(a.closed);
-        EXPECT_FALSE(b.closed);
-        // The linger timer arms exactly once per fresh batch.
-        EXPECT_EQ(a.lingerArmed, i == 0);
-        EXPECT_EQ(b.lingerArmed, i == 0);
+        EXPECT_FALSE(f.join(batchReq(10 + i, UINT64_MAX),
+                            ServiceTier::Memoized, est, i, seq));
+        EXPECT_FALSE(f.join(batchReq(20 + i, UINT64_MAX, CurveId::B163),
+                            ServiceTier::Memoized, est, i, seq));
+        // A fresh batch draws exactly one deadline seq; a join into an
+        // open batch draws none.
+        EXPECT_EQ(seq, 42u);
+        EXPECT_EQ(f.openBatches(), 2u);
     }
     EXPECT_EQ(f.waitingMembers(), 4u);
     EXPECT_EQ(f.waitingEstSumNs(), 4 * est);
+    using Linger = BatchFormer::Linger;
+    EXPECT_EQ(f.nextLinger(), (Linger{1'000'000, 40}));
 
-    // Third same-shape member hits maxSize: closed at join, by size.
-    auto jr = f.join(batchReq(12, UINT64_MAX), ServiceTier::Memoized, est, 2);
-    EXPECT_TRUE(jr.closed);
+    // Third same-shape member hits maxSize: closed at join, by size,
+    // and its deadline goes with it.
+    EXPECT_TRUE(f.join(batchReq(12, UINT64_MAX), ServiceTier::Memoized,
+                       est, 2, seq));
     EXPECT_TRUE(f.hasReady());
     EXPECT_EQ(f.closedBySize(), 1u);
+    EXPECT_EQ(f.openBatches(), 1u);
+    EXPECT_EQ(f.nextLinger(), (Linger{1'000'000, 41}));
     Batch b = f.takeReady();
     EXPECT_EQ(b.members.size(), 3u);
     EXPECT_STREQ(b.closeReason, "size");
@@ -865,23 +920,29 @@ TEST(SvcBatch, FormerClosesBySizeAndKeepsShapesApart)
     EXPECT_EQ(f.waitingMembers(), 2u);
     EXPECT_EQ(f.waitingEstSumNs(), 2 * est);
 
-    // A linger timer for an already-closed batch is a no-op; for the
-    // open one it closes it.
-    EXPECT_FALSE(f.onLinger(b.id));
-    EXPECT_FALSE(f.hasReady());
-    // A fresh third shape closes only when its linger timer fires.
-    auto fresh = f.join(batchReq(30, UINT64_MAX, CurveId::P256),
-                        ServiceTier::Memoized, est, 3);
-    EXPECT_FALSE(fresh.closed);
-    EXPECT_TRUE(fresh.lingerArmed);
-    EXPECT_TRUE(f.onLinger(fresh.batchId));
+    // A fresh third shape lines up behind the earlier deadline.
+    EXPECT_FALSE(f.join(batchReq(30, UINT64_MAX, CurveId::P256),
+                        ServiceTier::Memoized, est, 3, seq));
+    EXPECT_EQ(seq, 43u);
+    EXPECT_EQ(f.nextLinger(), (Linger{1'000'000, 41}));
+    EXPECT_FALSE(f.hasReady()); // open batches wait for their deadline
+
+    // Reaching the earliest deadline closes the B163 pair, by linger.
+    f.closeNextLinger();
     EXPECT_EQ(f.closedByLinger(), 1u);
     Batch lb = f.takeReady();
     EXPECT_STREQ(lb.closeReason, "linger");
-    EXPECT_EQ(lb.members.size(), 1u);
-    // The B163 pair is still waiting in its open batch.
-    EXPECT_EQ(f.waitingMembers(), 2u);
-    EXPECT_EQ(f.waitingEstSumNs(), 2 * est);
+    EXPECT_EQ(lb.key.curve, CurveId::B163);
+    EXPECT_EQ(lb.members.size(), 2u);
+    // The P256 request is still waiting in its open batch.
+    EXPECT_FALSE(f.hasReady());
+    EXPECT_EQ(f.waitingMembers(), 1u);
+    EXPECT_EQ(f.waitingEstSumNs(), est);
+    EXPECT_EQ(f.nextLinger(), (Linger{1'000'003, 42}));
+    f.closeNextLinger();
+    EXPECT_STREQ(f.takeReady().closeReason, "linger");
+    EXPECT_EQ(f.nextLinger(), std::nullopt);
+    EXPECT_EQ(f.waitingMembers(), 0u);
 }
 
 TEST(SvcBatch, FormerDeadlinePressureClosesEarly)
@@ -891,42 +952,49 @@ TEST(SvcBatch, FormerDeadlinePressureClosesEarly)
     p.lingerNs = 1'000'000'000; // linger would take forever
     p.deadlineSlack = 1.0;
     BatchFormer f(p);
+    uint64_t seq = 0;
     uint64_t est = 1'000'000;
     // Deadline far away: stays open.
-    auto a = f.join(batchReq(1, 100'000'000), ServiceTier::Analytic, est, 0);
-    EXPECT_FALSE(a.closed);
+    EXPECT_FALSE(f.join(batchReq(1, 100'000'000), ServiceTier::Analytic,
+                        est, 0, seq));
+    EXPECT_TRUE(f.nextLinger().has_value());
     // A member whose deadline leaves less than one estimated pass of
-    // headroom forces the close (pass for 2 members = 1.75ms here).
-    auto b = f.join(batchReq(2, 1'600'000), ServiceTier::Analytic, est, 0);
-    EXPECT_TRUE(b.closed);
+    // headroom forces the close (pass for 2 members = 1.75ms here),
+    // and the batch's linger deadline leaves with it.
+    EXPECT_TRUE(f.join(batchReq(2, 1'600'000), ServiceTier::Analytic, est,
+                       0, seq));
     EXPECT_EQ(f.closedByDeadline(), 1u);
+    EXPECT_EQ(f.nextLinger(), std::nullopt);
     EXPECT_STREQ(f.takeReady().closeReason, "deadline");
 }
 
 TEST(SvcBatch, DegeneratePoliciesCannotStrandRequests)
 {
     // Disabled batching (maxSize 1): every join closes its own size-1
-    // batch and arms no linger timer, however long the linger budget.
+    // batch and leaves no linger deadline, however long the linger
+    // budget.
     BatchPolicy off;
     off.maxSize = 1;
     off.lingerNs = 50'000'000;
     BatchFormer foff(off);
-    auto jr = foff.join(batchReq(1, UINT64_MAX), ServiceTier::FullSim,
-                        1000, 0);
-    EXPECT_TRUE(jr.closed);
-    EXPECT_FALSE(jr.lingerArmed);
+    uint64_t seq = 0;
+    EXPECT_TRUE(foff.join(batchReq(1, UINT64_MAX), ServiceTier::FullSim,
+                          1000, 0, seq));
+    EXPECT_EQ(seq, 0u);
+    EXPECT_EQ(foff.nextLinger(), std::nullopt);
     EXPECT_EQ(foff.takeReady().members.size(), 1u);
 
-    // Zero linger with maxSize > 1: no timer would ever fire, so the
-    // former must clamp to immediate close rather than letting a lone
-    // request sit in an open batch forever.
+    // Zero linger with maxSize > 1: no deadline would ever close a
+    // waiting batch, so the former must clamp to immediate close
+    // rather than letting a lone request sit in an open batch forever.
     BatchPolicy zl;
     zl.maxSize = 8;
     zl.lingerNs = 0;
     BatchFormer fzl(zl);
-    auto jz = fzl.join(batchReq(2, UINT64_MAX), ServiceTier::FullSim,
-                       1000, 0);
-    EXPECT_TRUE(jz.closed);
+    EXPECT_TRUE(fzl.join(batchReq(2, UINT64_MAX), ServiceTier::FullSim,
+                         1000, 0, seq));
+    EXPECT_EQ(seq, 0u);
+    EXPECT_EQ(fzl.nextLinger(), std::nullopt);
     EXPECT_EQ(fzl.policy().maxSize, 1u); // what the report echoes
     EXPECT_EQ(fzl.waitingMembers(), 1u); // ready but not yet taken
     EXPECT_EQ(fzl.takeReady().members.size(), 1u);

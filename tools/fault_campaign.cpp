@@ -114,8 +114,9 @@ cryptoCampaign(SplitMix64 &rng)
         KeyPair kp = ecdsa.keyFromPrivate(d);
         Signature sig = ecdsa.signDigest(d, digest);
         AffinePoint bad = kp.q;
-        bad.y.setLimb(static_cast<int>(rng.below(6)),
-                      bad.y.limb(0) ^ (1u << rng.below(32)));
+        uint32_t bit = 1u << rng.below(32);
+        int limb = static_cast<int>(rng.below(6));
+        bad.y.setLimb(limb, bad.y.limb(limb) ^ bit);
         Result<bool> v = ecdsa.verifyDigestChecked(bad, digest, sig);
         if (!v.ok()) {
             res.outcome = Detected;
@@ -193,8 +194,9 @@ cryptoCampaign(SplitMix64 &rng)
         // Corrupted ECDH peer point must fail validation.
         res.kind = "crypto-corrupt-ecdh-peer";
         AffinePoint peer = ecdh.publicPoint(d);
-        peer.x.setLimb(static_cast<int>(rng.below(6)),
-                       peer.x.limb(1) ^ (1u << rng.below(32)));
+        uint32_t bit = 1u << rng.below(32);
+        int limb = static_cast<int>(rng.below(6));
+        peer.x.setLimb(limb, peer.x.limb(limb) ^ bit);
         MpUint d2 = randomLimbs(rng, 6).mod(n);
         if (d2.isZero())
             d2 = MpUint(2);
