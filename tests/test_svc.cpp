@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -618,6 +619,11 @@ struct ConfigRule
     const char *field;
     void (*breakIt)(SvcConfig &);
 };
+
+// Without this gtest prints the three pointers byte by byte, and the
+// ctest names (which carry the printed parameter) would change with
+// every load address.
+void PrintTo(const ConfigRule &rule, std::ostream *os) { *os << rule.field; }
 
 const ConfigRule kConfigRules[] = {
     {"RequestsZero", "requests", [](SvcConfig &c) { c.requests = 0; }},
