@@ -27,8 +27,7 @@
  *    replayable with replayLine()/replayFile() and checked into
  *    tests/golden/corpus/ as regression pins once fixed.
  *
- * The summary serialises through MetricsRegistry as
- * "ulecc.diffuzz.v1"; it deliberately contains no timings so two runs
+ * The summary serialises as "ulecc.diffuzz.v1"; it deliberately contains no timings so two runs
  * at the same seed produce byte-identical JSON (check.sh diffs them).
  */
 

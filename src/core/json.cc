@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 
 namespace ulecc
 {
@@ -576,6 +577,16 @@ Result<Json>
 Json::parse(const std::string &text)
 {
     return Parser(text).parseDocument();
+}
+
+bool
+writeTextFile(const std::string &path, const std::string &text)
+{
+    std::ofstream out(path, std::ios::binary);
+    if (!out)
+        return false;
+    out << text;
+    return static_cast<bool>(out);
 }
 
 } // namespace ulecc

@@ -3,7 +3,7 @@
  * Minimal JSON document model shared by the observability layer.
  *
  * Hand-rolled on purpose: the container ships no third-party JSON
- * dependency, and the telemetry producers (metrics sink, trace writer,
+ * dependency, and the telemetry producers (metrics documents, trace writers,
  * bench journal, fault-campaign summary) only need ordered objects,
  * arrays, and exact integer round-tripping for counters.  Object keys
  * keep insertion order so emitted documents are byte-stable across
@@ -134,6 +134,10 @@ struct JsonMember
 
 /** Escapes @p s for embedding inside a JSON string literal. */
 std::string jsonEscape(const std::string &s);
+
+/** Writes @p text to @p path byte for byte; false on I/O failure.
+ * The one file sink of every document and artifact writer. */
+bool writeTextFile(const std::string &path, const std::string &text);
 
 } // namespace ulecc
 

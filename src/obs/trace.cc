@@ -6,7 +6,6 @@
 #include "obs/trace.hh"
 
 #include <cstdio>
-#include <fstream>
 
 namespace ulecc
 {
@@ -178,16 +177,6 @@ PipelineTracer::dump() const
     }
     out += "}}}\n";
     return out;
-}
-
-bool
-PipelineTracer::writeFile(const std::string &path) const
-{
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        return false;
-    out << dump();
-    return static_cast<bool>(out);
 }
 
 void

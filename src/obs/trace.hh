@@ -123,9 +123,6 @@ class PipelineTracer : public StepHook, public SpanSink
      *  compact, one event per line. */
     std::string dump() const;
 
-    /** Writes the trace to @p path; false on I/O failure. */
-    bool writeFile(const std::string &path) const;
-
   private:
     struct Event
     {

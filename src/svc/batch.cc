@@ -77,9 +77,9 @@ BatchFormer::join(const Request &req, ServiceTier tier, uint64_t estNs,
     for (const BatchMember &m : b.members)
         tightest = std::min(tightest, m.req.deadlineNs);
     uint64_t pass = passNs(estNs, b.members.size());
-    uint64_t headroom = static_cast<uint64_t>(
-        policy_.deadlineSlack * static_cast<double>(pass));
-    if (tightest <= now + headroom) {
+    uint64_t headroom =
+        saturatingNs(policy_.deadlineSlack * static_cast<double>(pass));
+    if (tightest <= saturatingAdd(now, headroom)) {
         close(it, "deadline");
         ++closedByDeadline_;
         return true;

@@ -34,6 +34,22 @@ constexpr int kNumOps = 3;
 /** Stable short name (logs/JSON). */
 const char *opKindName(OpKind op);
 
+/** @p ns (>= 0) in whole nanoseconds, saturating at UINT64_MAX: a
+ * budget of 2^64 ns or more is as good as none, where the plain cast
+ * would be undefined. */
+inline uint64_t
+saturatingNs(double ns)
+{
+    return ns >= 0x1p64 ? UINT64_MAX : static_cast<uint64_t>(ns);
+}
+
+/** @p a + @p b, saturating at UINT64_MAX. */
+inline uint64_t
+saturatingAdd(uint64_t a, uint64_t b)
+{
+    return b > UINT64_MAX - a ? UINT64_MAX : a + b;
+}
+
 /** One synthetic request (attempt state included). */
 struct Request
 {

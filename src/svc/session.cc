@@ -41,23 +41,11 @@ derivePrivate(uint64_t seed, CurveId curve, uint64_t userId,
 
 } // namespace
 
-SessionCache::SessionCache(uint64_t seed, unsigned shardCount)
-    : seed_(seed)
-{
-    unsigned n = 1;
-    while (n < shardCount && n < 1024)
-        n <<= 1;
-    shards_.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
-        shards_.push_back(std::make_unique<Shard>());
-}
-
 Session
 SessionCache::get(const Ecdsa &ecdsa, CurveId curve, uint64_t userId)
 {
     uint64_t key = sessionKey(curve, userId);
-    Shard &shard =
-        *shards_[splitmix64Mix(key) & (shards_.size() - 1)];
+    Shard &shard = shards_[splitmix64Mix(key) & (kShards - 1)];
 
     std::lock_guard<std::mutex> lock(shard.mtx);
     auto it = shard.map.find(key);

@@ -22,10 +22,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <vector>
 
 #include "ecdsa/ecdsa.hh"
 
@@ -44,8 +42,10 @@ struct Session
 class SessionCache
 {
   public:
-    /** @p shardCount is rounded up to a power of two (>= 1). */
-    explicit SessionCache(uint64_t seed, unsigned shardCount = 16);
+    /** Lock shards (a power of two); the report echoes it. */
+    static constexpr unsigned kShards = 16;
+
+    explicit SessionCache(uint64_t seed) : seed_(seed) {}
 
     /**
      * The session for @p userId on @p ecdsa's curve, deriving it on
@@ -60,11 +60,6 @@ class SessionCache
     /** Lookups served from cache. */
     uint64_t hits() const { return hits_.load(); }
 
-    unsigned shards() const
-    {
-        return static_cast<unsigned>(shards_.size());
-    }
-
   private:
     struct Shard
     {
@@ -73,7 +68,7 @@ class SessionCache
     };
 
     uint64_t seed_;
-    std::vector<std::unique_ptr<Shard>> shards_;
+    Shard shards_[kShards];
     std::atomic<uint64_t> derivations_{0};
     std::atomic<uint64_t> hits_{0};
 };

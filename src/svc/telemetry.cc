@@ -10,7 +10,8 @@
 #include "svc/telemetry.hh"
 
 #include <algorithm>
-#include <fstream>
+
+#include "workload/kernel_model.hh"
 
 namespace ulecc
 {
@@ -77,71 +78,50 @@ RequestTracer::record(Ev ev)
     events_.push_back(std::move(ev));
 }
 
-void
-RequestTracer::onArrival(uint64_t t, uint64_t id, uint32_t attempt,
-                         const char *op)
+RequestTracer::Ev
+RequestTracer::mark(uint64_t t, const char *name, const char *cat,
+                    uint64_t id, uint32_t attempt, const char *s1key,
+                    const char *s1)
 {
     Ev ev;
     ev.ph = 'X';
     ev.tid = 1;
     ev.ts = t;
-    ev.name = "arrival";
-    ev.cat = "lifecycle";
+    ev.name = name;
+    ev.cat = cat;
     ev.id = id;
     ev.attempt = attempt;
-    ev.s1key = "op";
-    ev.s1 = op;
-    record(std::move(ev));
+    ev.s1key = s1key;
+    ev.s1 = s1;
+    return ev;
+}
+
+void
+RequestTracer::onArrival(uint64_t t, uint64_t id, uint32_t attempt,
+                         const char *op)
+{
+    record(mark(t, "arrival", "lifecycle", id, attempt, "op", op));
 }
 
 void
 RequestTracer::onShed(uint64_t t, uint64_t id, uint32_t attempt,
                       const char *reason)
 {
-    Ev ev;
-    ev.ph = 'X';
-    ev.tid = 1;
-    ev.ts = t;
-    ev.name = "shed";
-    ev.cat = "admission";
-    ev.id = id;
-    ev.attempt = attempt;
-    ev.s1key = "reason";
-    ev.s1 = reason;
-    record(std::move(ev));
+    record(mark(t, "shed", "admission", id, attempt, "reason", reason));
 }
 
 void
 RequestTracer::onExpired(uint64_t t, uint64_t id, uint32_t attempt,
                          const char *where)
 {
-    Ev ev;
-    ev.ph = 'X';
-    ev.tid = 1;
-    ev.ts = t;
-    ev.name = "expired";
-    ev.cat = "deadline";
-    ev.id = id;
-    ev.attempt = attempt;
-    ev.s1key = "where";
-    ev.s1 = where;
-    record(std::move(ev));
+    record(mark(t, "expired", "deadline", id, attempt, "where", where));
 }
 
 void
 RequestTracer::onAdmit(uint64_t t, uint64_t id, uint32_t attempt,
                        const char *tier, uint64_t queueDepth)
 {
-    Ev ev;
-    ev.ph = 'X';
-    ev.tid = 1;
-    ev.ts = t;
-    ev.name = "admit";
-    ev.cat = "admission";
-    ev.id = id;
-    ev.attempt = attempt;
-    ev.s1key = "tier";
-    ev.s1 = tier;
+    Ev ev = mark(t, "admit", "admission", id, attempt, "tier", tier);
     ev.n1key = "queue_depth";
     ev.n1 = queueDepth;
     record(std::move(ev));
@@ -151,15 +131,9 @@ void
 RequestTracer::onQueueWait(uint64_t enqueueT, uint64_t dispatchT,
                            uint64_t id, uint32_t attempt)
 {
-    Ev ev;
-    ev.ph = 'X';
+    Ev ev = mark(enqueueT, "queue-wait", "queue", id, attempt);
     ev.tid = 2;
-    ev.ts = enqueueT;
     ev.dur = dispatchT - enqueueT;
-    ev.name = "queue-wait";
-    ev.cat = "queue";
-    ev.id = id;
-    ev.attempt = attempt;
     record(std::move(ev));
 }
 
@@ -167,35 +141,9 @@ void
 RequestTracer::onRetryScheduled(uint64_t t, uint64_t id,
                                 uint32_t nextAttempt, uint64_t delayNs)
 {
-    Ev ev;
-    ev.ph = 'X';
-    ev.tid = 1;
-    ev.ts = t;
-    ev.name = "retry-scheduled";
-    ev.cat = "retry";
-    ev.id = id;
-    ev.attempt = nextAttempt;
+    Ev ev = mark(t, "retry-scheduled", "retry", id, nextAttempt);
     ev.n1key = "backoff_ns";
     ev.n1 = delayNs;
-    record(std::move(ev));
-}
-
-void
-RequestTracer::onChaos(uint64_t t, uint64_t id, uint32_t attempt,
-                       const char *kind, const char *cls)
-{
-    Ev ev;
-    ev.ph = 'X';
-    ev.tid = 1;
-    ev.ts = t;
-    ev.name = "chaos";
-    ev.cat = "chaos";
-    ev.id = id;
-    ev.attempt = attempt;
-    ev.s1key = "kind";
-    ev.s1 = kind;
-    ev.s2key = "class";
-    ev.s2 = cls;
     record(std::move(ev));
 }
 
@@ -203,65 +151,61 @@ void
 RequestTracer::onFinal(uint64_t t, uint64_t id, uint32_t attempt,
                        const char *errc, uint64_t latencyNs, bool ok)
 {
-    Ev ev;
-    ev.ph = 'X';
-    ev.tid = 1;
-    ev.ts = t;
-    ev.name = ok ? "complete" : "failed";
-    ev.cat = "final";
-    ev.id = id;
-    ev.attempt = attempt;
-    ev.s1key = "errc";
-    ev.s1 = errc;
+    Ev ev = mark(t, ok ? "complete" : "failed", "final", id, attempt,
+                 "errc", errc);
     ev.n1key = "latency_ns";
     ev.n1 = latencyNs;
     record(std::move(ev));
 }
 
 void
-RequestTracer::onService(const ServiceSpan &span)
+RequestTracer::onService(const ServedAttempt &a)
 {
+    const Request &req = a.req;
+    if (a.chaos != ChaosClass::None) {
+        Ev ev = mark(a.completionNs, "chaos", "chaos", req.id,
+                     req.attempt, "kind", a.chaosKind);
+        ev.s2key = "class";
+        ev.s2 = chaosClassName(a.chaos);
+        record(std::move(ev));
+    }
+
     ++spans_;
-    busyNs_ += span.chargedNs;
+    busyNs_ += a.chargedNs;
     // Mirror the report's accumulator grouping exactly: analytic and
     // cancelled charges pool into their own running sums, full-cost
     // executions into a per-op account.  totalUj() folds them in the
     // report's add order so the doubles match bit for bit.
-    switch (span.energyClass) {
+    switch (a.energyClass) {
       case EnergyClass::Analytic:
-        analyticUj_ += span.uj;
+        analyticUj_ += a.uj;
         break;
       case EnergyClass::Cancelled:
-        cancelledUj_ += span.uj;
+        cancelledUj_ += a.uj;
         break;
       case EnergyClass::Op:
-        opUj_[span.opIndex] += span.uj;
+        opUj_[static_cast<int>(req.op)] += a.uj;
         break;
     }
 
-    Ev ev;
-    ev.ph = 'X';
-    ev.tid = static_cast<uint16_t>(10 + span.worker);
-    ev.ts = span.startNs;
-    ev.dur = span.chargedNs;
-    ev.name = span.op;
-    ev.cat = span.cancelled ? "service-cancelled"
-        : (span.energyClass == EnergyClass::Analytic ? "service-analytic"
-                                                     : "service");
-    ev.id = span.id;
-    ev.attempt = span.attempt;
-    ev.s1key = "tier";
-    ev.s1 = span.tier;
+    Ev ev = mark(a.startNs, opKindName(req.op),
+                 a.cancelled() ? "service-cancelled"
+                 : a.energyClass == EnergyClass::Analytic
+                     ? "service-analytic"
+                     : "service",
+                 req.id, req.attempt, "tier", serviceTierName(a.tier));
+    ev.tid = static_cast<uint16_t>(10 + a.worker);
+    ev.dur = a.chargedNs;
     ev.s2key = "errc";
-    ev.s2 = span.errc;
-    if (span.cancelled) {
+    ev.s2 = errcName(a.errc);
+    if (a.cancelled()) {
         // The full modelled time the cancellation cut short.
         ev.n1key = "service_ns";
-        ev.n1 = span.serviceNs;
+        ev.n1 = a.serviceNs;
     }
-    ev.curve = span.curve;
-    ev.arch = span.arch;
-    ev.uj = span.uj;
+    ev.curve = curveIdName(req.curve);
+    ev.arch = microArchName(req.arch);
+    ev.uj = a.uj;
     record(std::move(ev));
 }
 
@@ -274,23 +218,16 @@ RequestTracer::onBatch(const BatchSpan &span)
     // An enclosing async-style span on the worker track: the member
     // service spans tile it.  Not a service span, so the span/busy
     // reconciliation totals are untouched.
-    Ev ev;
-    ev.ph = 'X';
+    Ev ev = mark(span.startNs, "batch", "batch", span.id, 0, "close",
+                 span.closeReason);
     ev.tid = static_cast<uint16_t>(10 + span.worker);
-    ev.ts = span.startNs;
     ev.dur = span.endNs - span.startNs;
-    ev.name = "batch";
-    ev.cat = "batch";
-    ev.id = span.id;
-    ev.attempt = 0;
-    ev.s1key = "close";
-    ev.s1 = span.closeReason;
     ev.s2key = "tier";
-    ev.s2 = span.tier;
+    ev.s2 = serviceTierName(span.key.tier);
     ev.n1key = "members";
     ev.n1 = span.members;
-    ev.curve = span.curve;
-    ev.arch = span.arch;
+    ev.curve = curveIdName(span.key.curve);
+    ev.arch = microArchName(span.key.arch);
     record(std::move(ev));
 }
 
@@ -378,16 +315,6 @@ RequestTracer::dump() const
     out += other.dump();
     out += "}\n";
     return out;
-}
-
-bool
-RequestTracer::writeFile(const std::string &path) const
-{
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        return false;
-    out << dump();
-    return static_cast<bool>(out);
 }
 
 // ---------------------------------------------------------------------
@@ -577,16 +504,6 @@ TimelineAggregator::dumpJsonl() const
     return out;
 }
 
-bool
-TimelineAggregator::writeFile(const std::string &path) const
-{
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        return false;
-    out << dumpJsonl();
-    return static_cast<bool>(out);
-}
-
 // ---------------------------------------------------------------------
 // SloEngine
 
@@ -748,26 +665,22 @@ SloEngine::dumpJsonl() const
     return out;
 }
 
-bool
-SloEngine::writeFile(const std::string &path) const
-{
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        return false;
-    out << dumpJsonl();
-    return static_cast<bool>(out);
-}
-
 // ---------------------------------------------------------------------
 // FlightRecorder
 
 void
-FlightRecorder::record(const Record &r)
+FlightRecorder::record(const ServedAttempt &a)
 {
-    ring_.push_back(r);
+    ring_.push_back(a);
     if (ring_.size() > kFlightCapacity)
         ring_.pop_front();
     ++recordedTotal_;
+    const char *reason = a.cancelled() ? "deadline-breach"
+        : a.chaos != ChaosClass::None ? "chaos-strike"
+        : a.errc == Errc::FaultDetected || a.faulted ? "fault"
+                                                     : nullptr;
+    if (reason)
+        trigger(a.completionNs, reason, a.req.id, a.req.attempt);
 }
 
 void
@@ -803,42 +716,31 @@ FlightRecorder::toJson() const
     triggers["events"] = std::move(trigEvents);
     doc["triggers"] = std::move(triggers);
     Json records = Json::array();
-    for (const Record &r : ring_) {
+    for (const ServedAttempt &a : ring_) {
         Json rec = Json::object();
-        rec["id"] = r.id;
-        rec["attempt"] = static_cast<uint64_t>(r.attempt);
-        rec["user"] = r.userId;
-        rec["op"] = r.op;
-        rec["curve"] = r.curve;
-        rec["arch"] = r.arch;
-        rec["tier"] = r.tier;
-        rec["arrival_ns"] = r.arrivalNs;
-        rec["deadline_ns"] = r.deadlineNs;
-        rec["queue_ns"] = r.queueNs;
-        rec["service_ns"] = r.serviceNs;
-        rec["charged_ns"] = r.chargedNs;
-        rec["completion_ns"] = r.completionNs;
-        rec["uj"] = r.uj;
-        rec["errc"] = r.errc;
-        rec["chaos_class"] = r.chaosClass;
-        rec["chaos_kind"] = r.chaosKind;
-        rec["cancelled"] = r.cancelled;
-        rec["ok"] = r.ok;
+        rec["id"] = a.req.id;
+        rec["attempt"] = static_cast<uint64_t>(a.req.attempt);
+        rec["user"] = a.req.userId;
+        rec["op"] = opKindName(a.req.op);
+        rec["curve"] = curveIdName(a.req.curve);
+        rec["arch"] = microArchName(a.req.arch);
+        rec["tier"] = serviceTierName(a.tier);
+        rec["arrival_ns"] = a.req.firstArrivalNs;
+        rec["deadline_ns"] = a.req.deadlineNs;
+        rec["queue_ns"] = a.queueNs;
+        rec["service_ns"] = a.serviceNs;
+        rec["charged_ns"] = a.chargedNs;
+        rec["completion_ns"] = a.completionNs;
+        rec["uj"] = a.uj;
+        rec["errc"] = errcName(a.errc);
+        rec["chaos_class"] = chaosClassName(a.chaos);
+        rec["chaos_kind"] = a.chaosKind;
+        rec["cancelled"] = a.cancelled();
+        rec["ok"] = a.errc == Errc::Ok;
         records.push(std::move(rec));
     }
     doc["records"] = std::move(records);
     return doc;
-}
-
-bool
-FlightRecorder::writeFile(const std::string &path) const
-{
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        return false;
-    out << toJson().dump(2);
-    out << '\n';
-    return static_cast<bool>(out);
 }
 
 } // namespace ulecc

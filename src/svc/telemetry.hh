@@ -53,10 +53,46 @@
 
 #include "core/json.hh"
 #include "obs/hdr_histogram.hh"
-#include "svc/request.hh"
+#include "svc/batch.hh"
+#include "svc/chaos.hh"
 
 namespace ulecc
 {
+
+/** Energy account of one served attempt: the report's grouping. */
+enum class EnergyClass
+{
+    Op,        ///< full-cost modelled execution (per-op account)
+    Analytic,  ///< analytic-tier estimate
+    Cancelled, ///< pro-rata charge of a safe-point cancellation
+};
+
+/**
+ * One served request attempt -- a batch member's slice of a pass --
+ * filled once by the coordinator when the pass completes.  The
+ * request tracer draws its service span from it and the flight
+ * recorder keeps it; the execution it describes is a pure function
+ * of (seed, id, attempt), so the record is replayable.
+ */
+struct ServedAttempt
+{
+    Request req;              ///< id, attempt, user, shape, deadline
+    ServiceTier tier = ServiceTier::FullSim;
+    unsigned worker = 0;
+    uint64_t queueNs = 0;     ///< wait between join and dispatch
+    uint64_t startNs = 0;     ///< where its slice of the pass starts
+    uint64_t serviceNs = 0;   ///< full modelled service time
+    uint64_t chargedNs = 0;   ///< charged (< serviceNs if cancelled)
+    uint64_t completionNs = 0;
+    double uj = 0;            ///< charged energy (pro rata)
+    EnergyClass energyClass = EnergyClass::Op;
+    Errc errc = Errc::Ok;
+    ChaosClass chaos = ChaosClass::None;
+    const char *chaosKind = "none";
+    bool faulted = false;     ///< wrong answer or unstructured throw
+
+    bool cancelled() const { return energyClass == EnergyClass::Cancelled; }
+};
 
 // ---------------------------------------------------------------------
 // Per-request span tracing
@@ -83,40 +119,12 @@ class RequestTracer
                      uint32_t attempt);
     void onRetryScheduled(uint64_t t, uint64_t id, uint32_t nextAttempt,
                           uint64_t delayNs);
-    void onChaos(uint64_t t, uint64_t id, uint32_t attempt,
-                 const char *kind, const char *cls);
     void onFinal(uint64_t t, uint64_t id, uint32_t attempt,
                  const char *errc, uint64_t latencyNs, bool ok);
 
-    /** Energy attribution class of one service span -- mirrors the
-     * report's accumulator grouping exactly. */
-    enum class EnergyClass
-    {
-        Op,        ///< full-cost modelled execution (per-op account)
-        Analytic,  ///< analytic-tier estimate
-        Cancelled, ///< pro-rata charge of a safe-point cancellation
-    };
-
-    struct ServiceSpan
-    {
-        uint64_t startNs = 0;
-        uint64_t chargedNs = 0; ///< span duration (< serviceNs if cancelled)
-        uint64_t serviceNs = 0; ///< full modelled service time
-        uint64_t id = 0;
-        uint32_t attempt = 1;
-        unsigned worker = 0;
-        const char *op = "";
-        const char *tier = "";
-        std::string curve;
-        const char *arch = "";
-        const char *errc = "";
-        double uj = 0;          ///< charged energy (pro-rata if cancelled)
-        EnergyClass energyClass = EnergyClass::Op;
-        int opIndex = 0;        ///< per-op energy account (EnergyClass::Op)
-        bool cancelled = false;
-    };
-
-    void onService(const ServiceSpan &span);
+    /** A service span on the attempt's worker track, preceded by a
+     * chaos mark on the lifecycle track if the attempt was struck. */
+    void onService(const ServedAttempt &a);
 
     /** One dispatched batch pass (a track-level span enclosing its
      * members' service spans).  Does not count as a service span. */
@@ -127,10 +135,7 @@ class RequestTracer
         uint64_t id = 0;       ///< batch formation sequence number
         uint64_t members = 0;  ///< members dispatched with the pass
         const char *closeReason = "";
-        const char *op = "";
-        std::string curve;
-        const char *arch = "";
-        const char *tier = "";
+        BatchKey key;
         unsigned worker = 0;
     };
 
@@ -158,9 +163,6 @@ class RequestTracer
      *  compact, one event per line. */
     std::string dump() const;
 
-    /** Writes the trace to @p path; false on I/O failure. */
-    bool writeFile(const std::string &path) const;
-
   private:
     struct Ev
     {
@@ -182,6 +184,11 @@ class RequestTracer
         const char *arch = nullptr;
         double uj = -1.0;       ///< emitted when >= 0
     };
+
+    /** A lifecycle-track event: the body every hook shares. */
+    static Ev mark(uint64_t t, const char *name, const char *cat,
+                   uint64_t id, uint32_t attempt,
+                   const char *s1key = nullptr, const char *s1 = nullptr);
 
     void record(Ev ev);
 
@@ -229,9 +236,6 @@ class TimelineAggregator
     /** Flushes the trailing window; call once after the run. */
     void finalize();
 
-    /** Emitted window records, in window order (finalize() first). */
-    const std::vector<Json> &windows() const { return records_; }
-
     /** @name Cross-check totals over all windows */
     /** @{ */
     uint64_t totalOk() const { return totalOk_; }
@@ -242,9 +246,6 @@ class TimelineAggregator
 
     /** One compact record per line. */
     std::string dumpJsonl() const;
-
-    /** Writes dumpJsonl() to @p path; false on I/O failure. */
-    bool writeFile(const std::string &path) const;
 
   private:
     struct Window
@@ -297,9 +298,6 @@ class SloEngine
     /** Closes the trailing bucket; call once after the run. */
     void finalize();
 
-    /** Alert transition events (firing/resolved), in emission order. */
-    const std::vector<Json> &events() const { return events_; }
-
     /** Count of firing transitions across both rules. */
     uint64_t alertsFired() const { return alertsFired_; }
 
@@ -314,9 +312,6 @@ class SloEngine
 
     /** Alert events then the verdict, one compact record per line. */
     std::string dumpJsonl() const;
-
-    /** Writes dumpJsonl() to @p path; false on I/O failure. */
-    bool writeFile(const std::string &path) const;
 
   private:
     void closeBucket();
@@ -346,37 +341,14 @@ class SloEngine
 class FlightRecorder
 {
   public:
-    /** One executed request attempt, replayable via (seed, id,
-     * attempt) -- the execution is a pure function of that key. */
-    struct Record
-    {
-        uint64_t id = 0;
-        uint32_t attempt = 1;
-        uint64_t userId = 0;
-        const char *op = "";
-        std::string curve;
-        const char *arch = "";
-        const char *tier = "";
-        uint64_t arrivalNs = 0;   ///< first arrival (deadline anchor)
-        uint64_t deadlineNs = 0;
-        uint64_t queueNs = 0;
-        uint64_t serviceNs = 0;   ///< full modelled service time
-        uint64_t chargedNs = 0;   ///< actually charged (cancellation)
-        uint64_t completionNs = 0;
-        double uj = 0;
-        const char *errc = "";
-        const char *chaosClass = "";
-        const char *chaosKind = "";
-        bool cancelled = false;
-        bool ok = false;
-    };
-
     /** The campaign seed stamped into the replay key. */
     void setSeed(uint64_t seed) { seed_ = seed; }
 
-    /** Appends one record (oldest evicted past the fixed capacity
-     * in telemetry.cc). */
-    void record(const Record &r);
+    /** Appends one record (oldest evicted past the fixed capacity in
+     * telemetry.cc) and marks a trigger at its completion if it was
+     * cancelled (deadline-breach), struck (chaos-strike) or faulted
+     * (fault). */
+    void record(const ServedAttempt &a);
 
     /** Marks a dump-worthy moment (deadline breach, fault, chaos). */
     void trigger(uint64_t t, const char *reason, uint64_t id,
@@ -389,12 +361,9 @@ class FlightRecorder
     /** The dump: replay key, triggers, and the last N records. */
     Json toJson() const;
 
-    /** Pretty document to @p path; false on I/O failure. */
-    bool writeFile(const std::string &path) const;
-
   private:
     uint64_t seed_ = 0;
-    std::deque<Record> ring_;
+    std::deque<ServedAttempt> ring_;
     uint64_t recordedTotal_ = 0;
     std::vector<Json> triggers_;
     uint64_t triggerTotal_ = 0;

@@ -26,7 +26,6 @@
 #include "fault/campaign_summary.hh"
 #include "obs/energy_ledger.hh"
 #include "obs/hdr_histogram.hh"
-#include "obs/metrics.hh"
 #include "obs/profile.hh"
 #include "obs/trace.hh"
 #include "sim/cpu.hh"
@@ -359,35 +358,37 @@ TEST(Json, RoundTripsThroughDumpAndParse)
     EXPECT_EQ(doc.members()[4].key, "text");
 }
 
-TEST(MetricsRegistry, WriteFileRoundTrips)
+TEST(WriteTextFile, JsonDocumentRoundTrips)
 {
-    MetricsRegistry reg("ulecc.test.v1");
-    reg.set("cycles", uint64_t{123456789});
-    reg.set("ipc", 0.875);
-    reg.set("ipc", 0.5); // replaces in place
+    Json doc = Json::object();
+    doc["schema"] = "ulecc.test.v1";
+    doc["cycles"] = uint64_t{123456789};
+    doc["ipc"] = 0.875;
+    doc["ipc"] = 0.5; // replaces in place
     Json nested = Json::object();
     nested["kind"] = "stall";
-    reg.set("detail", std::move(nested));
+    doc["detail"] = std::move(nested);
+    std::string written = doc.dump(2) + "\n";
 
     const char *path = "/tmp/ulecc_test_metrics.json";
-    ASSERT_TRUE(reg.writeFile(path));
+    ASSERT_TRUE(writeTextFile(path, written));
     std::ifstream in(path);
     std::string text((std::istreambuf_iterator<char>(in)),
                      std::istreambuf_iterator<char>());
     std::remove(path);
+    EXPECT_EQ(text, written);
     Result<Json> back = Json::parse(text);
     ASSERT_TRUE(back.ok());
-    const Json &doc = back.value();
-    ASSERT_EQ(doc.members().size(), 4u);
-    EXPECT_EQ(doc.members()[0].key, "schema");
-    EXPECT_EQ(doc.find("schema")->asString(), "ulecc.test.v1");
-    EXPECT_EQ(doc.find("cycles")->asInt(), 123456789);
-    EXPECT_EQ(doc.members()[2].key, "ipc");
-    EXPECT_EQ(doc.find("ipc")->asDouble(), 0.5);
-    EXPECT_EQ(doc.find("detail")->find("kind")->asString(), "stall");
-    EXPECT_EQ(text, doc.dump(2) + "\n");
+    const Json &read = back.value();
+    ASSERT_EQ(read.members().size(), 4u);
+    EXPECT_EQ(read.members()[0].key, "schema");
+    EXPECT_EQ(read.find("schema")->asString(), "ulecc.test.v1");
+    EXPECT_EQ(read.find("cycles")->asInt(), 123456789);
+    EXPECT_EQ(read.members()[2].key, "ipc");
+    EXPECT_EQ(read.find("ipc")->asDouble(), 0.5);
+    EXPECT_EQ(read.find("detail")->find("kind")->asString(), "stall");
 
-    EXPECT_FALSE(reg.writeFile("/nonexistent-dir/metrics.json"));
+    EXPECT_FALSE(writeTextFile("/nonexistent-dir/metrics.json", written));
 }
 
 TEST(Table, RendersCsvAndJsonFromTheSameRows)

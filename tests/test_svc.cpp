@@ -14,6 +14,7 @@
 #include <ostream>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -860,6 +861,67 @@ TEST(SvcServer, VirtualTimeEndsAtTheLastEventActedOn)
     EXPECT_EQ(rep.find("virtual_ns")->asInt(), 14119244);
 }
 
+
+namespace
+{
+
+/** The counters of one campaign. */
+SvcCounters
+runCounters(const SvcConfig &cfg)
+{
+    Server server(cfg);
+    server.run();
+    return server.counters();
+}
+
+/** Every request outcome and batch close a counter records. */
+auto
+outcomes(const SvcCounters &c)
+{
+    return std::make_tuple(
+        c.completedOk, c.failed, c.failedByErrc, c.shedDepth,
+        c.shedDeadlineBudget, c.expiredAtArrival, c.expiredInQueue,
+        c.cancelledMidService, c.batchClosedBySize, c.batchClosedByLinger,
+        c.batchClosedByDeadline);
+}
+
+} // namespace
+
+TEST(SvcServer, HugeDeadlineFactorSaturatesInsteadOfExpiring)
+{
+    // A deadline budget of 2^64 ns or more saturates: the request
+    // behaves as with any other budget far beyond the campaign, where
+    // a wrapped cast would leave only the 2 ms floor.
+    SvcConfig cfg;
+    cfg.seed = 3;
+    cfg.requests = 20;
+    cfg.serial = true;
+    cfg.deadlineFactor = 1e6;
+    SvcCounters inRange = runCounters(cfg);
+    EXPECT_EQ(inRange.completedOk, cfg.requests);
+    cfg.deadlineFactor = 1e300;
+    EXPECT_EQ(outcomes(runCounters(cfg)), outcomes(inRange));
+}
+
+TEST(SvcBatch, HugeDeadlineSlackSaturatesInsteadOfLingering)
+{
+    // A deadline-pressure headroom of 2^64 ns or more saturates, so
+    // every batch that does not fill up closes at join by deadline,
+    // exactly as with a slack already far beyond the campaign.
+    SvcConfig cfg;
+    cfg.seed = 5;
+    cfg.requests = 200;
+    cfg.serial = true;
+    cfg.arrivals.kind = ArrivalKind::Bursty;
+    cfg.batch.maxSize = 8;
+    cfg.batch.lingerNs = 3'000'000;
+    cfg.batch.deadlineSlack = 1e6;
+    SvcCounters inRange = runCounters(cfg);
+    EXPECT_GT(inRange.batchClosedByDeadline, 0u);
+    EXPECT_EQ(inRange.batchClosedByLinger, 0u);
+    cfg.batch.deadlineSlack = 1e300;
+    EXPECT_EQ(outcomes(runCounters(cfg)), outcomes(inRange));
+}
 
 // ---------------------------------------------------------------------
 // Batch former (src/svc/batch.hh)

@@ -32,7 +32,6 @@
 
 #include "check/diffuzz.hh"
 #include "check/oracles.hh"
-#include "obs/metrics.hh"
 
 #include "flag_parse.hh"
 
@@ -197,17 +196,11 @@ main(int argc, char **argv)
                     static_cast<double>(s.durationNs) / 1e6);
     printFailures(report);
 
-    if (!jsonPath.empty()) {
-        Json doc = reportToJson(report, opts);
-        MetricsRegistry reg("ulecc.diffuzz.v1");
-        for (const JsonMember &m : doc.members()) {
-            if (m.key != "schema")
-                reg.set(m.key, m.value);
-        }
-        if (!reg.writeFile(jsonPath)) {
-            std::fprintf(stderr, "cannot write %s\n", jsonPath.c_str());
-            return 2;
-        }
+    if (!jsonPath.empty()
+        && !writeTextFile(jsonPath,
+                          reportToJson(report, opts).dump(2) + "\n")) {
+        std::fprintf(stderr, "cannot write %s\n", jsonPath.c_str());
+        return 2;
     }
 
     if (goldenMissing || !report.pass())

@@ -56,7 +56,6 @@
 #include <type_traits>
 
 #include "core/report.hh"
-#include "obs/metrics.hh"
 #include "svc/service.hh"
 #include "svc/telemetry.hh"
 
@@ -248,36 +247,24 @@ main(int argc, char **argv)
     server.run();
     const SvcCounters &c = server.counters();
 
-    auto writeArtifact = [](bool ok, const std::string &path) {
+    auto write = [](const std::string &path, const std::string &text) {
+        bool ok = writeTextFile(path, text);
         if (!ok)
             std::fprintf(stderr, "cannot write %s\n", path.c_str());
         return ok;
     };
-    if (tracer && !writeArtifact(tracer->writeFile(tracePath), tracePath))
-        return 2;
-    if (timeline
-        && !writeArtifact(timeline->writeFile(timelinePath), timelinePath))
-        return 2;
-    if (slo && !writeArtifact(slo->writeFile(sloPath), sloPath))
-        return 2;
-    if (flight && !writeArtifact(flight->writeFile(flightPath), flightPath))
+    if ((tracer && !write(tracePath, tracer->dump()))
+        || (timeline && !write(timelinePath, timeline->dumpJsonl()))
+        || (slo && !write(sloPath, slo->dumpJsonl()))
+        || (flight && !write(flightPath, flight->toJson().dump(2) + "\n")))
         return 2;
 
     if (!quiet)
         std::fputs(server.reportText().c_str(), stdout);
 
-    if (!jsonPath.empty()) {
-        Json doc = server.report();
-        MetricsRegistry reg("ulecc.svc.v1");
-        for (const JsonMember &m : doc.members()) {
-            if (m.key != "schema")
-                reg.set(m.key, m.value);
-        }
-        if (!reg.writeFile(jsonPath)) {
-            std::fprintf(stderr, "cannot write %s\n", jsonPath.c_str());
-            return 2;
-        }
-    }
+    if (!jsonPath.empty()
+        && !write(jsonPath, server.report().dump(2) + "\n"))
+        return 2;
 
     // The soak invariant: every request of the campaign is issued
     // and reaches exactly one final state -- a correct result or a

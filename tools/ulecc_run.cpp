@@ -44,7 +44,6 @@
 #include "asmkit/assembler.hh"
 #include "energy/power_model.hh"
 #include "obs/energy_ledger.hh"
-#include "obs/metrics.hh"
 #include "obs/profile.hh"
 #include "obs/trace.hh"
 #include "sim/cpu.hh"
@@ -320,7 +319,7 @@ main(int argc, char **argv)
                         pm.averagePowerMw(ev));
         }
         if (trace_path) {
-            if (!tracer.writeFile(trace_path)) {
+            if (!writeTextFile(trace_path, tracer.dump())) {
                 std::fprintf(stderr,
                              "ulecc-run: cannot write trace %s\n",
                              trace_path);
@@ -336,42 +335,39 @@ main(int argc, char **argv)
         if (profile)
             std::fputs(profiler.report().renderText().c_str(), stdout);
         if (metrics_path) {
-            MetricsRegistry reg("ulecc.run.v1");
-            reg.set("program", path);
-            reg.set("multiplier",
-                    multiplierVariantName(config.multiplier));
-            reg.set("halted", halted);
+            Json doc = Json::object();
+            doc["schema"] = "ulecc.run.v1";
+            doc["program"] = path;
+            doc["multiplier"] = multiplierVariantName(config.multiplier);
+            doc["halted"] = halted;
             if (!halted)
-                reg.set("error", errcName(outcome.code()));
-            reg.set("cycles", s.cycles);
-            reg.set("instructions", s.instructions);
-            reg.set("ipc", s.cycles
-                               ? double(s.instructions) / s.cycles
-                               : 0.0);
-            reg.set("sim_wall_seconds", wall_s);
-            reg.set("sim_mips",
-                    wall_s > 0 ? s.instructions / wall_s / 1e6 : 0.0);
-            reg.set("stall_cycles", stallsToJson(s));
+                doc["error"] = errcName(outcome.code());
+            doc["cycles"] = s.cycles;
+            doc["instructions"] = s.instructions;
+            doc["ipc"] =
+                s.cycles ? double(s.instructions) / s.cycles : 0.0;
+            doc["sim_wall_seconds"] = wall_s;
+            doc["sim_mips"] =
+                wall_s > 0 ? s.instructions / wall_s / 1e6 : 0.0;
+            doc["stall_cycles"] = stallsToJson(s);
             Json mem = Json::object();
             mem["rom_reads"] = romf.reads;
             mem["rom_wide_reads"] = romf.wideReads;
             mem["ram_reads"] = ram.reads;
             mem["ram_writes"] = ram.writes;
-            reg.set("memory", std::move(mem));
+            doc["memory"] = std::move(mem);
             if (cpu.icache()) {
                 Json ic = Json::object();
                 ic["accesses"] = cpu.icache()->stats().accesses;
                 ic["miss_rate"] = cpu.icache()->stats().missRate();
-                reg.set("icache", std::move(ic));
+                doc["icache"] = std::move(ic);
             }
             EnergyLedger ledger;
             ledger.addPhase("run", ev);
-            reg.set("energy", ledger.toJson());
-            if (profile) {
-                ProfileReport rep = profiler.report();
-                reg.set("profile", rep.toJson());
-            }
-            if (!reg.writeFile(metrics_path)) {
+            doc["energy"] = ledger.toJson();
+            if (profile)
+                doc["profile"] = profiler.report().toJson();
+            if (!writeTextFile(metrics_path, doc.dump(2) + "\n")) {
                 std::fprintf(stderr,
                              "ulecc-run: cannot write metrics %s\n",
                              metrics_path);
