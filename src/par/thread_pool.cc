@@ -1,6 +1,6 @@
 /**
  * @file
- * Work-stealing thread pool implementation.
+ * FIFO thread pool implementation.
  */
 
 #include "par/thread_pool.hh"
@@ -11,24 +11,6 @@
 
 namespace ulecc
 {
-
-namespace
-{
-
-/**
- * Identity of the pool worker running on this thread, if any: lets a
- * nested submit() land on the submitting worker's own deque instead
- * of the injection queue.
- */
-struct WorkerIdentity
-{
-    ThreadPool *pool = nullptr;
-    unsigned index = 0;
-};
-
-thread_local WorkerIdentity tlsWorker;
-
-} // namespace
 
 unsigned
 ThreadPool::defaultThreads()
@@ -59,10 +41,9 @@ ThreadPool::ThreadPool(unsigned threads)
     if (threads == 0)
         threads = defaultThreads();
     threads = std::min(threads, maxThreads);
-    local_.resize(threads);
     workers_.reserve(threads);
     for (unsigned i = 0; i < threads; ++i)
-        workers_.emplace_back([this, i] { workerLoop(i); });
+        workers_.emplace_back([this] { workerLoop(); });
 }
 
 ThreadPool::~ThreadPool()
@@ -81,15 +62,7 @@ ThreadPool::submit(std::function<void()> task)
 {
     {
         std::lock_guard<std::mutex> lock(mtx_);
-        if (tlsWorker.pool == this) {
-            // Nested submission: keep the task hot on the submitting
-            // worker's own deque (popped LIFO by that worker, stolen
-            // FIFO by idle ones).
-            local_[tlsWorker.index].push_back(std::move(task));
-        } else {
-            injection_.push_back(std::move(task));
-        }
-        ++queued_;
+        queue_.push_back(std::move(task));
         ++inFlight_;
     }
     wake_.notify_one();
@@ -102,76 +75,18 @@ ThreadPool::wait()
     drained_.wait(lock, [this] { return inFlight_ == 0; });
 }
 
-uint64_t
-ThreadPool::steals() const
-{
-    std::lock_guard<std::mutex> lock(mtx_);
-    return steals_;
-}
-
-uint64_t
-ThreadPool::localPops() const
-{
-    std::lock_guard<std::mutex> lock(mtx_);
-    return localPops_;
-}
-
-uint64_t
-ThreadPool::injectionPops() const
-{
-    std::lock_guard<std::mutex> lock(mtx_);
-    return injectionPops_;
-}
-
-bool
-ThreadPool::takeTask(unsigned me, std::function<void()> &task)
-{
-    // Own deque first, newest task first: nested work stays cache-hot
-    // on the worker that created it.
-    if (!local_[me].empty()) {
-        task = std::move(local_[me].back());
-        local_[me].pop_back();
-        ++localPops_;
-        --queued_;
-        return true;
-    }
-    // Then the global injection queue, in submission order.
-    if (!injection_.empty()) {
-        task = std::move(injection_.front());
-        injection_.pop_front();
-        ++injectionPops_;
-        --queued_;
-        return true;
-    }
-    // Finally steal: scan victims starting at the right-hand
-    // neighbour, taking their *oldest* task (FIFO end) -- the one
-    // most likely to be cold for the victim and largest-grained.
-    unsigned n = static_cast<unsigned>(local_.size());
-    for (unsigned k = 1; k < n; ++k) {
-        unsigned victim = (me + k) % n;
-        if (!local_[victim].empty()) {
-            task = std::move(local_[victim].front());
-            local_[victim].pop_front();
-            ++steals_;
-            --queued_;
-            return true;
-        }
-    }
-    return false;
-}
-
 void
-ThreadPool::workerLoop(unsigned me)
+ThreadPool::workerLoop()
 {
-    tlsWorker.pool = this;
-    tlsWorker.index = me;
     for (;;) {
         std::function<void()> task;
         {
             std::unique_lock<std::mutex> lock(mtx_);
-            wake_.wait(lock, [this] { return stop_ || queued_ != 0; });
-            if (!takeTask(me, task))
-                return; // stop_ set and nothing left anywhere
+            wake_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+            if (queue_.empty())
+                return; // stop_ set and nothing left to run
+            task = std::move(queue_.front());
+            queue_.pop_front();
         }
         task();
         {

@@ -76,11 +76,11 @@ class StepHook
 enum class MultTimer : uint8_t
 {
     None,  ///< leaves the timer untouched
-    Mult,  ///< PeteConfig::multLatency
-    Mac,   ///< PeteConfig::macLatency
-    Gf2,   ///< PeteConfig::gf2Latency
-    Addau, ///< PeteConfig::addauLatency
-    Div,   ///< PeteConfig::divLatency
+    Mult,  ///< the multiplier descriptor's multLatency
+    Mac,   ///< the multiplier descriptor's macLatency
+    Gf2,   ///< the multiplier descriptor's gf2Latency
+    Addau, ///< PeteConfig::kAddauLatency
+    Div,   ///< PeteConfig::kDivLatency
 };
 
 /**
@@ -141,18 +141,14 @@ struct PeteConfig
     bool icacheEnabled = false;
     ICacheConfig icache;
     /**
-     * The Hi/Lo multiplier design point.  The three unit latencies
-     * below default to this variant's descriptor (sim/multiplier.hh,
-     * the single source of the timing contract); applyMultiplier()
-     * re-points all four fields together.  The variant never changes
-     * architectural results -- only the timing and energy model.
+     * The Hi/Lo multiplier design point.  latency() reads the three
+     * unit latencies from this variant's descriptor (sim/multiplier.hh,
+     * the single source of the timing contract).  The variant never
+     * changes architectural results -- only the timing and energy model.
      */
     MultiplierVariant multiplier = MultiplierVariant::Karatsuba;
-    uint32_t multLatency = kKaratsubaDesc.multLatency;  ///< MULT/MULTU
-    uint32_t macLatency = kKaratsubaDesc.macLatency;    ///< MADDU/M2ADDU
-    uint32_t gf2Latency = kKaratsubaDesc.gf2Latency;    ///< MULGF2/MADDGF2
-    uint32_t addauLatency = 2; ///< ADDAU through the four-port adder
-    uint32_t divLatency = 34;  ///< binary restoring divider
+    static constexpr uint32_t kAddauLatency = 2; ///< four-port adder
+    static constexpr uint32_t kDivLatency = 34;  ///< restoring divider
     /** Cycle budget, checked before every instruction: a run stops
      *  at the first instruction boundary at or past it. */
     uint64_t maxCycles = 500'000'000;
@@ -161,12 +157,13 @@ struct PeteConfig
     uint32_t
     latency(MultTimer timer) const
     {
+        const MultiplierDesc &d = multiplierDesc(multiplier);
         switch (timer) {
-          case MultTimer::Mult: return multLatency;
-          case MultTimer::Mac: return macLatency;
-          case MultTimer::Gf2: return gf2Latency;
-          case MultTimer::Addau: return addauLatency;
-          case MultTimer::Div: return divLatency;
+          case MultTimer::Mult: return d.multLatency;
+          case MultTimer::Mac: return d.macLatency;
+          case MultTimer::Gf2: return d.gf2Latency;
+          case MultTimer::Addau: return kAddauLatency;
+          case MultTimer::Div: return kDivLatency;
           case MultTimer::None: break;
         }
         return 0;

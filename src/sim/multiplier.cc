@@ -7,7 +7,7 @@
  * mpint oracle hold every variant's Hi/Lo/OvFlo bit-identical to the
  * default Karatsuba unit; only KaratsubaTrace's schedule and block
  * activity differ.  The hot simulator loops never come through here
- * (a variant changes Pete's timing via PeteConfig latencies only), so
+ * (a variant changes Pete's timing via PeteConfig::latency() only), so
  * these paths optimize for being obviously-correct models, not speed.
  */
 
@@ -16,7 +16,6 @@
 #include <cstring>
 
 #include "mpint/binary_field.hh" // clmul32
-#include "sim/cpu.hh"
 #include "sim/karatsuba_unit.hh"
 
 namespace ulecc
@@ -32,16 +31,6 @@ parseMultiplierVariant(std::string_view name, MultiplierVariant &out)
         }
     }
     return false;
-}
-
-void
-applyMultiplier(PeteConfig &cfg, MultiplierVariant v)
-{
-    const MultiplierDesc &d = multiplierDesc(v);
-    cfg.multiplier = v;
-    cfg.multLatency = d.multLatency;
-    cfg.macLatency = d.macLatency;
-    cfg.gf2Latency = d.gf2Latency;
 }
 
 namespace

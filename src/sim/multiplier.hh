@@ -26,8 +26,8 @@
  * results for every op (tests/test_karatsuba.cpp pins this across the
  * diffuzz mpint oracle) -- and differs only in its timing schedule
  * and calibrated energy/area coefficients.  One MultiplierDesc per
- * variant is the SINGLE SOURCE of that contract: PeteConfig's default
- * latencies, KaratsubaTrace cycle counts, the block cache's
+ * variant is the SINGLE SOURCE of that contract: PeteConfig::latency(),
+ * KaratsubaTrace cycle counts, the block cache's
  * timing-context encoding, the kernel cost model's occupancy
  * formulas, and the eval-cache key all consume it.  Nothing may
  * hardcode a 4 again.
@@ -41,8 +41,6 @@
 
 namespace ulecc
 {
-
-struct PeteConfig; // sim/cpu.hh
 
 /** The swept multiplier micro-architectures. */
 enum class MultiplierVariant : uint8_t
@@ -119,13 +117,6 @@ multiplierVariantName(MultiplierVariant v)
 /** Parses a CLI/journal spelling; false leaves @p out untouched. */
 bool parseMultiplierVariant(std::string_view name,
                             MultiplierVariant &out);
-
-/**
- * Points @p cfg at @p v: sets the variant id and copies the
- * descriptor's three unit latencies.  (Out of line so this header
- * does not need PeteConfig's definition.)
- */
-void applyMultiplier(PeteConfig &cfg, MultiplierVariant v);
 
 } // namespace ulecc
 

@@ -27,7 +27,7 @@
  *
  * Every decision is a pure function of coordinator state, so batch
  * composition -- and therefore every report/telemetry artifact -- is
- * byte-identical across serial, parallel, and work-stealing runs.
+ * byte-identical across serial runs and pools of any width.
  * With maxSize == 1 each request closes its own batch at join time,
  * reproducing the unbatched engine exactly.
  */
@@ -62,7 +62,9 @@ struct BatchKey
 struct BatchPolicy
 {
     uint32_t maxSize = 8;          ///< close trigger: member count
-    uint64_t lingerNs = 2'000'000; ///< close trigger: virtual linger
+    /** Close trigger: virtual linger.  SvcConfig::validate() caps it
+     * at 1e15 ns so openNs + lingerNs cannot wrap. */
+    uint64_t lingerNs = 2'000'000;
     /** Close when the tightest deadline leaves less than this many
      * estimated pass lengths of headroom. */
     double deadlineSlack = 1.0;

@@ -6,6 +6,7 @@
 #include "svc/executor.hh"
 
 #include <atomic>
+#include <functional>
 
 #include "ecdsa/ecdh.hh"
 #include "ecdsa/ecdsa.hh"
@@ -303,41 +304,34 @@ Executor::launch(std::vector<Request> reqs, ServiceTier tier,
     state->reqs = std::move(reqs);
     size_t n = state->reqs.size();
     state->outcomes.resize(n);
-    state->remaining.store(n, std::memory_order_relaxed);
+    state->remaining.store(n + (fullSim ? 1 : 0),
+                           std::memory_order_relaxed);
     std::future<BatchExecResult> result = state->promise.get_future();
 
-    auto runAnchor = [fullSim, anchorSeed, state] {
-        if (!fullSim)
-            return;
-        SplitMix64 rng(anchorSeed);
-        bool mismatch = false;
-        chaosCosim(rng, &mismatch);
-        if (mismatch)
-            state->anchorMismatch.store(true, std::memory_order_release);
+    // A serial run executes each task inline, in launch order.
+    auto run = [this](std::function<void()> task) {
+        if (pool_)
+            pool_->submit(std::move(task));
+        else
+            task();
     };
-
-    if (!pool_) {
-        runAnchor();
-        for (size_t i = 0; i < n; ++i) {
+    if (fullSim) {
+        run([anchorSeed, state] {
+            SplitMix64 rng(anchorSeed);
+            bool mismatch = false;
+            chaosCosim(rng, &mismatch);
+            if (mismatch)
+                state->anchorMismatch.store(true,
+                                            std::memory_order_release);
+            state->finishOne();
+        });
+    }
+    for (size_t i = 0; i < n; ++i) {
+        run([this, state, i] {
             state->outcomes[i] = execMember(state->reqs[i]);
             state->finishOne();
-        }
-        return result;
+        });
     }
-    pool_->submit([this, state, runAnchor, n] {
-        runAnchor();
-        // Fan out members 1..n-1, keep member 0 for this task: the
-        // subtasks land on this worker's own deque and get stolen
-        // when other workers run dry.
-        for (size_t i = 1; i < n; ++i) {
-            pool_->submit([this, state, i] {
-                state->outcomes[i] = execMember(state->reqs[i]);
-                state->finishOne();
-            });
-        }
-        state->outcomes[0] = execMember(state->reqs[0]);
-        state->finishOne();
-    });
     return result;
 }
 

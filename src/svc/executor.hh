@@ -7,8 +7,8 @@
  * pass.  The executor runs them -- checked sign/verify/ECDH against
  * lazily derived user sessions, chaos strikes, and for the FullSim
  * tier one co-simulation anchor per pass -- as pure functions of
- * (seed, id, attempt), on a work-stealing pool unless the run is
- * serial, and returns one future per pass.  It owns the curves'
+ * (seed, id, attempt), on the pool unless the run is serial, and
+ * returns one future per pass.  It owns the curves'
  * signers and server keys, the session cache and the pool; the
  * coordinator sees only the arch list per curve and the outcomes.
  */
@@ -72,12 +72,11 @@ class Executor
     void start();
 
     /**
-     * Launches one pass over @p reqs (non-empty) as a single pooled
-     * task.  The task runs the shared setup once -- for the FullSim
-     * tier, one co-simulation anchor cross-checking Pete against the
-     * native bignum, a pure function of @p batchId -- then fans the
-     * members out as subtasks on its worker's own deque, where idle
-     * workers steal them.
+     * Launches one pass over @p reqs (non-empty): each member is its
+     * own pool task, and so is the pass's shared setup -- for the
+     * FullSim tier, one co-simulation anchor cross-checking Pete
+     * against the native bignum, a pure function of @p batchId.  The
+     * last task to finish fulfils the future.
      */
     std::future<BatchExecResult> launch(std::vector<Request> reqs,
                                         ServiceTier tier,

@@ -750,6 +750,10 @@ SvcConfig::validate() const
     check(!a.diurnal || a.dayNs >= a.diurnalSteps, "arrivals.dayNs",
           ">= arrivals.diurnalSteps with diurnal on");
     check(batch.maxSize >= 1, "batch.maxSize", ">= 1");
+    // Each linger deadline is openNs + lingerNs: the cap (svc_run's
+    // --batch-linger-us ceiling) keeps the sum from wrapping.
+    check(batch.lingerNs <= 1'000'000'000'000'000ull, "batch.lingerNs",
+          "<= 1e15");
     check(batch.setupFraction >= 0 && batch.setupFraction < 0.5,
           "batch.setupFraction", "in [0, 0.5)");
     check(std::isfinite(batch.deadlineSlack) && batch.deadlineSlack >= 0,

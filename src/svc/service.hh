@@ -28,8 +28,8 @@
  * coordinator in *virtual time*; real execution of admitted requests
  * (the host-side cryptography, chaos strikes, co-simulations) is a
  * pure function of (seed, request id, attempt) farmed out to a
- * ThreadPool -- one pooled task per batch, which may fan member
- * subtasks onto the work-stealing deques.  Parallel and serial runs
+ * ThreadPool -- one pooled task per batch member, plus one per
+ * FullSim co-simulation anchor.  Parallel and serial runs
  * therefore produce byte-identical timing-free reports: threads
  * change wall-clock, never outcomes.
  */

@@ -465,7 +465,7 @@ runKernel(AsmKernel kernel, const MpUint &a, const MpUint &b, int k,
           const ICacheConfig *icache, MultiplierVariant multiplier)
 {
     PeteConfig cfg;
-    applyMultiplier(cfg, multiplier);
+    cfg.multiplier = multiplier;
     if (icache) {
         cfg.icacheEnabled = true;
         cfg.icache = *icache;

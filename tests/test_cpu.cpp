@@ -745,8 +745,8 @@ TEST(Pete, SixCycleMultiplierCountdown)
     // iteration instead of three: 60 more stall cycles, the same
     // instructions and the same arithmetic.
     PeteConfig cfg;
-    applyMultiplier(cfg, MultiplierVariant::Karatsuba2);
-    ASSERT_EQ(cfg.multLatency, 6u);
+    cfg.multiplier = MultiplierVariant::Karatsuba2;
+    ASSERT_EQ(cfg.latency(MultTimer::Mult), 6u);
     Pete six = runProgram(kMultCrossingWorkload, cfg);
     Pete four = runProgram(kMultCrossingWorkload);
     EXPECT_EQ(six.stats().multBusyStalls, 30u * 5);

@@ -267,22 +267,21 @@ TEST(MultiplierFamily, M2adduCarryMatches65BitAdd)
 
 TEST(MultiplierFamily, PeteConfigDefaultsComeFromDescriptor)
 {
-    // The single-source contract: a default PeteConfig carries exactly
-    // the karatsuba descriptor's schedule, and applyMultiplier()
-    // rewrites all three latencies from the chosen descriptor.
+    // The single-source contract: a default PeteConfig is the karatsuba
+    // design point, and each variant's PeteConfig::latency() is its
+    // descriptor's schedule.
     PeteConfig cfg;
     EXPECT_EQ(cfg.multiplier, MultiplierVariant::Karatsuba);
-    EXPECT_EQ(cfg.multLatency, kKaratsubaDesc.multLatency);
-    EXPECT_EQ(cfg.macLatency, kKaratsubaDesc.macLatency);
-    EXPECT_EQ(cfg.gf2Latency, kKaratsubaDesc.gf2Latency);
     for (MultiplierVariant v : kAllVariants) {
         const MultiplierDesc &d = multiplierDesc(v);
         PeteConfig c;
-        applyMultiplier(c, v);
-        EXPECT_EQ(c.multiplier, v) << d.name;
-        EXPECT_EQ(c.multLatency, d.multLatency) << d.name;
-        EXPECT_EQ(c.macLatency, d.macLatency) << d.name;
-        EXPECT_EQ(c.gf2Latency, d.gf2Latency) << d.name;
+        c.multiplier = v;
+        EXPECT_EQ(c.latency(MultTimer::Mult), d.multLatency) << d.name;
+        EXPECT_EQ(c.latency(MultTimer::Mac), d.macLatency) << d.name;
+        EXPECT_EQ(c.latency(MultTimer::Gf2), d.gf2Latency) << d.name;
+        EXPECT_EQ(c.latency(MultTimer::Addau), 2u) << d.name;
+        EXPECT_EQ(c.latency(MultTimer::Div), 34u) << d.name;
+        EXPECT_EQ(c.latency(MultTimer::None), 0u) << d.name;
         MultiplierVariant parsed;
         EXPECT_TRUE(parseMultiplierVariant(d.name, parsed)) << d.name;
         EXPECT_EQ(parsed, v) << d.name;

@@ -667,6 +667,8 @@ const ConfigRule kConfigRules[] = {
      }},
     {"BatchMaxSizeZero", "batch.maxSize",
      [](SvcConfig &c) { c.batch.maxSize = 0; }},
+    {"LingerAbove1e15", "batch.lingerNs",
+     [](SvcConfig &c) { c.batch.lingerNs = UINT64_MAX; }},
     {"SetupFractionHalf", "batch.setupFraction",
      [](SvcConfig &c) { c.batch.setupFraction = 0.5; }},
     {"SetupFractionNegative", "batch.setupFraction",
@@ -749,6 +751,8 @@ TEST(SvcConfigValidateBounds, EveryBoundaryValueIsAccepted)
     edge.chaos.percent = 100;
     Result<void> valid = edge.validate();
     EXPECT_TRUE(valid.ok()) << valid.error().context;
+    edge.batch.lingerNs = 1'000'000'000'000'000ull;
+    EXPECT_TRUE(edge.validate().ok());
     // A degenerate day is only an error while the day curve is on.
     edge.arrivals.diurnal = false;
     edge.arrivals.dayNs = 0;
@@ -1150,8 +1154,8 @@ TEST(SvcBatch, ArtifactsByteIdenticalAcrossPoolModesWithBatchingOn)
 {
     // The tentpole determinism contract: with batching on and chaos
     // striking, the report and all four telemetry artifacts are
-    // byte-identical whether requests execute on the work-stealing
-    // pool or serially.
+    // byte-identical whether requests execute on the pool or
+    // serially.
     std::vector<std::string> reports, traces, timelines, slos, flights;
     for (int mode = 0; mode < 2; ++mode) {
         SvcConfig run = soakConfig(23, 500);

@@ -298,10 +298,10 @@ EOF
     done
 fi
 
-step "telemetry: svc artifacts (serial vs work-stealing)"
+step "telemetry: svc artifacts (serial vs pool)"
 # Batching on (explicitly, with a close policy that actually
 # coalesces): every artifact must still be byte-identical whether
-# requests execute inline or on the work-stealing deques.
+# requests execute inline or on the pool.
 svc_tel_args=(--seed 11 --requests 400 --chaos 20 --arrival bursty
               --batch-max 8 --batch-linger-us 3000 --quiet)
 for mode in par ser; do

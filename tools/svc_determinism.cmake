@@ -1,7 +1,9 @@
 # Determinism check for svc_run: the timing-free report AND every
 # telemetry artifact (request trace, timeline, SLO alert log, flight
 # recorder dump) must be byte-identical for the same seed across
-# independent parallel runs and across --serial/parallel execution.
+# independent parallel runs, across --serial/parallel execution, and
+# across fixed pool widths (--jobs 1 and --jobs 4; the default width
+# follows the host's core count).
 #
 # Invoked by ctest (tool_svc_run_determinism) with:
 #   -DSVC_RUN=<path to svc_run> -DWORK_DIR=<scratch dir>
@@ -26,9 +28,11 @@ endfunction()
 svc_det_run(a "")
 svc_det_run(b "")
 svc_det_run(serial "--serial")
+svc_det_run(jobs1 "--jobs;1")
+svc_det_run(jobs4 "--jobs;4")
 
-foreach(other b serial)
-    foreach(ext json trace timeline slo flight)
+foreach(other b serial jobs1 jobs4)
+    foreach(ext ${artifacts})
         execute_process(
             COMMAND ${CMAKE_COMMAND} -E compare_files
                     ${WORK_DIR}/svc_det_a.${ext}

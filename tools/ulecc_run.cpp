@@ -81,9 +81,9 @@ collectEvents(const Pete &cpu, const PeteConfig &config,
     ev.cycles = s.cycles;
     ev.instructions = s.instructions;
     // Each issue occupies the unit for the configured latency -- the
-    // descriptor-sourced field, never a literal (GF(2)-heavy runs on a
+    // descriptor's, never a literal (GF(2)-heavy runs on a
     // split-latency variant are approximated by the integer latency).
-    ev.multActiveCycles = s.multIssues * config.multLatency;
+    ev.multActiveCycles = s.multIssues * config.latency(MultTimer::Mult);
     ev.romNarrowReads = cpu.mem().romFetchCounters().reads;
     ev.romWideReads = cpu.mem().romFetchCounters().wideReads;
     ev.ramReads = cpu.mem().ramCounters().reads;
@@ -161,7 +161,7 @@ main(int argc, char **argv)
                 usage();
                 return 2;
             }
-            applyMultiplier(config, v);
+            config.multiplier = v;
         } else if (!std::strcmp(argv[i], "--max-cycles")
                    && i + 1 < argc) {
             if (!parseCount(kTool, "--max-cycles", argv[++i], 0, 1,
