@@ -14,15 +14,6 @@
 namespace ulecc
 {
 
-uint32_t
-Program::labelAddr(const std::string &name) const
-{
-    auto it = labels.find(name);
-    if (it == labels.end())
-        throw UleccError(Errc::InvalidInput, "undefined label: " + name);
-    return it->second;
-}
-
 namespace
 {
 
@@ -470,16 +461,6 @@ assemble(const std::string &source)
 {
     AsmContext ctx(source);
     return ctx.emit();
-}
-
-Result<Program>
-assembleChecked(const std::string &source)
-{
-    try {
-        return assemble(source);
-    } catch (const UleccError &e) {
-        return e.error();
-    }
 }
 
 } // namespace ulecc

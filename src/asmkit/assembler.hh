@@ -28,9 +28,6 @@ struct Program
     std::vector<uint32_t> words;             ///< image, word-addressed
     std::map<std::string, uint32_t> labels;  ///< label -> byte address
 
-    /** Byte address of a label; throws Errc::InvalidInput if undefined. */
-    uint32_t labelAddr(const std::string &name) const;
-
     /** Image size in bytes. */
     uint32_t sizeBytes() const
     {
@@ -59,9 +56,6 @@ class AsmError : public UleccError
 
 /** Assembles @p source into a program image. */
 Program assemble(const std::string &source);
-
-/** Non-throwing assembly: Errc::AsmSyntax with line context on error. */
-Result<Program> assembleChecked(const std::string &source);
 
 } // namespace ulecc
 

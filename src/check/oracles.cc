@@ -113,7 +113,7 @@ class MpintTarget final : public Target
     generate(DiffRng &rng) const override
     {
         CaseInput c;
-        uint64_t r = rng.below(100);
+        uint64_t r = rng.below(85);
         if (r < 10) {
             c.op = "add";
             MpUint a = rng.edgeMp(kCapBits - 1);
@@ -138,21 +138,13 @@ class MpintTarget final : public Target
         } else if (r < 41) {
             c.op = "sqr";
             c.args = {rng.edgeMp(kCapBits / 2).toHex()};
-        } else if (r < 46) {
-            c.op = "mulw";
-            static const uint32_t kWords[] = {0, 1, 2, 0x7fffffffu,
-                                              0x80000000u, 0xffffffffu};
-            uint32_t w = rng.below(2)
-                             ? kWords[rng.below(6)]
-                             : static_cast<uint32_t>(rng.next());
-            c.args = {rng.edgeMp(kCapBits - 32).toHex(), MpUint(w).toHex()};
-        } else if (r < 56) {
+        } else if (r < 51) {
             c.op = "divmod";
             MpUint b = rng.edgeMp(kCapBits);
             if (b.isZero())
                 b = MpUint(1);
             c.args = {rng.edgeMp(kCapBits).toHex(), b.toHex()};
-        } else if (r < 62) {
+        } else if (r < 57) {
             // Wide dividend, narrow divisor: the shape that used to
             // trip shiftLeft's capacity check inside divmod.
             c.op = "mod";
@@ -160,37 +152,30 @@ class MpintTarget final : public Target
             if (m.isZero())
                 m = MpUint(3);
             c.args = {rng.edgeMp(kCapBits).toHex(), m.toHex()};
-        } else if (r < 70) {
+        } else if (r < 65) {
             c.op = "shl";
             c.args = {rng.edgeMp(kCapBits).toHex(),
                       std::to_string(rng.below(1400))};
-        } else if (r < 75) {
+        } else if (r < 70) {
             c.op = "shr";
             c.args = {rng.edgeMp(kCapBits).toHex(),
                       std::to_string(rng.below(1400))};
-        } else if (r < 85) {
-            c.op = r < 80 ? "addmod" : "submod";
-            MpUint m = rng.edgeMp(1 + rng.edgeBits(511));
-            if (m.isZero())
-                m = MpUint(2);
-            c.args = {rng.mpBelow(m).toHex(), rng.mpBelow(m).toHex(),
-                      m.toHex()};
-        } else if (r < 90) {
+        } else if (r < 75) {
             c.op = "inv";
             MpUint m = rng.edgeMp(1 + rng.edgeBits(511));
             m.setBit(0); // odd modulus
             if (m == MpUint(1))
                 m = MpUint(3);
             c.args = {rng.mpBelow(m).toHex(), m.toHex()};
-        } else if (r < 93) {
+        } else if (r < 78) {
             c.op = "bits";
             c.args = {rng.edgeMp(kCapBits).toHex(),
                       std::to_string(rng.below(1320)),
                       std::to_string(1 + rng.below(32))};
-        } else if (r < 96) {
+        } else if (r < 81) {
             c.op = "hex";
             c.args = {rng.edgeMp(kCapBits).toHex()};
-        } else if (r < 98) {
+        } else if (r < 83) {
             c.op = "cmp";
             MpUint a = rng.edgeMp(kCapBits);
             MpUint b = rng.below(4) ? rng.edgeMp(kCapBits) : a;
@@ -233,8 +218,7 @@ class MpintTarget final : public Target
             RefInt want = ref(*x).sub(ref(*y));
             if (ref(got) != want)
                 return mismatch("sub", got.toHex(), want.toHex());
-        } else if ((c.op == "mulos" || c.op == "mulps" || c.op == "sqr"
-                    || c.op == "mulw")
+        } else if ((c.op == "mulos" || c.op == "mulps" || c.op == "sqr")
                    && !a.empty()) {
             auto x = tryMp(a[0]);
             if (!x)
@@ -250,8 +234,6 @@ class MpintTarget final : public Target
                     return std::nullopt;
                 y = *p;
             }
-            if (c.op == "mulw" && y.size() > 1)
-                return std::nullopt;
             RefInt want = ref(*x).mul(ref(y));
             bool fits = want.bitLength() <= kCapBits;
             bool threw = false;
@@ -261,10 +243,8 @@ class MpintTarget final : public Target
                     got = x->mulOperandScan(y);
                 else if (c.op == "mulps")
                     got = x->mulProductScan(y);
-                else if (c.op == "sqr")
-                    got = x->sqr();
                 else
-                    got = x->mulWord(y.limb(0));
+                    got = x->sqr();
             } catch (const UleccError &) {
                 threw = true;
             }
@@ -331,24 +311,6 @@ class MpintTarget final : public Target
                 if (ref(got) != want)
                     return mismatch("shl", got.toHex(), want.toHex());
             }
-        } else if ((c.op == "addmod" || c.op == "submod")
-                   && a.size() == 3) {
-            auto x = tryMp(a[0]), y = tryMp(a[1]), m = tryMp(a[2]);
-            if (!x || !y || !m || m->isZero() || !(*x < *m)
-                || !(*y < *m))
-                return std::nullopt;
-            RefInt rm = ref(*m);
-            MpUint got;
-            RefInt want;
-            if (c.op == "addmod") {
-                got = x->addMod(*y, *m);
-                want = ref(*x).add(ref(*y)).mod(rm);
-            } else {
-                got = x->subMod(*y, *m);
-                want = ref(*x).add(rm).sub(ref(*y)).mod(rm);
-            }
-            if (ref(got) != want)
-                return mismatch(c.op, got.toHex(), want.toHex());
         } else if (c.op == "inv" && a.size() == 2) {
             auto x = tryMp(a[0]), m = tryMp(a[1]);
             if (!x || !m || !m->isOdd() || *m <= MpUint(1)
@@ -406,8 +368,8 @@ class MpintTarget final : public Target
             }
             // The paper's M2ADDU is ONE 65-bit add of 2*rs*rt into
             // OvFlo:Hi:Lo; the Karatsuba unit folds the doubling into
-            // its accumulate.  Every multiplier variant must agree
-            // with the 128-bit reference, carry for carry.
+            // its accumulate and must agree with the 128-bit
+            // reference, carry for carry.
             unsigned __int128 want =
                 ((static_cast<unsigned __int128>(w[2]) << 64)
                  | (static_cast<uint64_t>(w[0]) << 32) | w[1])
@@ -415,24 +377,16 @@ class MpintTarget final : public Target
             // OvFlo is a 32-bit register: the 65-bit add's carry
             // wraps mod 2^32 like every accumulate before it.
             want &= ((unsigned __int128)1 << 96) - 1;
-            for (int v = 0; v < kMultiplierVariantCount; ++v) {
-                KaratsubaUnit unit;
-                unit.set(w[0], w[1], w[2]);
-                unit.execute(KaratsubaOp::M2addu, w[3], w[4],
-                             static_cast<MultiplierVariant>(v));
-                unsigned __int128 got =
-                    (static_cast<unsigned __int128>(unit.ovflo()) << 64)
-                    | (static_cast<uint64_t>(unit.hi()) << 32)
-                    | unit.lo();
-                if (got != want)
-                    return mismatch(
-                        std::string("m2acc[")
-                            + multiplierVariantName(
-                                static_cast<MultiplierVariant>(v))
-                            + "]",
-                        MpUint(static_cast<uint64_t>(got)).toHex(),
-                        MpUint(static_cast<uint64_t>(want)).toHex());
-            }
+            KaratsubaUnit unit;
+            unit.set(w[0], w[1], w[2]);
+            unit.execute(KaratsubaOp::M2addu, w[3], w[4]);
+            unsigned __int128 got =
+                (static_cast<unsigned __int128>(unit.ovflo()) << 64)
+                | (static_cast<uint64_t>(unit.hi()) << 32) | unit.lo();
+            if (got != want)
+                return mismatch("m2acc",
+                                MpUint(static_cast<uint64_t>(got)).toHex(),
+                                MpUint(static_cast<uint64_t>(want)).toHex());
         }
         return std::nullopt;
     }
@@ -493,11 +447,15 @@ redInput(DiffRng &rng, int bits)
     MpUint w;
     for (int i = 0; i < (2 * bits + 31) / 32; ++i) {
         uint64_t pick = rng.below(3);
-        w.setLimb(i, pick == 0 ? 0u
-                     : pick == 1 ? 0xffffffffu
-                                 : static_cast<uint32_t>(rng.next()));
+        uint32_t word = pick == 0 ? 0u
+            : pick == 1           ? 0xffffffffu
+                                  : static_cast<uint32_t>(rng.next());
+        int high = 2 * bits - 32 * i; // bits of this word below 2^(2*bits)
+        if (high < 32)
+            word &= (1u << high) - 1;
+        w.setLimb(i, word);
     }
-    return w.bitAnd(MpUint::powerOfTwo(2 * bits).sub(MpUint(1)));
+    return w;
 }
 
 class FieldTarget final : public Target
@@ -513,7 +471,7 @@ class FieldTarget final : public Target
         static const char *kBinaries[] = {"b163", "b233", "b283",
                                           "b409", "b571"};
         CaseInput c;
-        uint64_t r = rng.below(100);
+        uint64_t r = rng.below(85);
         if (r < 50) {
             std::string tok = kPrimes[rng.below(6)];
             const PrimeField &f = *primeFieldFor(tok);
@@ -983,7 +941,7 @@ class EcdsaTarget final : public Target
                                         "P-384", "P-521", "B-163",
                                         "B-233", "B-283"};
         CaseInput c;
-        uint64_t r = rng.below(100);
+        uint64_t r = rng.below(85);
         if (r >= 55 && r < 75 && !entries_.empty()) {
             c.op = "nonce";
             c.args = {std::to_string(rng.below(entries_.size()))};
@@ -1206,7 +1164,7 @@ class PeteTarget final : public Target
     {
         static const int kWidths[] = {2, 3, 6, 8};
         CaseInput c;
-        uint64_t r = rng.below(100);
+        uint64_t r = rng.below(85);
         if (r < 90) {
             int k = kWidths[rng.below(4)];
             if (r < 25)

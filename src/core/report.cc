@@ -53,48 +53,6 @@ Table::render() const
     return os.str();
 }
 
-namespace
-{
-
-void
-appendCsvCell(std::string &out, const std::string &cell)
-{
-    if (cell.find_first_of(",\"\n\r") == std::string::npos) {
-        out += cell;
-        return;
-    }
-    out += '"';
-    for (char c : cell) {
-        if (c == '"')
-            out += '"';
-        out += c;
-    }
-    out += '"';
-}
-
-void
-appendCsvRow(std::string &out, const std::vector<std::string> &cells)
-{
-    for (size_t i = 0; i < cells.size(); ++i) {
-        if (i)
-            out += ',';
-        appendCsvCell(out, cells[i]);
-    }
-    out += '\n';
-}
-
-} // namespace
-
-std::string
-Table::renderCsv() const
-{
-    std::string out;
-    appendCsvRow(out, headers_);
-    for (const auto &row : rows_)
-        appendCsvRow(out, row);
-    return out;
-}
-
 Json
 Table::toJson() const
 {

@@ -36,9 +36,6 @@ class Table
     /** Renders with aligned columns. */
     std::string render() const;
 
-    /** Renders RFC-4180-style CSV (cells quoted when needed). */
-    std::string renderCsv() const;
-
     /** {"headers": [...], "rows": [[...], ...]} -- cells as strings. */
     Json toJson() const;
 

@@ -30,13 +30,6 @@ Ecdh::validatePeer(const AffinePoint &peer) const
     return scalarMul(curve_, curve_.order(), peer).infinity;
 }
 
-EcdhShared
-Ecdh::agree(const MpUint &d, const AffinePoint &peer) const
-{
-    Result<EcdhShared> r = agreeChecked(d, peer);
-    return r.ok() ? r.value() : EcdhShared{};
-}
-
 Result<EcdhShared>
 Ecdh::agreeChecked(const MpUint &d, const AffinePoint &peer) const
 {
@@ -57,7 +50,6 @@ Ecdh::agreeChecked(const MpUint &d, const AffinePoint &peer) const
     int len = (curve_.fieldBits() + 7) / 8;
     std::vector<uint8_t> octets = toBytesBe(out.sharedX, len);
     out.sessionKey = sha256(octets.data(), octets.size());
-    out.valid = true;
     return out;
 }
 

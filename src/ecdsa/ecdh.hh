@@ -25,7 +25,6 @@ struct EcdhShared
 {
     MpUint sharedX;       ///< x-coordinate of d_A * Q_B
     Sha256Digest sessionKey; ///< KDF(x): SHA-256 of the x octets
-    bool valid = false;   ///< false if the peer point was invalid
 };
 
 /** ECDH engine bound to one curve. */
@@ -41,14 +40,9 @@ class Ecdh
      * Computes the shared secret d * peer and derives a session key.
      * Performs full public-key validation (on-curve, non-infinity,
      * order check) before use -- invalid-curve attacks are exactly the
-     * kind of thing an implantable device must not fall to.
-     */
-    EcdhShared agree(const MpUint &d, const AffinePoint &peer) const;
-
-    /**
-     * Checked key agreement: reports *why* the agreement failed
-     * (Errc::InvalidInput with context naming the private scalar or
-     * the peer point) instead of a bare invalid result.
+     * kind of thing an implantable device must not fall to.  A failure
+     * is Errc::InvalidInput with context naming the private scalar or
+     * the peer point.
      */
     Result<EcdhShared> agreeChecked(const MpUint &d,
                                     const AffinePoint &peer) const;

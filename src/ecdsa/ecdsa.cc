@@ -64,16 +64,6 @@ toBytesBeChecked(const MpUint &v, int len)
     return toBytesBe(v, len);
 }
 
-Result<MpUint>
-fromBytesBeChecked(const uint8_t *data, size_t len)
-{
-    if (len > static_cast<size_t>(kMaxBytes))
-        return Error{Errc::OutOfRange,
-                     "fromBytesBe: length " + std::to_string(len)
-                     + " exceeds capacity"};
-    return fromBytesBe(data, len);
-}
-
 namespace
 {
 
@@ -144,15 +134,6 @@ Ecdsa::keyFromPrivate(const MpUint &d) const
         throw UleccError(Errc::InvalidInput,
                          "keyFromPrivate: scalar out of [1, n)");
     return {d, scalarMul(curve_, d, curve_.generator())};
-}
-
-Result<KeyPair>
-Ecdsa::keyFromPrivateChecked(const MpUint &d) const
-{
-    if (d.isZero() || d >= curve_.order())
-        return Error{Errc::InvalidInput,
-                     "keyFromPrivate: scalar out of [1, n)"};
-    return keyFromPrivate(d);
 }
 
 MpUint

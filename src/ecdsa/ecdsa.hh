@@ -52,9 +52,6 @@ MpUint fromBytesBe(const uint8_t *data, size_t len);
 /** Non-throwing form of toBytesBe. */
 Result<std::vector<uint8_t>> toBytesBeChecked(const MpUint &v, int len);
 
-/** Non-throwing form of fromBytesBe. */
-Result<MpUint> fromBytesBeChecked(const uint8_t *data, size_t len);
-
 /**
  * Deterministic nonce generation per RFC 6979 (HMAC-SHA256 DRBG):
  * k = drbg(private key, message digest) with 1 <= k < n.
@@ -70,11 +67,11 @@ class Ecdsa
 
     const Curve &curve() const { return curve_; }
 
-    /** Derives the key pair for private scalar @p d. */
+    /**
+     * Derives the key pair for private scalar @p d.  Throws
+     * UleccError(Errc::InvalidInput) when d is out of [1, n).
+     */
     KeyPair keyFromPrivate(const MpUint &d) const;
-
-    /** Checked form: Errc::InvalidInput when d is out of [1, n). */
-    Result<KeyPair> keyFromPrivateChecked(const MpUint &d) const;
 
     /**
      * Signs a 32-byte digest.  If @p nonce is not provided the RFC 6979

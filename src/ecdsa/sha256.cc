@@ -181,17 +181,4 @@ hmacSha256Multi(const std::vector<uint8_t> &key,
     return hmacSha256(key.data(), key.size(), data.data(), data.size());
 }
 
-std::string
-digestHex(const Sha256Digest &d)
-{
-    static const char digits[] = "0123456789abcdef";
-    std::string s;
-    s.reserve(64);
-    for (uint8_t b : d) {
-        s.push_back(digits[b >> 4]);
-        s.push_back(digits[b & 0xF]);
-    }
-    return s;
-}
-
 } // namespace ulecc

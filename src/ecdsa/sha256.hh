@@ -69,9 +69,6 @@ Sha256Digest hmacSha256Multi(
     const std::vector<uint8_t> &key,
     const std::vector<std::vector<uint8_t>> &parts);
 
-/** Renders a digest as lowercase hex. */
-std::string digestHex(const Sha256Digest &d);
-
 } // namespace ulecc
 
 #endif // ULECC_ECDSA_SHA256_HH

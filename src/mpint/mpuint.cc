@@ -273,18 +273,6 @@ MpUint::bitXor(const MpUint &other) const
 }
 
 MpUint
-MpUint::bitAnd(const MpUint &other) const
-{
-    MpUint r;
-    int n = std::min(n_, other.n_);
-    for (int i = 0; i < n; ++i)
-        r.limbs_[i] = limbs_[i] & other.limbs_[i];
-    r.n_ = n;
-    r.trim();
-    return r;
-}
-
-MpUint
 MpUint::mulOperandScan(const MpUint &other) const
 {
     // Capacity is judged on bit widths: limb-count sums over-estimate
@@ -348,30 +336,6 @@ MpUint::mulProductScan(const MpUint &other) const
 }
 
 MpUint
-MpUint::mulWord(uint32_t w) const
-{
-    MpUint r;
-    uint64_t carry = 0;
-    for (int i = 0; i < n_; ++i) {
-        uint64_t t = static_cast<uint64_t>(limbs_[i]) * w + carry;
-        r.limbs_[i] = static_cast<uint32_t>(t);
-        carry = t >> 32;
-    }
-    // A full-capacity operand is fine as long as the top carry is
-    // clear (e.g. multiplying a 1280-bit value by 1 must not throw).
-    if (n_ < maxLimbs) {
-        r.limbs_[n_] = static_cast<uint32_t>(carry);
-        r.n_ = n_ + 1;
-    } else if (carry != 0) {
-        throw UleccError(Errc::OutOfRange, "MpUint::mulWord overflow");
-    } else {
-        r.n_ = n_;
-    }
-    r.trim();
-    return r;
-}
-
-MpUint
 MpUint::sqr() const
 {
     if (2 * n_ > maxLimbs)
@@ -409,23 +373,6 @@ MpUint
 MpUint::mod(const MpUint &m) const
 {
     return divmod(m).remainder;
-}
-
-MpUint
-MpUint::addMod(const MpUint &other, const MpUint &m) const
-{
-    MpUint s = add(other);
-    if (s.compare(m) >= 0)
-        s = s.sub(m);
-    return s;
-}
-
-MpUint
-MpUint::subMod(const MpUint &other, const MpUint &m) const
-{
-    if (compare(other) >= 0)
-        return sub(other);
-    return add(m).sub(other);
 }
 
 MpUint

@@ -133,12 +133,6 @@ class MpUint
     static MpUint fromWords64(const uint64_t *words, int count);
 
     /**
-     * Builds a value from @p count 32-bit limbs, least significant
-     * first; @p count must be in [0, maxLimbs].
-     */
-    static MpUint fromLimbs(const uint32_t *limbs, int count);
-
-    /**
      * The value of element @p e, whose limbs at @p count and above are
      * zero (a field's elements: count is its word count).
      */
@@ -211,9 +205,6 @@ class MpUint
     /** Returns this XOR other (carry-less / GF(2) addition). */
     MpUint bitXor(const MpUint &other) const;
 
-    /** Returns this AND other. */
-    MpUint bitAnd(const MpUint &other) const;
-
     /**
      * Schoolbook "operand scanning" multiplication (paper Algorithm 2).
      * The traditional pencil-and-paper method: the outer loop iterates
@@ -233,9 +224,6 @@ class MpUint
     /** Multiplication (dispatches to operand scanning). */
     MpUint mul(const MpUint &other) const { return mulOperandScan(other); }
 
-    /** Multiplies by a single 32-bit word. */
-    MpUint mulWord(uint32_t w) const;
-
     /** Squaring (via product scanning with the M2ADDU-style shortcut). */
     MpUint sqr() const;
 
@@ -250,12 +238,6 @@ class MpUint
 
     /** Returns this mod m. */
     MpUint mod(const MpUint &m) const;
-
-    /** Returns (this + other) mod m, assuming both operands < m. */
-    MpUint addMod(const MpUint &other, const MpUint &m) const;
-
-    /** Returns (this - other) mod m, assuming both operands < m. */
-    MpUint subMod(const MpUint &other, const MpUint &m) const;
 
     /**
      * Modular inverse for an odd modulus of up to 40 limbs via the
@@ -272,6 +254,12 @@ class MpUint
     };
 
     explicit MpUint(NoFill) : n_(0) {}
+
+    /**
+     * Builds a value from @p count 32-bit limbs, least significant
+     * first; @p count must be in [0, maxLimbs].
+     */
+    static MpUint fromLimbs(const uint32_t *limbs, int count);
 
     void
     trim()

@@ -5,8 +5,6 @@
 
 #include "obs/energy_ledger.hh"
 
-#include "core/report.hh"
-
 namespace ulecc
 {
 
@@ -26,16 +24,6 @@ multiplierUj(const PowerParams &p, const EventCounts &ev)
 
 } // namespace
 
-const std::vector<std::string> &
-EnergyLedger::componentNames()
-{
-    static const std::vector<std::string> kNames = {
-        "pete-core", "multiplier", "ram", "rom",
-        "uncore",    "monte",      "billie",
-    };
-    return kNames;
-}
-
 void
 EnergyLedger::addPhase(const std::string &phase,
                        const EventCounts &events)
@@ -47,47 +35,6 @@ EnergyLedger::addPhase(const std::string &phase,
         }
     }
     phases_.push_back(Phase{phase, events});
-}
-
-const EnergyLedger::Phase *
-EnergyLedger::findPhase(const std::string &phase) const
-{
-    for (const Phase &p : phases_) {
-        if (p.name == phase)
-            return &p;
-    }
-    return nullptr;
-}
-
-EnergyBreakdown
-EnergyLedger::phaseBreakdown(const std::string &phase) const
-{
-    const Phase *p = findPhase(phase);
-    return p ? model_.evaluate(p->events) : EnergyBreakdown{};
-}
-
-double
-EnergyLedger::phaseStaticUj(const std::string &phase) const
-{
-    return phaseBreakdown(phase).staticUj;
-}
-
-std::vector<LedgerEntry>
-EnergyLedger::entries() const
-{
-    std::vector<LedgerEntry> out;
-    for (const Phase &p : phases_) {
-        EnergyBreakdown e = model_.evaluate(p.events);
-        double mult = multiplierUj(model_.params(), p.events);
-        out.push_back({p.name, "pete-core", e.peteUj - mult});
-        out.push_back({p.name, "multiplier", mult});
-        out.push_back({p.name, "ram", e.ramUj});
-        out.push_back({p.name, "rom", e.romUj});
-        out.push_back({p.name, "uncore", e.uncoreUj});
-        out.push_back({p.name, "monte", e.monteUj});
-        out.push_back({p.name, "billie", e.billieUj});
-    }
-    return out;
 }
 
 double
@@ -126,26 +73,6 @@ EnergyLedger::toJson() const
     doc["phases"] = std::move(arr);
     doc["total_uj"] = totalUj();
     return doc;
-}
-
-std::string
-EnergyLedger::renderText() const
-{
-    std::vector<std::string> headers = {"Phase"};
-    for (const std::string &c : componentNames())
-        headers.push_back(c + " uJ");
-    headers.push_back("total uJ");
-    headers.push_back("static uJ");
-    Table t(headers);
-    for (const Phase &p : phases_) {
-        EnergyBreakdown e = model_.evaluate(p.events);
-        double mult = multiplierUj(model_.params(), p.events);
-        t.addRow({p.name, fmt(e.peteUj - mult, 3), fmt(mult, 3),
-                  fmt(e.ramUj, 3), fmt(e.romUj, 3), fmt(e.uncoreUj, 3),
-                  fmt(e.monteUj, 3), fmt(e.billieUj, 3),
-                  fmt(e.totalUj(), 3), fmt(e.staticUj, 3)});
-    }
-    return t.render();
 }
 
 } // namespace ulecc

@@ -23,14 +23,6 @@
 namespace ulecc
 {
 
-/** One provenance row: energy one component spent in one phase. */
-struct LedgerEntry
-{
-    std::string phase;
-    std::string component;
-    double uj = 0;
-};
-
 /** The ledger. */
 class EnergyLedger
 {
@@ -39,28 +31,13 @@ class EnergyLedger
         : model_(model)
     {}
 
-    /** Component name list, in emission order. */
-    static const std::vector<std::string> &componentNames();
-
     /** Adds one phase's activity (phases may repeat; counts add). */
     void addPhase(const std::string &phase, const EventCounts &events);
-
-    /** All provenance rows, phases in insertion order. */
-    std::vector<LedgerEntry> entries() const;
-
-    /** The model's breakdown for one recorded phase. */
-    EnergyBreakdown phaseBreakdown(const std::string &phase) const;
-
-    /** Leakage portion of one phase's total (informational). */
-    double phaseStaticUj(const std::string &phase) const;
 
     double totalUj() const;
 
     /** {"phases": [{phase, total_uj, static_uj, components: {...}}]} */
     Json toJson() const;
-
-    /** Fixed-width text table (phase rows x component columns). */
-    std::string renderText() const;
 
   private:
     struct Phase
@@ -68,8 +45,6 @@ class EnergyLedger
         std::string name;
         EventCounts events;
     };
-
-    const Phase *findPhase(const std::string &phase) const;
 
     PowerModel model_;
     std::vector<Phase> phases_;

@@ -57,38 +57,9 @@ HdrHistogram::record(uint64_t value)
         counts_.resize(idx + 1, 0);
     ++counts_[idx];
     ++count_;
-    if (value < min_)
-        min_ = value;
     if (value > max_)
         max_ = value;
     sum_ += value;
-}
-
-void
-HdrHistogram::merge(const HdrHistogram &other)
-{
-    if (other.count_ == 0)
-        return;
-    if (other.counts_.size() > counts_.size())
-        counts_.resize(other.counts_.size(), 0);
-    for (size_t i = 0; i < other.counts_.size(); ++i)
-        counts_[i] += other.counts_[i];
-    count_ += other.count_;
-    if (other.min_ < min_)
-        min_ = other.min_;
-    if (other.max_ > max_)
-        max_ = other.max_;
-    sum_ += other.sum_;
-}
-
-void
-HdrHistogram::clear()
-{
-    counts_.clear();
-    count_ = 0;
-    min_ = ~0ull;
-    max_ = 0;
-    sum_ = 0;
 }
 
 double
@@ -117,45 +88,6 @@ HdrHistogram::percentilePermille(unsigned permille) const
         }
     }
     return max_;
-}
-
-bool
-HdrHistogram::operator==(const HdrHistogram &other) const
-{
-    if (count_ != other.count_ || sum_ != other.sum_
-        || min() != other.min() || max_ != other.max_)
-        return false;
-    size_t n = counts_.size() > other.counts_.size()
-        ? counts_.size()
-        : other.counts_.size();
-    for (size_t i = 0; i < n; ++i) {
-        uint64_t a = i < counts_.size() ? counts_[i] : 0;
-        uint64_t b = i < other.counts_.size() ? other.counts_[i] : 0;
-        if (a != b)
-            return false;
-    }
-    return true;
-}
-
-Json
-HdrHistogram::toJson() const
-{
-    Json doc = Json::object();
-    doc["count"] = count_;
-    doc["min"] = min();
-    doc["max"] = max_;
-    doc["sum"] = sum_;
-    Json buckets = Json::array();
-    for (size_t i = 0; i < counts_.size(); ++i) {
-        if (counts_[i] == 0)
-            continue;
-        Json pair = Json::array();
-        pair.push(static_cast<uint64_t>(i));
-        pair.push(counts_[i]);
-        buckets.push(std::move(pair));
-    }
-    doc["buckets"] = buckets;
-    return doc;
 }
 
 } // namespace ulecc

@@ -4,9 +4,8 @@
  *
  * The service engine records one latency sample per completed request
  * over campaigns that can run indefinitely, so the recorder must be
- * bounded-memory with deterministic merge -- a sorted vector (the
- * previous implementation) grows without limit and costs a full sort
- * per percentile query.
+ * bounded-memory -- a sorted vector (the previous implementation)
+ * grows without limit and costs a full sort per percentile query.
  *
  * The scheme is the classic HDR layout: values below 2^kSubBucketBits
  * get one bucket each (exact); above that, every power-of-two range
@@ -18,12 +17,9 @@
  * of words -- cheap enough that the timeline aggregator keeps one per
  * (window, op).
  *
- * Everything is integer arithmetic on fixed data: record, merge and
- * percentile queries are exactly deterministic, and merge is
- * associative and commutative (counts add; min/max/sum fold), which
- * is what lets sharded recorders combine into one distribution
- * without ordering sensitivity.  Count, min, max and sum are tracked
- * exactly -- only percentiles quantize.
+ * Everything is integer arithmetic on fixed data: record and
+ * percentile queries are exactly deterministic.  Count, max and sum
+ * are tracked exactly -- only percentiles quantize.
  */
 
 #ifndef ULECC_OBS_HDR_HISTOGRAM_HH
@@ -33,7 +29,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/json.hh"
 
 namespace ulecc
 {
@@ -57,17 +52,10 @@ class HdrHistogram
     /** Adds one sample. */
     void record(uint64_t value);
 
-    /** Adds every sample of @p other (associative + commutative). */
-    void merge(const HdrHistogram &other);
-
-    /** Discards all samples. */
-    void clear();
-
     uint64_t count() const { return count_; }
     bool empty() const { return count_ == 0; }
 
-    /** Exact extrema/sum of the recorded samples (0 when empty). */
-    uint64_t min() const { return count_ ? min_ : 0; }
+    /** Exact maximum/sum of the recorded samples (0 when empty). */
     uint64_t max() const { return max_; }
     uint64_t sum() const { return sum_; }
 
@@ -91,27 +79,9 @@ class HdrHistogram
     static uint64_t bucketHigh(size_t index);
     /** @} */
 
-    /**
-     * Structural equality: same samples bucket-for-bucket (trailing
-     * empty buckets ignored), same exact count/min/max/sum.
-     */
-    bool operator==(const HdrHistogram &other) const;
-    bool operator!=(const HdrHistogram &other) const
-    {
-        return !(*this == other);
-    }
-
-    /**
-     * Compact document: {"count", "min", "max", "sum", "buckets":
-     * [[index, count], ...]} with only nonzero buckets listed, in
-     * index order -- byte-stable for identical sample multisets.
-     */
-    Json toJson() const;
-
   private:
     std::vector<uint64_t> counts_; ///< grown lazily to the top bucket
     uint64_t count_ = 0;
-    uint64_t min_ = ~0ull;
     uint64_t max_ = 0;
     uint64_t sum_ = 0;
 };

@@ -10,24 +10,18 @@
 namespace ulecc
 {
 
-uint64_t
-StallTotals::total() const
+namespace
 {
-    uint64_t sum = 0;
-    for (uint64_t c : cycles)
-        sum += c;
-    return sum;
-}
 
-PipelineTracer::PipelineTracer(const TraceConfig &config)
-    : config_(config)
-{
-}
+/** Hard cap on recorded events; beyond it events are counted only. */
+constexpr size_t kTraceMaxEvents = 4'000'000;
+
+} // namespace
 
 void
 PipelineTracer::record(const Event &ev)
 {
-    if (events_.size() >= config_.maxEvents) {
+    if (events_.size() >= kTraceMaxEvents) {
         dropped_++;
         return;
     }

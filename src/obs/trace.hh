@@ -36,13 +36,6 @@
 namespace ulecc
 {
 
-/** Tracer limits (a runaway program must not eat the heap). */
-struct TraceConfig
-{
-    /** Hard cap on recorded events; beyond it events are counted only. */
-    size_t maxEvents = 4'000'000;
-};
-
 /** Per-cause stall cycle totals accumulated by a tracer/profiler. */
 struct StallTotals
 {
@@ -60,8 +53,6 @@ struct StallTotals
     {
         return cycles[static_cast<size_t>(cause)];
     }
-
-    uint64_t total() const;
 };
 
 /**
@@ -88,7 +79,6 @@ class StepHookList : public StepHook
 class PipelineTracer : public StepHook, public SpanSink
 {
   public:
-    explicit PipelineTracer(const TraceConfig &config = {});
 
     /** @name StepHook (attach via Pete::attachStepHook) */
     /** @{ */
@@ -116,7 +106,8 @@ class PipelineTracer : public StepHook, public SpanSink
     /** Retired instructions observed. */
     uint64_t tracedInstructions() const { return instructions_; }
 
-    /** Events dropped past TraceConfig::maxEvents. */
+    /** Events dropped past the recording cap (kTraceMaxEvents in
+     *  trace.cc: a runaway program must not eat the heap). */
     uint64_t droppedEvents() const { return dropped_; }
 
     /** The Chrome trace document ({"traceEvents": [...], ...}),
@@ -138,7 +129,6 @@ class PipelineTracer : public StepHook, public SpanSink
     void closeInstruction(const PeteStats &now);
     void record(const Event &ev);
 
-    TraceConfig config_;
     std::vector<Event> events_;
     StallTotals stalls_;
     PeteStats prev_;          ///< stats snapshot at last onStep

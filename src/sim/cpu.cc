@@ -82,13 +82,6 @@ Pete::Pete(const Program &program, const PeteConfig &config)
     regs_[29] = MemoryMap::ramBase + MemoryMap::ramSize - 16;
 }
 
-void
-Pete::setPc(uint32_t pc)
-{
-    pc_ = pc;
-    npc_ = pc + 4;
-}
-
 uint32_t
 Pete::fetch(uint32_t addr)
 {

@@ -258,7 +258,6 @@ class Pete
     }
 
     uint32_t pc() const { return pc_; }
-    void setPc(uint32_t pc);
 
     /** Raises (or lowers) the cycle budget; lets a caller resume a
      *  run that stopped on Errc::SimTimeout. */

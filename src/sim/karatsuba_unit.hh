@@ -20,9 +20,9 @@
  * charges the same occupancy through the shared MultiplierDesc
  * (sim/multiplier.hh -- the single source of the timing contract),
  * and the unit tests pin the functional results to plain 64-bit
- * multiplication.  Alternative family members (schoolbook, depth-2
- * Karatsuba, wide clmul) plug in through the variant overload of
- * execute(); all are architecturally identical.
+ * multiplication.  This is the one datapath Pete runs: the other
+ * members of the multiplier family change only timing, energy and
+ * area, which all come from their MultiplierDesc.
  */
 
 #ifndef ULECC_SIM_KARATSUBA_UNIT_HH
@@ -47,9 +47,9 @@ enum class KaratsubaOp : uint8_t
 };
 
 /**
- * The schedule a variant charges for one op -- the SAME descriptor
- * field Pete's timing model arms `multReadyCycle_` with, so the trace
- * and the pipeline can never drift apart again.
+ * The schedule a descriptor charges for one op -- the SAME field
+ * Pete's timing model arms `multReadyCycle_` with, so the trace and
+ * the pipeline can never drift apart.
  */
 constexpr uint32_t
 multiplierOpLatency(const MultiplierDesc &d, KaratsubaOp op)
@@ -69,7 +69,7 @@ multiplierOpLatency(const MultiplierDesc &d, KaratsubaOp op)
 /** Cycle-by-cycle trace of one operation (for tests/visualisation). */
 struct KaratsubaTrace
 {
-    int cycles = 0;           ///< the variant's per-op occupancy
+    int cycles = 0;           ///< the unit's per-op occupancy
     int halfMultiplies = 0;   ///< integer block activations
     int clmulBlocks = 0;      ///< carry-less block activations
     int64_t subProducts[3]{}; ///< AL*BL, AH*BH, middle term
@@ -84,9 +84,8 @@ class KaratsubaUnit
      *
      * The integer datapath is inline so callers that discard the trace
      * (the simulator's retirement loop) compile down to just the three
-     * half-products and the recombine;
-     * the carry-less variants stay out of line with their clmul32
-     * dependency.
+     * half-products and the recombine; the carry-less ops stay out of
+     * line with their clmul32 dependency.
      */
     KaratsubaTrace
     execute(KaratsubaOp op, uint32_t rs, uint32_t rt)
@@ -127,17 +126,6 @@ class KaratsubaUnit
         }
         return trace;
     }
-
-    /**
-     * Executes one operation on a family variant's datapath
-     * (sim/multiplier.hh).  Architecturally identical to the default
-     * Karatsuba path -- only the trace's schedule and block-activity
-     * counts differ.  Out of line: the simulator's hot loops never
-     * call it (variants change timing through PeteConfig, not
-     * results), only tests and the design-space sweep do.
-     */
-    KaratsubaTrace execute(KaratsubaOp op, uint32_t rs, uint32_t rt,
-                           MultiplierVariant variant);
 
     uint32_t hi() const { return hi_; }
     uint32_t lo() const { return lo_; }

@@ -23,14 +23,14 @@
  *               finishes MULGF2/MADDGF2 in 2 cycles.
  *
  * Every variant is architecturally identical -- same Hi/Lo/OvFlo
- * results for every op (tests/test_karatsuba.cpp pins this across the
- * diffuzz mpint oracle) -- and differs only in its timing schedule
- * and calibrated energy/area coefficients.  One MultiplierDesc per
- * variant is the SINGLE SOURCE of that contract: PeteConfig::latency(),
- * KaratsubaTrace cycle counts, the block cache's
- * timing-context encoding, the kernel cost model's occupancy
- * formulas, and the eval-cache key all consume it.  Nothing may
- * hardcode a 4 again.
+ * results for every op -- so Pete runs one datapath, the Karatsuba
+ * unit of sim/karatsuba_unit.hh, whatever the variant; a variant
+ * differs only in its timing schedule and calibrated energy/area
+ * coefficients.  One MultiplierDesc per variant is the SINGLE SOURCE
+ * of that contract: PeteConfig::latency(), KaratsubaTrace cycle
+ * counts, the kernel cost model's occupancy formulas, the eval-cache
+ * key and bench_multspace's activity/area columns all consume it.
+ * Nothing may hardcode a 4 again.
  */
 
 #ifndef ULECC_SIM_MULTIPLIER_HH
@@ -55,8 +55,9 @@ inline constexpr int kMultiplierVariantCount = 4;
 
 /**
  * The per-variant timing/energy contract.  Latencies are busy cycles
- * charged to `multReadyCycle_` per issue; the activity counts feed
- * the KaratsubaTrace bookkeeping; the energy/area coefficients scale
+ * charged to `multReadyCycle_` per issued op; the activity counts are
+ * the blocks one product fires (the karatsuba row is what
+ * KaratsubaTrace counts); the energy/area coefficients scale
  * the calibrated `peteMultMw` baseline (karatsuba == 1.0 exactly, so
  * the default design point's energy numbers are bit-identical to the
  * pre-family model).
@@ -98,16 +99,6 @@ multiplierDesc(MultiplierVariant v)
 inline constexpr const MultiplierDesc &kKaratsubaDesc =
     kMultiplierDescs[0];
 
-/** Widest busy timer any variant can arm (sizes countdown encodings). */
-inline constexpr uint32_t kMaxMultiplierLatency = [] {
-    uint32_t m = 0;
-    for (const MultiplierDesc &d : kMultiplierDescs) {
-        for (uint32_t l : {d.multLatency, d.macLatency, d.gf2Latency})
-            m = l > m ? l : m;
-    }
-    return m;
-}();
-
 constexpr const char *
 multiplierVariantName(MultiplierVariant v)
 {
@@ -115,8 +106,17 @@ multiplierVariantName(MultiplierVariant v)
 }
 
 /** Parses a CLI/journal spelling; false leaves @p out untouched. */
-bool parseMultiplierVariant(std::string_view name,
-                            MultiplierVariant &out);
+inline bool
+parseMultiplierVariant(std::string_view name, MultiplierVariant &out)
+{
+    for (int i = 0; i < kMultiplierVariantCount; ++i) {
+        if (name == kMultiplierDescs[i].name) {
+            out = static_cast<MultiplierVariant>(i);
+            return true;
+        }
+    }
+    return false;
+}
 
 } // namespace ulecc
 

@@ -72,8 +72,7 @@ normalPath(const CurveCtx &ctx, const Session &s, const Request &req,
             break;
         }
         // Both sides must derive the same session key.
-        if (!a.value().valid || !b.value().valid
-            || a.value().sessionKey != b.value().sessionKey)
+        if (a.value().sessionKey != b.value().sessionKey)
             out.wrongAnswer = true;
         break;
       }

@@ -723,7 +723,9 @@ SvcConfig::validate() const
             bad = std::string("SvcConfig.") + field + " must be " + rule;
     };
     check(requests >= 1, "requests", ">= 1");
-    check(users >= 1, "users", ">= 1");
+    // SessionCache keys a session by (curve << 56) ^ user id, so ids
+    // must stay below 2^56 to keep one key per (user, curve).
+    check(users >= 1 && users <= 1ull << 56, "users", "in [1, 2^56]");
     // One free-time slot per virtual worker: the cap keeps a typo
     // from allocating gigabytes.
     check(virtualWorkers >= 1 && virtualWorkers <= 1u << 16,

@@ -62,7 +62,7 @@ struct SvcConfig
 {
     uint64_t seed = 1;
     uint64_t requests = 1000; ///< synthetic requests to generate
-    uint64_t users = 256;     ///< population size (keys lazily derived)
+    uint64_t users = 256;     ///< population size in [1, 2^56] (keys lazily derived)
 
     /** Modelled device-fleet width (virtual servers, not threads). */
     unsigned virtualWorkers = 4;

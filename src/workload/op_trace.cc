@@ -22,16 +22,6 @@ OpCounts::total() const
     return t;
 }
 
-OpCounts &
-OpCounts::operator+=(const OpCounts &o)
-{
-    for (int d = 0; d < 2; ++d) {
-        for (int i = 0; i < 6; ++i)
-            counts[d][i] += o.counts[d][i];
-    }
-    return *this;
-}
-
 namespace
 {
 

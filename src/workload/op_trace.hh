@@ -41,8 +41,6 @@ struct OpCounts
     }
 
     uint64_t total() const;
-
-    OpCounts &operator+=(const OpCounts &other);
 };
 
 /** One recorded operation (packed domain + op). */

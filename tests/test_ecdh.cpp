@@ -37,12 +37,12 @@ TEST_P(EcdhCurves, BothSidesDeriveTheSameKey)
     AffinePoint qa = ecdh.publicPoint(da);
     AffinePoint qb = ecdh.publicPoint(db);
 
-    EcdhShared sa = ecdh.agree(da, qb);
-    EcdhShared sb = ecdh.agree(db, qa);
-    ASSERT_TRUE(sa.valid);
-    ASSERT_TRUE(sb.valid);
-    EXPECT_EQ(sa.sharedX, sb.sharedX);
-    EXPECT_EQ(digestHex(sa.sessionKey), digestHex(sb.sessionKey));
+    Result<EcdhShared> sa = ecdh.agreeChecked(da, qb);
+    Result<EcdhShared> sb = ecdh.agreeChecked(db, qa);
+    ASSERT_TRUE(sa.ok());
+    ASSERT_TRUE(sb.ok());
+    EXPECT_EQ(sa.value().sharedX, sb.value().sharedX);
+    EXPECT_EQ(sa.value().sessionKey, sb.value().sessionKey);
 }
 
 TEST_P(EcdhCurves, InvalidPeersRejected)
@@ -53,15 +53,18 @@ TEST_P(EcdhCurves, InvalidPeersRejected)
     Ecdh ecdh(c);
     MpUint d(0x1235);
     // Infinity rejected.
-    EXPECT_FALSE(ecdh.agree(d, AffinePoint::makeInfinity()).valid);
+    EXPECT_EQ(ecdh.agreeChecked(d, AffinePoint::makeInfinity()).code(),
+              Errc::InvalidInput);
     // Off-curve point rejected (invalid-curve attack).
     AffinePoint bogus = c.generator();
     bogus.x = bogus.x.bitXor(MpUint(1));
     EXPECT_FALSE(ecdh.validatePeer(bogus));
-    EXPECT_FALSE(ecdh.agree(d, bogus).valid);
+    EXPECT_EQ(ecdh.agreeChecked(d, bogus).code(), Errc::InvalidInput);
     // Out-of-range private scalar rejected.
-    EXPECT_FALSE(ecdh.agree(c.order(), c.generator()).valid);
-    EXPECT_FALSE(ecdh.agree(MpUint(0), c.generator()).valid);
+    EXPECT_EQ(ecdh.agreeChecked(c.order(), c.generator()).code(),
+              Errc::InvalidInput);
+    EXPECT_EQ(ecdh.agreeChecked(MpUint(0), c.generator()).code(),
+              Errc::InvalidInput);
 }
 
 INSTANTIATE_TEST_SUITE_P(All, EcdhCurves,
@@ -83,11 +86,11 @@ TEST(Ecdh, ToyCurveRoundTrip)
         MpUint db = rng.mpBelow(toy->order());
         if (da.isZero() || db.isZero())
             continue;
-        EcdhShared sa = ecdh.agree(da, ecdh.publicPoint(db));
-        EcdhShared sb = ecdh.agree(db, ecdh.publicPoint(da));
-        ASSERT_EQ(sa.valid, sb.valid);
-        if (sa.valid) {
-            EXPECT_EQ(sa.sharedX, sb.sharedX);
+        Result<EcdhShared> sa = ecdh.agreeChecked(da, ecdh.publicPoint(db));
+        Result<EcdhShared> sb = ecdh.agreeChecked(db, ecdh.publicPoint(da));
+        ASSERT_EQ(sa.ok(), sb.ok());
+        if (sa.ok()) {
+            EXPECT_EQ(sa.value().sharedX, sb.value().sharedX);
         }
     }
 }

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +16,24 @@
 
 using namespace ulecc;
 using ulecc::test::Rng;
+
+namespace
+{
+
+/** Renders a digest as lowercase hex, the form the KATs are written in. */
+std::string
+digestHex(const Sha256Digest &d)
+{
+    static const char digits[] = "0123456789abcdef";
+    std::string s;
+    for (uint8_t b : d) {
+        s.push_back(digits[b >> 4]);
+        s.push_back(digits[b & 0xF]);
+    }
+    return s;
+}
+
+} // namespace
 
 TEST(Sha256, FipsVectors)
 {

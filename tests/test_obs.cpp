@@ -104,7 +104,10 @@ TEST(PipelineTracer, StallTotalsMatchPeteStatsExactly)
         EXPECT_EQ(tracer.stallTotals()[cause], stallCycles(stats, cause))
             << "cause " << stallCauseName(cause);
     }
-    EXPECT_EQ(tracer.stallTotals().total(), totalStallCycles(stats));
+    uint64_t stallSum = 0;
+    for (uint64_t c : tracer.stallTotals().cycles)
+        stallSum += c;
+    EXPECT_EQ(stallSum, totalStallCycles(stats));
     EXPECT_EQ(tracer.tracedCycles(), stats.cycles);
     EXPECT_EQ(tracer.tracedInstructions(), stats.instructions);
     EXPECT_EQ(tracer.droppedEvents(), 0u);
@@ -217,7 +220,8 @@ TEST(CycleProfiler, SelfCyclesPartitionTheRunTotal)
     for (const LabelProfile &lp : rep.labels) {
         self_sum += lp.selfCycles;
         inst_sum += lp.instructions;
-        stall_sum += lp.stalls.total();
+        for (uint64_t c : lp.stalls.cycles)
+            stall_sum += c;
         EXPECT_GE(lp.totalCycles, lp.selfCycles);
     }
     EXPECT_EQ(self_sum, stats.cycles);
@@ -304,15 +308,31 @@ TEST(EnergyLedger, TotalsEqualPowerModelTotals)
         pm.evaluate(sign).totalUj() + pm.evaluate(verify).totalUj();
     EXPECT_DOUBLE_EQ(ledger.totalUj(), expected);
 
-    // Component rows reconcile with the per-phase breakdowns: the
-    // multiplier split is carved out of (not added to) the Pete share.
+    // Each phase's components reconcile with its model breakdown:
+    // the multiplier split is carved out of (not added to) the Pete
+    // share.
+    Json doc = ledger.toJson();
+    const Json &phases = *doc.find("phases");
+    ASSERT_EQ(phases.size(), 2u);
+    const EventCounts *events[] = {&sign, &verify};
     double sum = 0;
-    for (const LedgerEntry &e : ledger.entries())
-        sum += e.uj;
+    for (size_t i = 0; i < 2; ++i) {
+        double phaseUj = pm.evaluate(*events[i]).totalUj();
+        EXPECT_DOUBLE_EQ(phases.at(i).find("total_uj")->asDouble(),
+                         phaseUj);
+        const Json &components = *phases.at(i).find("components");
+        double phaseSum = 0;
+        for (const char *name : {"pete-core", "multiplier", "ram", "rom",
+                                 "uncore", "monte", "billie"}) {
+            ASSERT_NE(components.find(name), nullptr) << name;
+            phaseSum += components.find(name)->asDouble();
+        }
+        EXPECT_EQ(components.members().size(), 7u);
+        EXPECT_NEAR(phaseSum, phaseUj, 1e-12 * phaseUj);
+        sum += phaseSum;
+    }
     EXPECT_NEAR(sum, expected, 1e-12 * expected);
-
-    EnergyBreakdown sb = ledger.phaseBreakdown("sign");
-    EXPECT_DOUBLE_EQ(sb.totalUj(), pm.evaluate(sign).totalUj());
+    EXPECT_DOUBLE_EQ(doc.find("total_uj")->asDouble(), expected);
 
     // Repeated phases accumulate.
     EnergyLedger twice(pm);
@@ -321,14 +341,6 @@ TEST(EnergyLedger, TotalsEqualPowerModelTotals)
     EventCounts doubled = sign;
     doubled += sign;
     EXPECT_DOUBLE_EQ(twice.totalUj(), pm.evaluate(doubled).totalUj());
-
-    // The JSON document carries every component for every phase.
-    Json doc = ledger.toJson();
-    ASSERT_EQ(doc.find("phases")->size(), 2u);
-    const Json &components =
-        *doc.find("phases")->at(0).find("components");
-    for (const std::string &name : EnergyLedger::componentNames())
-        EXPECT_NE(components.find(name), nullptr) << name;
 }
 
 TEST(Json, RoundTripsThroughDumpAndParse)
@@ -391,16 +403,11 @@ TEST(WriteTextFile, JsonDocumentRoundTrips)
     EXPECT_FALSE(writeTextFile("/nonexistent-dir/metrics.json", written));
 }
 
-TEST(Table, RendersCsvAndJsonFromTheSameRows)
+TEST(Table, RendersTextAndJsonFromTheSameRows)
 {
     Table t({"Config", "Energy uJ", "Note"});
     t.addRow({"baseline", "12.50", "plain"});
     t.addRow({"monte", "1.25", "has, comma and \"quotes\""});
-
-    EXPECT_EQ(t.renderCsv(),
-              "Config,Energy uJ,Note\n"
-              "baseline,12.50,plain\n"
-              "monte,1.25,\"has, comma and \"\"quotes\"\"\"\n");
 
     Json doc = t.toJson();
     ASSERT_EQ(doc.find("headers")->size(), 3u);
@@ -562,7 +569,6 @@ TEST(HdrHistogram, MatchesSortedVectorOracleAcrossDistributions)
             values.push_back(v);
         }
         ASSERT_EQ(h.count(), values.size());
-        EXPECT_EQ(h.min(), *std::min_element(values.begin(), values.end()));
         EXPECT_EQ(h.max(), *std::max_element(values.begin(), values.end()));
         for (unsigned p : ranks) {
             uint64_t exact = oraclePermille(values, p);
@@ -583,47 +589,11 @@ TEST(HdrHistogram, MatchesSortedVectorOracleAcrossDistributions)
     }
 }
 
-TEST(HdrHistogram, MergeIsAssociativeAndCommutative)
-{
-    SplitMix64 gen(0xCAFE);
-    HdrHistogram parts[3];
-    HdrHistogram all;
-    for (int part = 0; part < 3; ++part) {
-        for (int i = 0; i < 700; ++i) {
-            uint64_t v = gen.below(1ull << (1 + gen.below(34)));
-            parts[part].record(v);
-            all.record(v);
-        }
-    }
-    // (a + b) + c
-    HdrHistogram left = parts[0];
-    left.merge(parts[1]);
-    left.merge(parts[2]);
-    // a + (b + c)
-    HdrHistogram bc = parts[1];
-    bc.merge(parts[2]);
-    HdrHistogram right = parts[0];
-    right.merge(bc);
-    // c + b + a
-    HdrHistogram rev = parts[2];
-    rev.merge(parts[1]);
-    rev.merge(parts[0]);
-    EXPECT_EQ(left, right);
-    EXPECT_EQ(left, rev);
-    // All equal the histogram of the concatenated sample stream,
-    // bucket for bucket and in every exact aggregate.
-    EXPECT_EQ(left, all);
-    EXPECT_EQ(left.toJson().dump(), all.toJson().dump());
-    for (unsigned p : {0u, 500u, 990u, 1000u})
-        EXPECT_EQ(left.percentilePermille(p), all.percentilePermille(p));
-}
-
 TEST(HdrHistogram, EmptyAndSingleSampleEdgeCases)
 {
     HdrHistogram empty;
     EXPECT_TRUE(empty.empty());
     EXPECT_EQ(empty.count(), 0u);
-    EXPECT_EQ(empty.min(), 0u);
     EXPECT_EQ(empty.max(), 0u);
     EXPECT_EQ(empty.sum(), 0u);
     EXPECT_EQ(empty.mean(), 0.0);
@@ -635,20 +605,6 @@ TEST(HdrHistogram, EmptyAndSingleSampleEdgeCases)
     one.record(123'456'789);
     for (unsigned p : {0u, 1u, 500u, 999u, 1000u})
         EXPECT_EQ(one.percentilePermille(p), 123'456'789u);
-    EXPECT_EQ(one.min(), 123'456'789u);
     EXPECT_EQ(one.max(), 123'456'789u);
     EXPECT_EQ(one.sum(), 123'456'789u);
-
-    // Merging an empty histogram is the identity both ways.
-    HdrHistogram merged = one;
-    merged.merge(empty);
-    EXPECT_EQ(merged, one);
-    HdrHistogram other;
-    other.merge(one);
-    EXPECT_EQ(other, one);
-
-    // clear() returns to the pristine state.
-    merged.clear();
-    EXPECT_EQ(merged, empty);
-    EXPECT_EQ(merged.percentilePermille(500), 0u);
 }

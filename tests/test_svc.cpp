@@ -629,6 +629,8 @@ void PrintTo(const ConfigRule &rule, std::ostream *os) { *os << rule.field; }
 const ConfigRule kConfigRules[] = {
     {"RequestsZero", "requests", [](SvcConfig &c) { c.requests = 0; }},
     {"UsersZero", "users", [](SvcConfig &c) { c.users = 0; }},
+    {"UsersAbove2p56", "users",
+     [](SvcConfig &c) { c.users = (1ull << 56) + 1; }},
     {"VirtualWorkersZero", "virtualWorkers",
      [](SvcConfig &c) { c.virtualWorkers = 0; }},
     {"VirtualWorkersAboveCap", "virtualWorkers",
@@ -752,6 +754,7 @@ TEST(SvcConfigValidateBounds, EveryBoundaryValueIsAccepted)
     Result<void> valid = edge.validate();
     EXPECT_TRUE(valid.ok()) << valid.error().context;
     edge.batch.lingerNs = 1'000'000'000'000'000ull;
+    edge.users = 1ull << 56;
     EXPECT_TRUE(edge.validate().ok());
     // A degenerate day is only an error while the day curve is on.
     edge.arrivals.diurnal = false;

@@ -40,11 +40,13 @@ class Rng
         MpUint r;
         if (bits <= 0)
             return r;
-        for (int i = 0; i < (bits + 31) / 32; ++i)
-            r.setLimb(i, next32());
-        // Clear above, set the top bit.
-        MpUint mask = MpUint::powerOfTwo(bits).sub(MpUint(1));
-        r = r.bitAnd(mask);
+        for (int i = 0; i < (bits + 31) / 32; ++i) {
+            // Clear above, set the top bit.
+            uint32_t word = next32();
+            if (bits - 32 * i < 32)
+                word &= (1u << (bits - 32 * i)) - 1;
+            r.setLimb(i, word);
+        }
         r.setBit(bits - 1);
         return r;
     }

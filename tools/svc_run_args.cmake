@@ -19,6 +19,7 @@ set(hostile
     "--requests,12x"
     "--requests, 10"
     "--users,0"
+    "--users,72057594037927937"
     "--workers,0"
     "--workers,4294967296"
     "--workers,65537"
