@@ -471,7 +471,7 @@ class FieldTarget final : public Target
         static const char *kBinaries[] = {"b163", "b233", "b283",
                                           "b409", "b571"};
         CaseInput c;
-        uint64_t r = rng.below(85);
+        uint64_t r = rng.below(100);
         if (r < 50) {
             std::string tok = kPrimes[rng.below(6)];
             const PrimeField &f = *primeFieldFor(tok);
@@ -941,7 +941,7 @@ class EcdsaTarget final : public Target
                                         "P-384", "P-521", "B-163",
                                         "B-233", "B-283"};
         CaseInput c;
-        uint64_t r = rng.below(85);
+        uint64_t r = rng.below(100);
         if (r >= 55 && r < 75 && !entries_.empty()) {
             c.op = "nonce";
             c.args = {std::to_string(rng.below(entries_.size()))};
@@ -1164,7 +1164,7 @@ class PeteTarget final : public Target
     {
         static const int kWidths[] = {2, 3, 6, 8};
         CaseInput c;
-        uint64_t r = rng.below(85);
+        uint64_t r = rng.below(100);
         if (r < 90) {
             int k = kWidths[rng.below(4)];
             if (r < 25)

@@ -9,6 +9,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <map>
+#include <set>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -203,6 +205,30 @@ TEST(Diffuzz, GoldenVectorsAreLoaded)
             vectors = ecdsaTargetVectorCount(*t);
     // 8 curves x 2 messages in each of the two golden files.
     EXPECT_GE(vectors, 32u);
+}
+
+TEST(Diffuzz, EveryTargetGeneratesEachOfItsOps)
+{
+    // Each generator branches on one draw; a draw bound that no longer
+    // reaches a branch silently drops that op from every run.
+    const std::map<std::string, std::set<std::string>> kOps = {
+        {"mpint", {"add", "sub", "mulos", "mulps", "sqr", "divmod", "mod",
+                   "shl", "shr", "inv", "bits", "hex", "cmp", "m2acc"}},
+        {"field", {"fadd", "fsub", "fmul", "fsqr", "fred", "fcios", "ffips",
+                   "finv", "gmul", "gsqr", "gred", "gpmul", "ginv",
+                   "clmul"}},
+        {"ecdsa", {"nonce", "kat", "smul", "sv", "b2i"}},
+        {"pete", {"mpadd", "mulos", "mulps", "mulgf2", "redp192"}},
+    };
+    auto targets = makeTargets(ULECC_GOLDEN_DIR);
+    ASSERT_EQ(targets.size(), kOps.size());
+    for (const auto &t : targets) {
+        DiffRng rng(1 ^ fnv1a64(t->name()));
+        std::set<std::string> seen;
+        for (int i = 0; i < 2000; ++i)
+            seen.insert(t->generate(rng).op);
+        EXPECT_EQ(seen, kOps.at(t->name())) << t->name();
+    }
 }
 
 TEST(Diffuzz, ShortRunPassesWithByteStableJson)
